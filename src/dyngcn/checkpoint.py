@@ -64,10 +64,15 @@ def read_checkpoint_header(path):
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic {raw[:4]!r})")
+    start = 4 + struct.calcsize("<HQ")
+    if len(raw) < start:
+        raise ValueError(
+            f"{path}: truncated at byte offset {len(raw)}: "
+            f"the version and header length end at byte offset {start}"
+        )
     version, header_len = struct.unpack_from("<HQ", raw, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    start = 4 + struct.calcsize("<HQ")
     if start + header_len > len(raw):
         raise ValueError(f"{path}: truncated header")
     header = json.loads(raw[start : start + header_len].decode("utf-8"))
@@ -86,7 +91,13 @@ def load_checkpoint(path):
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]], count=count, offset=offset)
+        item = np.dtype(_DTYPES[entry["dtype"]])
+        if offset + count * item.itemsize > len(raw):
+            raise ValueError(
+                f"{path}: truncated: array {entry['name']!r} at byte offset {offset} "
+                f"needs {count * item.itemsize} bytes, the file ends at byte offset {len(raw)}"
+            )
+        arr = np.frombuffer(raw, dtype=item, count=count, offset=offset)
         stored[entry["name"]] = arr.reshape(shape).astype(entry["dtype"])
         offset += arr.nbytes
     if offset != len(raw):

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import ModelConfig
-from .skeleton import build_layout
-
-LEARNER_KINDS = ("context", "context-symmetric", "context-feature",
-                 "context-temporal", "nonlocal")
+from .skeleton import N_SPATIAL_CONFIGS, build_layout
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,6 @@ def count_model_flops(config, include_cen=True, persons=1):
 
     layout = build_layout(config.layout)
     schedule = config.joint_schedule(layout.n_joints)
-    n_configs = 3
 
     label = f"{config.layout} {'with' if include_cen else 'without'} learner"
     report = CostReport(label)
@@ -172,8 +168,8 @@ def count_model_flops(config, include_cen=True, persons=1):
 
         static = 0
         if config.lambda_static != 0.0:
-            static = count_graph_mult_flops(joints, c_in, frames, n_configs)
-            static += n_configs * count_conv_flops(in_shape, (out_c, c_in, 1, 1))
+            static = count_graph_mult_flops(joints, c_in, frames, N_SPATIAL_CONFIGS)
+            static += N_SPATIAL_CONFIGS * count_conv_flops(in_shape, (out_c, c_in, 1, 1))
         report.add(f"block{i}.static", in_shape, fused_shape, static)
 
         learner = dynamic = 0

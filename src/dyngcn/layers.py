@@ -11,8 +11,6 @@ import numpy as np
 
 from .tensor import Tensor, batch_norm, conv2d, matmul, reshape, add
 
-ParameterLike = "Parameter"
-
 
 class Parameter:
     """A learnable tensor plus its momentum buffer."""

@@ -2,11 +2,19 @@
 
 Each block mixes joint features along two routes and adds them:
 
-  static route   sum over K spatial configurations of (G_k + M_k) X W_k,
-                 where G_k is the frozen normalized physical graph and
-                 M_k a learnable additive mask
-  dynamic route  G(X) X W', where G(X) is predicted per sample by a
+  static route   lambda * sum over K spatial configurations of
+                 W_k X (G_k + M_k)^T, where G_k is the frozen normalized
+                 physical graph and M_k a learnable additive mask
+  dynamic route  W' X G(X)^T, where G(X) is predicted per sample by a
                  topology learner and W' is its own channel map
+
+Graph aggregation acts on the joint axis and the 1x1 channel map on the
+channel axis, so the two commute and the static route is computed the
+ST-GCN way: one broadcast graph product writes all K aggregations of a
+sample as a (K * C, T, N) channel stack, and one 1x1 convolution with
+the concatenated weight lambda * [W_0 | ... | W_{K-1}] maps the stack
+to the output channels.  Every contraction keeps a per-sample GEMM
+shape, so eval outputs do not depend on the batch size.
 
 The fused output passes through batch norm, ReLU, a temporal convolution
 (t x 1 kernel, optionally strided), a residual shortcut, and a final
@@ -26,6 +34,8 @@ from .skeleton import TopologySet, build_layout
 from .tensor import (
     Tensor,
     add,
+    concat,
+    conv2d,
     matmul,
     mean_pool_global,
     permute,
@@ -117,47 +127,46 @@ def graph_apply(graph, x):
     """Aggregate joint features: out[..., i] = sum_j graph[i, j] * x[..., j].
 
     ``graph`` is (N, N) shared or (B, N, N) per sample; ``x`` is
-    (B, C, T, N).
+    (B, C, T, N).  Each sample is one (C*T) x N by N x N product.
     """
+    batch, channels, frames, n = x.data.shape
     if graph.data.ndim == 2:
-        return matmul(x, permute(graph, (1, 0)))
-    if graph.data.ndim == 3:
-        batch, n, _ = graph.data.shape
-        if x.data.shape[0] != batch:
+        flipped = permute(graph, (1, 0))
+    elif graph.data.ndim == 3:
+        if graph.data.shape[0] != batch:
             raise ValueError(
-                f"graph batch {batch} does not match input batch {x.data.shape[0]}"
+                f"graph batch {graph.data.shape[0]} does not match input batch {batch}"
             )
-        flipped = reshape(permute(graph, (0, 2, 1)), (batch, 1, n, n))
-        return matmul(x, flipped)
-    raise ValueError(f"graph must be (N, N) or (B, N, N), got shape {graph.data.shape}")
+        flipped = permute(graph, (0, 2, 1))
+    else:
+        raise ValueError(f"graph must be (N, N) or (B, N, N), got shape {graph.data.shape}")
+    rows = reshape(x, (batch, channels * frames, n))
+    return reshape(matmul(rows, flipped), x.data.shape)
 
 
-def static_branch(x, topo, convs):
-    """Sum of per-configuration graph aggregations, each with its own 1x1 map."""
+def static_branch(x, topo, convs, lambda_static=1.0):
+    """``lambda_static`` times the sum over configurations k of conv_k(graph_k x).
+
+    All K graph products run as one broadcast product whose (B, K, C*T, N)
+    result already is the (B, K*C, T, N) channel stack, and one 1x1
+    convolution applies the concatenated, lambda-scaled weights.
+    """
     if len(convs) != topo.n_configs:
         raise ValueError(
             f"{len(convs)} channel maps for {topo.n_configs} configurations"
         )
-    total = None
-    for k, conv in enumerate(convs):
-        part = conv(graph_apply(topo.static_topology(k), x))
-        total = part if total is None else add(total, part)
-    return total
+    batch, channels, frames, n = x.data.shape
+    k = topo.n_configs
+    graphs = reshape(permute(topo.static_topology(), (0, 2, 1)), (1, k, n, n))
+    rows = reshape(x, (batch, 1, channels * frames, n))
+    stacked = reshape(matmul(rows, graphs), (batch, k * channels, frames, n))
+    weight = scale(concat([conv.weight.tensor for conv in convs], axis=1), lambda_static)
+    return conv2d(stacked, weight)
 
 
 def dynamic_branch(x, graph, conv):
     """Per-sample graph aggregation followed by its own 1x1 channel map."""
     return conv(graph_apply(graph, x))
-
-
-def fuse(y_dynamic, y_static, lambda_static=1.0):
-    """Combine the two routes: dynamic plus lambda times static."""
-    if y_dynamic is None and y_static is None:
-        raise ValueError("fuse needs at least one branch output")
-    if y_static is None:
-        return y_dynamic
-    weighted = scale(y_static, lambda_static)
-    return weighted if y_dynamic is None else add(y_dynamic, weighted)
 
 
 def joint_aggregate(x, projection):
@@ -185,7 +194,8 @@ class DynamicGConvBlock(Module):
         if layout is not None and layout.n_joints == joints:
             self.topo = TopologySet.from_layout(layout, alpha_degree, dtype)
         else:
-            self.topo = TopologySet.self_loops_only(joints, 3, alpha_degree, dtype)
+            self.topo = TopologySet.self_loops_only(joints, alpha_degree=alpha_degree,
+                                                    dtype=dtype)
         self.static_convs = [
             Conv2d(in_channels, out_channels, rng=rng, dtype=dtype)
             for _ in range(self.topo.n_configs)
@@ -228,15 +238,12 @@ class DynamicGConvBlock(Module):
                 f"block expects (B, {self.in_channels}, T, N) input, got {x.data.shape}"
             )
         predicted = self.learner(x) if self.learner is not None else None
-        y_static = (
-            static_branch(x, self.topo, self.static_convs)
-            if self.lambda_static != 0.0 else None
-        )
-        y_dynamic = (
-            dynamic_branch(x, predicted, self.dynamic_conv)
-            if self.learner is not None else None
-        )
-        y = fuse(y_dynamic, y_static, self.lambda_static)
+        y = None
+        if self.lambda_static != 0.0:
+            y = static_branch(x, self.topo, self.static_convs, self.lambda_static)
+        if predicted is not None:
+            y_dynamic = dynamic_branch(x, predicted, self.dynamic_conv)
+            y = y_dynamic if y is None else add(y_dynamic, y)
         y = relu(self.bn_fused(y))
         y = self.bn_tc(self.tc_conv(y))
         if self.shortcut_conv is None:

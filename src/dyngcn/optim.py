@@ -54,10 +54,6 @@ class NesterovSGD:
             nesterov=self.nesterov,
         )
 
-    def zero_grad(self):
-        for p in self.params:
-            p.clear_grad()
-
     def set_epoch(self, epoch, milestones, decay):
         """Milestone schedule: multiply the base rate by ``decay`` per passed milestone."""
         factor = 1.0

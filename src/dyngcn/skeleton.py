@@ -15,6 +15,7 @@ and a graph product aggregates features of j into position i.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 from collections import deque
 from dataclasses import dataclass, field
@@ -23,7 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .layers import Module, Parameter
-from .tensor import Tensor, add
+from .tensor import Tensor, add, concat, reshape
+
+# Spatial configurations per graph: self links, centripetal, centrifugal.
+N_SPATIAL_CONFIGS = 3
 
 
 @dataclass(frozen=True)
@@ -177,9 +181,9 @@ def build_layout(name_or_path):
 
 
 def partition_spatial_configs(layout):
-    """Split the skeleton graph into K=3 spatial configuration matrices.
+    """Split the skeleton graph into K=N_SPATIAL_CONFIGS matrices.
 
-    Returns an array of shape (3, N, N): identity, centripetal links, and
+    Returns an array of shape (K, N, N): identity, centripetal links, and
     centrifugal links.  For each physical edge {i, j}, the directed entry
     (i -> j) lands in the centripetal matrix when j is closer to the
     center than i, in the centrifugal matrix when farther, and ties put
@@ -187,7 +191,7 @@ def partition_spatial_configs(layout):
     """
     n = layout.n_joints
     dist = layout.hop_distances()
-    configs = np.zeros((3, n, n))
+    configs = np.zeros((N_SPATIAL_CONFIGS, n, n))
     configs[0] = np.eye(n)
     for i, j in layout.edges:
         for a, b in ((i, j), (j, i)):
@@ -246,7 +250,8 @@ class TopologySet(Module):
         return cls(partition_spatial_configs(layout), alpha_degree, dtype)
 
     @classmethod
-    def self_loops_only(cls, n_joints, n_configs=3, alpha_degree=0.001, dtype=np.float32):
+    def self_loops_only(cls, n_joints, n_configs=N_SPATIAL_CONFIGS, alpha_degree=0.001,
+                        dtype=np.float32):
         """Degenerate set for graphs with no physical edges.
 
         Used after joint aggregation, where the projected joints have no
@@ -265,12 +270,18 @@ class TopologySet(Module):
     def n_joints(self):
         return self.configs.shape[1]
 
-    def static_topology(self, k):
-        """Combined static graph for configuration k, as a Tensor."""
+    def static_topology(self, k=None):
+        """Combined static graph ``configs[k] + mask[k]``, as a Tensor.
+
+        With no ``k``, all K graphs at once as one (K, N, N) tensor.
+        """
+        if k is None:
+            masks = concat([m.tensor for m in self.mask], axis=0)   # (K * N, N)
+            return add(Tensor(self.configs), reshape(masks, self.configs.shape))
         if not 0 <= k < self.n_configs:
             raise ValueError(f"configuration index {k} out of range ({self.n_configs} configs)")
         return add(Tensor(self.configs[k]), self.mask[k].tensor)
 
     def fingerprint(self):
-        """Stable digest of the frozen configs (masks excluded)."""
-        return hash(self.configs.tobytes())
+        """Stable digest of the frozen configs (masks excluded): SHA-256 hex."""
+        return hashlib.sha256(self.configs.tobytes()).hexdigest()

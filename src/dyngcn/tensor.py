@@ -239,14 +239,16 @@ def scale(x, factor):
 
 
 def relu(x):
-    mask = x.data > 0
-
-    def backward(g):
-        _accumulate(x, g * mask)
-
     # np.maximum rather than np.where so NaN propagates instead of
     # silently flattening to zero
-    return _from_op(np.maximum(x.data, 0), (x,), backward)
+    data = np.maximum(x.data, 0)
+
+    def backward(g):
+        # out > 0 exactly where x > 0 (NaN compares false on both sides),
+        # so the mask comes from the output and nothing extra is kept
+        _accumulate(x, g * (data > 0))
+
+    return _from_op(data, (x,), backward)
 
 
 def reshape(x, shape):
@@ -269,6 +271,19 @@ def permute(x, axes):
         _accumulate(x, g.transpose(inverse))
 
     return _from_op(x.data.transpose(axes), (x,), backward)
+
+
+def concat(tensors, axis=0):
+    """Join tensors along ``axis``; backward splits the gradient back."""
+    tensors = tuple(tensors)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
+            _accumulate(t, part)
+
+    return _from_op(data, tensors, backward)
 
 
 def _normalize_axis(axis, ndim):
@@ -440,7 +455,10 @@ def batch_norm(
     In training mode the batch statistics (biased variance) normalize the
     input and, when running buffers are supplied, update them in place
     with ``new = (1 - momentum) * old + momentum * batch``.  In eval mode
-    the running buffers are required and the op is a fixed affine map.
+    the running buffers are required and the op is the per-channel affine
+    map ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``;
+    its backward recomputes the normalized input only when gamma needs a
+    gradient.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm expects a 4-d tensor, got shape {x.data.shape}")
@@ -451,10 +469,10 @@ def batch_norm(
             f"do not match {channels} channels"
         )
     axes = (0, 2, 3)
-    gamma_b = gamma.data.reshape(1, channels, 1, 1)
-    beta_b = beta.data.reshape(1, channels, 1, 1)
+    per_channel = (1, channels, 1, 1)
 
     if training:
+        gamma_b = gamma.data.reshape(per_channel)
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         if running_mean is not None:
@@ -463,30 +481,39 @@ def batch_norm(
         if running_var is not None:
             running_var *= 1.0 - momentum
             running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = x.data - mean.reshape(per_channel)
+        x_hat *= inv_std.reshape(per_channel)
+        data = gamma_b * x_hat
+        data += beta.data.reshape(per_channel)
     else:
         if running_mean is None or running_var is None:
             raise RuntimeError("batch_norm in eval mode needs running statistics")
-        mean = running_mean
-        var = running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(1, channels, 1, 1)) * inv_std.reshape(1, channels, 1, 1)
-    data = gamma_b * x_hat + beta_b
+        # copies: a later training forward updates the buffers in place
+        mean = running_mean.copy()
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        a = gamma.data * inv_std
+        data = x.data * a.reshape(per_channel)
+        data += (beta.data - mean * a).reshape(per_channel)
 
     def backward(g):
         if gamma.requires_grad:
-            _accumulate(gamma, (g * x_hat).sum(axis=axes))
+            if training:
+                x_norm = x_hat
+            else:
+                x_norm = x.data - mean.reshape(per_channel)
+                x_norm *= inv_std.reshape(per_channel)
+            _accumulate(gamma, (g * x_norm).sum(axis=axes))
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes))
         if x.requires_grad:
-            inv = inv_std.reshape(1, channels, 1, 1)
             if training:
                 dxh = g * gamma_b
                 m1 = dxh.mean(axis=axes, keepdims=True)
                 m2 = (dxh * x_hat).mean(axis=axes, keepdims=True)
-                _accumulate(x, inv * (dxh - m1 - x_hat * m2))
+                _accumulate(x, inv_std.reshape(per_channel) * (dxh - m1 - x_hat * m2))
             else:
-                _accumulate(x, g * gamma_b * inv)
+                _accumulate(x, g * a.reshape(per_channel))
 
     return _from_op(data, (x, gamma, beta), backward)
 

@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dyngcn.checkpoint import load_checkpoint, save_checkpoint
+from dyngcn.checkpoint import load_checkpoint, read_checkpoint_header, save_checkpoint
 from dyngcn.config import RunConfig, model_preset, run_preset
 from dyngcn.data import SynthSpec, load_manifest, synth_generate
 from dyngcn.model import ModelConfig, build_model
@@ -146,6 +146,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path2.write_bytes(path2.read_bytes()[:-16])
     with pytest.raises(ValueError, match=r"(truncated|buffer)"):
         load_checkpoint(path2)
+
+
+def test_checkpoint_shorter_than_fixed_header_names_offset(tmp_path):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(b"DGCK\x01\x00")
+    with pytest.raises(ValueError, match=r"short\.ckpt: truncated at byte offset 6"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_array_past_end_names_array_and_offset(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+    header, raw, offset = read_checkpoint_header(path)
+    first = header["arrays"][0]
+    path.write_bytes(raw[: offset + 4])
+    with pytest.raises(ValueError, match=rf"m\.ckpt: truncated: array '{first['name']}' "
+                                         rf"at byte offset {offset} needs"):
+        load_checkpoint(path)
 
 
 # -- training harness ---------------------------------------------------

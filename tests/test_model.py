@@ -7,7 +7,6 @@ from dyngcn.model import (
     ModelConfig,
     build_model,
     dynamic_branch,
-    fuse,
     graph_apply,
     joint_aggregate,
     round_half_up,
@@ -129,16 +128,64 @@ def test_graph_apply_batch_mismatch():
         graph_apply(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 1, 5, 4))))
 
 
-def test_fuse_lambda_forms():
+def random_static_route(rng, n, c_in, c_out, dtype=np.float64):
+    """Chain topology with random masks, plus one random 1x1 map per configuration."""
+    topo = TopologySet.from_layout(chain_layout(n), dtype=dtype)
+    for k in range(3):
+        topo.mask[k].tensor.data[:] = rng.standard_normal((n, n)) * 0.1
+    return topo, [Conv2d(c_in, c_out, rng=rng, dtype=dtype) for _ in range(3)]
+
+
+def test_static_branch_lambda_scales_route():
     rng = np.random.default_rng(3)
-    a = Tensor(rng.standard_normal((2, 3, 4, 5)))
-    b = Tensor(rng.standard_normal((2, 3, 4, 5)))
-    assert np.array_equal(fuse(a, b, 1.0).data, a.data + b.data)
-    assert np.array_equal(fuse(a, b, 0.0).data, a.data + 0.0 * b.data)
-    lam = 0.37
-    assert np.allclose(fuse(a, b, lam).data, a.data + lam * b.data, atol=1e-6)
-    assert fuse(a, None).data is a.data
-    assert np.array_equal(fuse(None, b, 2.0).data, 2.0 * b.data)
+    n, c_in, c_out = 5, 3, 4
+    topo, convs = random_static_route(rng, n, c_in, c_out)
+    x = Tensor(rng.standard_normal((2, c_in, 4, n)))
+    unit = static_branch(x, topo, convs).data
+    assert np.array_equal(static_branch(x, topo, convs, 1.0).data, unit)
+    assert np.array_equal(static_branch(x, topo, convs, 0.0).data, np.zeros_like(unit))
+    for lam in (0.37, 2.0):
+        assert np.allclose(static_branch(x, topo, convs, lam).data, lam * unit, atol=1e-12)
+
+
+@pytest.mark.parametrize("target", ["x", "mask0", "mask1", "mask2",
+                                    "weight0", "weight1", "weight2"])
+def test_static_branch_gradients(target):
+    rng = np.random.default_rng(20)
+    n, c_in, c_out, t, b = 5, 3, 4, 3, 2
+    topo, convs = random_static_route(rng, n, c_in, c_out)
+    x = Tensor(rng.standard_normal((b, c_in, t, n)), requires_grad=True)
+    w = Tensor(rng.standard_normal((b, c_out, t, n)))
+    wrt = {"x": x}
+    for k in range(3):
+        wrt[f"mask{k}"] = topo.mask[k].tensor
+        wrt[f"weight{k}"] = convs[k].weight.tensor
+    err = check_gradient(lambda _: mul(static_branch(x, topo, convs, 0.6), w).sum(),
+                         wrt[target], eps=1e-6)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("route", ["shared graph", "per-sample graphs", "static"])
+def test_spatial_routes_batch_invariant_bitwise(route, batch):
+    rng = np.random.default_rng(21)
+    n, c, t = 25, 16, 12
+    x = rng.standard_normal((batch, c, t, n)).astype(np.float32)
+    graphs = rng.standard_normal((batch, n, n)).astype(np.float32)
+    topo, convs = random_static_route(rng, n, c, c, dtype=np.float32)
+
+    def apply(i, j):
+        xs = Tensor(x[i:j])
+        if route == "shared graph":
+            return graph_apply(Tensor(graphs[0]), xs).data
+        if route == "per-sample graphs":
+            return graph_apply(Tensor(graphs[i:j]), xs).data
+        return static_branch(xs, topo, convs, 0.5).data
+
+    with no_grad():
+        full = apply(0, batch)
+        for i in range(batch):
+            assert np.array_equal(full[i], apply(i, i + 1)[0])
 
 
 # -- block behavior -----------------------------------------------------
@@ -208,6 +255,19 @@ def test_block_lambda_zero_ignores_static_parameters():
     with no_grad():
         after = block(Tensor(x)).data
     assert np.array_equal(before, after)
+
+
+def test_block_lambda_folds_into_static_weights():
+    # the block sums dynamic + lambda * static: scaling the static weights
+    # by lambda at lambda = 1 must give the same output
+    x = Tensor(np.random.default_rng(22).standard_normal((2, 3, 6, 4)))
+    lam = 0.37
+    scaled = small_block(lambda_static=lam, rng=np.random.default_rng(8)).eval()
+    folded = small_block(lambda_static=1.0, rng=np.random.default_rng(8)).eval()
+    for conv in folded.static_convs:
+        conv.weight.tensor.data *= lam
+    with no_grad():
+        assert np.allclose(scaled(x).data, folded(x).data, atol=1e-12)
 
 
 def test_block_batching_invariance_eval():

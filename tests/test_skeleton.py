@@ -191,6 +191,13 @@ def test_topology_set_configs_frozen():
     assert topo.fingerprint() == fp
 
 
+def test_topology_set_fingerprint_is_a_fixed_sha256():
+    # a literal digest: the value must not depend on the process
+    assert TopologySet.from_layout(chain3()).fingerprint() == (
+        "e06a51aa5969072dd76011c0f6f821b123a5a1a80c47754f46eb1fa9ced74de6"
+    )
+
+
 def test_topology_set_self_loops_only():
     topo = TopologySet.self_loops_only(4)
     assert topo.n_configs == 3 and topo.n_joints == 4

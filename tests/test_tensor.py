@@ -5,6 +5,7 @@ from dyngcn.tensor import (
     Tensor,
     add,
     batch_norm,
+    concat,
     conv2d,
     l2_row_normalize,
     matmul,
@@ -132,6 +133,21 @@ def test_relu_subgradient_at_zero_is_zero():
     assert np.array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
 
 
+def test_relu_nan_propagates_and_gets_no_gradient():
+    x = Tensor(np.array([np.nan, -np.nan, 0.0, 3.0]), requires_grad=True)
+    out = relu(x)
+    assert np.isnan(out.data[:2]).all()
+    out.backward(np.ones(4))
+    assert np.array_equal(x.grad, np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+def test_concat_joins_in_order():
+    parts = [Tensor(np.full((2, k, 3), float(k))) for k in (1, 2, 3)]
+    out = concat(parts, axis=1)
+    assert out.shape == (2, 6, 3)
+    assert np.array_equal(out.data[0, :, 0], [1, 2, 2, 3, 3, 3])
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((6, 9)) * 5.0)
@@ -242,6 +258,15 @@ def test_grad_conv2d_temporal_strided(seed):
     err_x = check_gradient(lambda t: conv2d(t, w, stride_t=2, pad_t=2).sum(), x)
     err_w = check_gradient(lambda t: conv2d(x, t, stride_t=2, pad_t=2).sum(), w)
     assert err_x < 1e-4 and err_w < 1e-4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_concat(seed):
+    rng = np.random.default_rng(seed)
+    parts = [rand(rng, 2, k, 3, 2) for k in (1, 3, 2)]
+    w = Tensor(rng.standard_normal((2, 6, 3, 2)))
+    for part in parts:
+        assert check_gradient(lambda _: mul(concat(parts, axis=1), w).sum(), part) < 1e-6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
