@@ -25,6 +25,9 @@ FORMAT_VERSION = 1
 
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
+# The JSON header starts after the magic, the u16 version and the u64 length.
+HEADER_OFFSET = len(MAGIC) + struct.calcsize("<HQ")
+
 
 def _model_arrays(model):
     for name, param in model.named_parameters():
@@ -64,7 +67,7 @@ def read_checkpoint_header(path):
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic {raw[:4]!r})")
-    start = 4 + struct.calcsize("<HQ")
+    start = HEADER_OFFSET
     if len(raw) < start:
         raise ValueError(
             f"{path}: truncated at byte offset {len(raw)}: "
@@ -75,14 +78,42 @@ def read_checkpoint_header(path):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if start + header_len > len(raw):
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(raw[start : start + header_len].decode("utf-8"))
+
+    def bad_header(message):
+        return ValueError(f"{path}: header at byte offset {start}: {message}")
+
+    try:
+        header = json.loads(raw[start : start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise bad_header(f"not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise bad_header(f"expected a JSON object, got {type(header).__name__}")
+    for key, kind in (("config", dict), ("meta", dict), ("arrays", list)):
+        if not isinstance(header.get(key), kind):
+            what = "array" if kind is list else "object"
+            raise bad_header(f"{key!r} is missing or not a JSON {what}")
+    for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and {"name", "shape", "dtype"} <= entry.keys()
+                and isinstance(entry["shape"], list)
+                and all(isinstance(d, int) and d >= 0 for d in entry["shape"])):
+            raise bad_header(f"array entry {entry!r} needs a name, a shape of sizes and a dtype")
+        if entry["dtype"] not in _DTYPES:
+            raise bad_header(
+                f"array {entry['name']!r} has unsupported dtype {entry['dtype']!r}, "
+                f"expected one of {sorted(_DTYPES)}"
+            )
     return header, raw, start + header_len
 
 
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes; returns (model, meta)."""
     header, raw, offset = read_checkpoint_header(path)
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: header at byte offset {HEADER_OFFSET}: bad config ({exc})"
+        ) from None
     dtypes = {entry["dtype"] for entry in header["arrays"]}
     dtype = np.float64 if dtypes == {"float64"} else np.float32
     model = build_model(config, seed=0, dtype=dtype)

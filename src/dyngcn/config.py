@@ -66,6 +66,32 @@ _RUN_PARSERS = {
 }
 
 
+def _parse_assignments(items):
+    """Parse ``(where, "key=value")`` pairs into (model kwargs, run kwargs).
+
+    ``where`` (a line number or the override itself) leads every error,
+    and an error about a value also names its key.
+    """
+    model_kwargs = {}
+    run_kwargs = {}
+    for where, text in items:
+        if "=" not in text:
+            raise ValueError(f"{where}: expected key=value, got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key.startswith("model."):
+            name, parsers, target = key[len("model."):], _MODEL_PARSERS, model_kwargs
+        else:
+            name, parsers, target = key, _RUN_PARSERS, run_kwargs
+        if name not in parsers:
+            kind = "model key" if target is model_kwargs else "key"
+            raise ValueError(f"{where}: unknown {kind} {name!r}")
+        try:
+            target[name] = parsers[name](value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value {value!r} for {key}: {exc}") from None
+    return model_kwargs, run_kwargs
+
+
 @dataclass
 class RunConfig:
     model: ModelConfig
@@ -111,27 +137,11 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text, source="<config>"):
-        model_kwargs = {}
-        run_kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{source}: line {lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                if key.startswith("model."):
-                    name = key[len("model."):]
-                    if name not in _MODEL_PARSERS:
-                        raise ValueError(f"unknown model key {name!r}")
-                    model_kwargs[name] = _MODEL_PARSERS[name](value)
-                else:
-                    if key not in _RUN_PARSERS:
-                        raise ValueError(f"unknown key {key!r}")
-                    run_kwargs[key] = _RUN_PARSERS[key](value)
-            except ValueError as exc:
-                raise ValueError(f"{source}: line {lineno}: {exc}") from None
+        lines = ((lineno, raw.split("#", 1)[0].strip())
+                 for lineno, raw in enumerate(text.splitlines(), start=1))
+        model_kwargs, run_kwargs = _parse_assignments(
+            (f"{source}: line {lineno}", line) for lineno, line in lines if line
+        )
         if "layout" not in model_kwargs or "n_classes" not in model_kwargs:
             raise ValueError(f"{source}: model.layout and model.n_classes are required")
         return cls(model=ModelConfig(**model_kwargs), **run_kwargs)
@@ -151,21 +161,9 @@ class RunConfig:
 
     def with_overrides(self, assignments):
         """Apply ``key=value`` strings, e.g. from repeated --set flags."""
-        model_kwargs = {}
-        run_kwargs = {}
-        for item in assignments:
-            if "=" not in item:
-                raise ValueError(f"override {item!r} is not key=value")
-            key, value = (part.strip() for part in item.split("=", 1))
-            if key.startswith("model."):
-                name = key[len("model."):]
-                if name not in _MODEL_PARSERS:
-                    raise ValueError(f"unknown model key {name!r}")
-                model_kwargs[name] = _MODEL_PARSERS[name](value)
-            elif key in _RUN_PARSERS:
-                run_kwargs[key] = _RUN_PARSERS[key](value)
-            else:
-                raise ValueError(f"unknown key {key!r}")
+        model_kwargs, run_kwargs = _parse_assignments(
+            (f"override {item!r}", item) for item in assignments
+        )
         model = replace(self.model, **model_kwargs) if model_kwargs else self.model
         return replace(self, model=model, **run_kwargs)
 

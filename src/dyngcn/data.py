@@ -113,6 +113,11 @@ def _parse_binary(raw, path):
         fail(offset, f"payload holds {len(raw) - offset} bytes, header promises {payload} "
                      f"({t}x{m}x{n}x{d} float32)")
     data = np.frombuffer(raw, dtype="<f4", count=t * m * n * d, offset=offset)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        first = int(bad[0])
+        where = tuple(int(i) for i in np.unravel_index(first, (t, m, n, d)))
+        fail(offset + 4 * first, f"non-finite coordinate {data[first]} at (t, m, n, d) {where}")
     data = data.reshape(t, m, n, d).astype(np.float32)
     return SkeletonSequence(data, label, strings[0], strings[1])
 
@@ -203,11 +208,15 @@ def parse_sequence_text(text, path="<text>"):
                 fail(lineno, f"frame {current[0]} person {current[1]} has more than "
                              f"{shape[2]} joints")
             try:
-                values = [float(v) for v in tokens]
+                values = np.array([float(v) for v in tokens])
             except ValueError:
                 fail(lineno, f"bad float in {line!r}")
             if len(values) != shape[3]:
                 fail(lineno, f"joint line has {len(values)} coordinates, expected {shape[3]}")
+            with np.errstate(over="ignore"):
+                values = values.astype(np.float32)
+            if not np.isfinite(values).all():
+                fail(lineno, f"non-finite coordinate (as float32) in {line!r}")
             blocks[current].append(values)
             expect_joints -= 1
 
@@ -225,7 +234,7 @@ def parse_sequence_text(text, path="<text>"):
                          + (" ..." if len(missing) > 4 else ""))
     data = np.empty((t, m, n, d), dtype=np.float32)
     for (ti, mi), rows in blocks.items():
-        data[ti, mi] = np.asarray(rows, dtype=np.float64).astype(np.float32)
+        data[ti, mi] = rows
     try:
         label = int(header.get("label", ""))
     except ValueError:

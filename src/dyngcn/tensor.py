@@ -353,15 +353,9 @@ def matmul(a, b):
     return _from_op(data, (a, b), backward)
 
 
-def _conv_cols(x, kt, stride_t, pad_t):
-    """im2col along the time axis: (B, C, T, N) -> (B, C*kt, T_out*N)."""
-    if pad_t:
-        x = np.pad(x, ((0, 0), (0, 0), (pad_t, pad_t), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, kt, axis=2)
-    windows = windows[:, :, ::stride_t]  # (B, C, T_out, N, kt)
-    b, c, t_out, n, _ = windows.shape
-    cols = windows.transpose(0, 1, 4, 2, 3).reshape(b, c * kt, t_out * n)
-    return np.ascontiguousarray(cols), t_out, n
+# Byte budget of the temporal conv's column buffer, about one L2 cache: the
+# im2col runs over as many samples at a time as fit, never the whole batch.
+_COLS_BUDGET = 4 << 20
 
 
 def conv2d(x, weight, stride_t=1, pad_t=0):
@@ -410,25 +404,54 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
 
         return _from_op(data, (x, weight), backward)
 
-    cols, t_out, _ = _conv_cols(x.data, kt, stride_t, pad_t)
+    # im2col along time, a chunk of samples at a time: column row (c, k, t)
+    # holds input time t*stride_t + k - pad_t.  Each tap copies only its
+    # in-range rows [lo, hi); the rest stay zero, so padding never exists.
+    t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
+    taps = []
+    for k in range(kt):
+        lo = max(0, -((k - pad_t) // stride_t))
+        hi = min(t_out, (t_in - 1 + pad_t - k) // stride_t + 1)
+        if hi > lo:
+            src = lo * stride_t + k - pad_t
+            taps.append((k, lo, hi, slice(src, src + (hi - lo - 1) * stride_t + 1, stride_t)))
+    sample_bytes = c_in * kt * t_out * n * x.data.dtype.itemsize
+    chunk = min(batch, max(1, _COLS_BUDGET // sample_bytes))
+    chunks = [(b0, min(b0 + chunk, batch)) for b0 in range(0, batch, chunk)]
     w_flat = weight.data.reshape(c_out, c_in * kt)
-    data = np.matmul(w_flat, cols).reshape(batch, c_out, t_out, n)
+
+    def columns(cols, b0, b1):
+        for k, lo, hi, src in taps:
+            cols[: b1 - b0, :, k, lo:hi] = x.data[b0:b1, :, src]
+        return cols[: b1 - b0].reshape(b1 - b0, c_in * kt, t_out * n)
+
+    # Every GEMM keeps its per-sample shape, so the chunking changes no bit.
+    cols = np.zeros((chunk, c_in, kt, t_out, n), dtype=x.data.dtype)
+    data = np.empty((batch, c_out, t_out * n), dtype=np.result_type(w_flat, cols))
+    for b0, b1 in chunks:
+        np.matmul(w_flat, columns(cols, b0, b1), out=data[b0:b1])
+    data = data.reshape(batch, c_out, t_out, n)
 
     def backward(g):
         g_flat = g.reshape(batch, c_out, t_out * n)
         if weight.requires_grad:
             # Recompute the columns rather than keeping them alive through
             # the whole graph; the copy is cheaper than the retained memory.
-            cols_b, _, _ = _conv_cols(x.data, kt, stride_t, pad_t)
-            dw = np.matmul(g_flat, cols_b.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, dw.reshape(weight.data.shape))
+            cols = np.zeros((chunk, c_in, kt, t_out, n), dtype=x.data.dtype)
+            dw = np.empty((batch, c_out, c_in * kt), dtype=np.result_type(g, cols))
+            for b0, b1 in chunks:
+                cols_t = columns(cols, b0, b1).transpose(0, 2, 1)
+                np.matmul(g_flat[b0:b1], cols_t, out=dw[b0:b1])
+            _accumulate(weight, dw.sum(axis=0).reshape(weight.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(w_flat.T, g_flat).reshape(batch, c_in, kt, t_out, n)
-            t_pad = t_in + 2 * pad_t
-            dxp = np.zeros((batch, c_in, t_pad, n), dtype=x.data.dtype)
-            for k in range(kt):
-                dxp[:, :, k : k + stride_t * t_out : stride_t, :] += dcols[:, :, k]
-            dx = dxp[:, :, pad_t : t_pad - pad_t, :] if pad_t else dxp
+            # col2im: each tap adds its in-range rows back, in k order.
+            dcols = np.empty((chunk, c_in * kt, t_out * n), dtype=np.result_type(w_flat, g))
+            dx = np.zeros_like(x.data)
+            for b0, b1 in chunks:
+                dc = np.matmul(w_flat.T, g_flat[b0:b1], out=dcols[: b1 - b0])
+                dc = dc.reshape(b1 - b0, c_in, kt, t_out, n)
+                for k, lo, hi, src in taps:
+                    dx[b0:b1, :, src] += dc[:, :, k, lo:hi]
             _accumulate(x, dx)
 
     return _from_op(data, (x, weight), backward)

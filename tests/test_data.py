@@ -69,6 +69,19 @@ def test_binary_truncation_reports_offset(tmp_path):
         load_sequence(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_binary_non_finite_coordinate_reports_offset(tmp_path, value):
+    seq = random_sequence(np.random.default_rng(5))
+    seq.data[4, 1, 2, 0] = value
+    seq.data[5, 0, 0, 1] = np.nan
+    path = save_sequence(tmp_path / "a.skl", seq)
+    payload = len(path.read_bytes()) - seq.data.nbytes
+    first = np.ravel_multi_index((4, 1, 2, 0), seq.data.shape)
+    with pytest.raises(ValueError, match=rf"a\.skl: byte {payload + 4 * first}: "
+                                         rf"non-finite coordinate {value}"):
+        load_sequence(path)
+
+
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "junk.skl"
     path.write_bytes(b"\xff\xfe\x00\x01" + b"\x00" * 30)
@@ -133,6 +146,15 @@ def test_text_error_carries_line_number():
     broken = GOLDEN_TEXT.replace("1.0 0.5 -1.0", "1.0 oops -1.0")
     with pytest.raises(ValueError, match="line 9: bad float"):
         parse_sequence_text(broken)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e39"])
+def test_text_non_finite_coordinate_reports_line(tmp_path, token):
+    broken = GOLDEN_TEXT.replace("1.0 0.6 -1.0", f"1.0 {token} -1.0")
+    path = tmp_path / "a.skt"
+    path.write_text(broken)
+    with pytest.raises(ValueError, match=r"a\.skt: line 13: non-finite coordinate"):
+        load_sequence(path)
 
 
 def test_format_text_is_parseable_inverse():

@@ -1,4 +1,6 @@
+import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -86,6 +88,19 @@ def test_with_overrides():
         cfg.with_overrides(["chaos=1"])
 
 
+@pytest.mark.parametrize("override, key", [("lr=abc", "lr"),
+                                           ("model.channels=8,x", "model.channels"),
+                                           ("nesterov=maybe", "nesterov")])
+def test_with_overrides_bad_value_names_key(override, key):
+    with pytest.raises(ValueError, match=rf"override '{override}': bad value .* for {key}: "):
+        run_preset("smoke").with_overrides([override])
+
+
+def test_run_config_bad_value_names_line_and_key():
+    with pytest.raises(ValueError, match=r"line 2: bad value 'x' for model\.frames: "):
+        RunConfig.from_text("model.layout=ntu25\nmodel.frames=x\n")
+
+
 # -- metrics log --------------------------------------------------------
 
 
@@ -162,6 +177,49 @@ def test_checkpoint_array_past_end_names_array_and_offset(tmp_path):
     path.write_bytes(raw[: offset + 4])
     with pytest.raises(ValueError, match=rf"m\.ckpt: truncated: array '{first['name']}' "
                                          rf"at byte offset {offset} needs"):
+        load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Write ``path`` back with its JSON header replaced by ``edit(header)`` bytes."""
+    header, raw, offset = read_checkpoint_header(path)
+    body = edit(header)
+    path.write_bytes(raw[:4] + struct.pack("<HQ", 1, len(body)) + body + raw[offset:])
+
+
+def test_checkpoint_unsupported_dtype_names_array_and_offset(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+
+    def to_int8(header):
+        header["arrays"][1]["dtype"] = "int8"
+        return json.dumps(header).encode()
+
+    name = read_checkpoint_header(path)[0]["arrays"][1]["name"]
+    rewrite_header(path, to_int8)
+    with pytest.raises(ValueError, match=rf"m\.ckpt: header at byte offset 14: "
+                                         rf"array '{name}' has unsupported dtype 'int8'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+def test_checkpoint_unreadable_header_names_offset(tmp_path, body):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+    rewrite_header(path, lambda header: body)
+    with pytest.raises(ValueError, match=r"m\.ckpt: header at byte offset 14: not UTF-8 JSON"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["config", "arrays"])
+def test_checkpoint_header_missing_key_names_offset(tmp_path, key):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+
+    def drop(header):
+        del header[key]
+        return json.dumps(header).encode()
+
+    rewrite_header(path, drop)
+    with pytest.raises(ValueError,
+                       match=rf"m\.ckpt: header at byte offset 14: '{key}' is missing"):
         load_checkpoint(path)
 
 
@@ -250,12 +308,14 @@ def test_non_finite_loss_aborts(tmp_path):
     spec = SynthSpec(n_classes=2, samples_per_class=4, test_per_class=0,
                      layout="ntu25", frames=20, noise_sigma=0.05, seed=13)
     train_manifest, _ = synth_generate(tmp_path / "data", spec)
-    # poison one sequence so the very first forward produces NaN
+    # poison one sequence so the very first forward produces NaN: the loader
+    # rejects NaN and inf, but finite float32 values near the maximum get in
+    # and overflow the input batch norm's statistics
     from dyngcn.data import load_sequence, save_sequence
 
     victim = train_manifest.resolve(train_manifest.entries[0][0])
     seq = load_sequence(victim)
-    seq.data[0, 0, 0, 0] = np.nan
+    seq.data[1:, 0, :, 0] = 3e38
     save_sequence(victim, seq)
     cfg = run_preset("smoke").with_overrides([
         f"train_manifest={tmp_path / 'data' / 'train.manifest'}",

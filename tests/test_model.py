@@ -280,6 +280,18 @@ def test_block_batching_invariance_eval():
         assert np.array_equal(full[i], singles[i])
 
 
+def test_ntu_width_block_batch_invariance_eval():
+    # ntu-like block 5 on 32 frames: its temporal conv streams a batch of 3
+    # through column-buffer chunks of 2 and 1, its strided shortcut in one
+    block = DynamicGConvBlock(64, 128, joints=25, frames=32, layout=build_layout("ntu25"),
+                              stride=2, rng=np.random.default_rng(8)).eval()
+    x = np.random.default_rng(9).standard_normal((3, 64, 32, 25)).astype(np.float32)
+    with no_grad():
+        full = block(Tensor(x)).data
+        for i in range(3):
+            assert np.array_equal(full[i], block(Tensor(x[i : i + 1])).data[0])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_gradient_end_to_end(seed):
     block = small_block(rng=np.random.default_rng(seed)).eval()

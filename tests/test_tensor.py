@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyngcn.tensor import (
+    _COLS_BUDGET,
     Tensor,
     add,
     batch_norm,
@@ -90,6 +91,58 @@ def test_conv2d_rejects_wide_joint_kernel():
 def test_conv2d_rejects_oversized_kernel():
     with pytest.raises(ValueError, match="exceeds"):
         conv2d(Tensor(np.zeros((1, 1, 4, 2))), Tensor(np.zeros((1, 1, 7, 1))), pad_t=1)
+
+
+# -- streamed temporal conv against a whole-batch im2col oracle ----------
+
+
+def whole_batch_conv(x, w, stride_t, pad_t, g):
+    """Im2col over the whole padded batch: (output, dx, dw) for output gradient g."""
+    batch, c_in, t_in, n = x.shape
+    c_out, _, kt, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_t, pad_t), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kt, axis=2)[:, :, ::stride_t]
+    t_out = windows.shape[2]
+    cols = windows.transpose(0, 1, 4, 2, 3).reshape(batch, c_in * kt, t_out * n)
+    cols = np.ascontiguousarray(cols)
+    w_flat = w.reshape(c_out, c_in * kt)
+    out = np.matmul(w_flat, cols).reshape(batch, c_out, t_out, n)
+    g_flat = g.reshape(batch, c_out, t_out * n)
+    dw = np.matmul(g_flat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w_flat.T, g_flat).reshape(batch, c_in, kt, t_out, n)
+    dxp = np.zeros_like(xp)
+    for k in range(kt):
+        dxp[:, :, k : k + stride_t * t_out : stride_t] += dcols[:, :, k]
+    return out, dxp[:, :, pad_t : pad_t + t_in], dw
+
+
+# (B, C_in, T, N), C_out, kt, stride_t, pad_t, dtype, column-buffer chunks
+STREAMED_CONV_CASES = {
+    "ragged last chunk": ((5, 64, 32, 25), 64, 9, 1, 4, np.float32, 3),
+    "taps without rows": ((2, 3, 2, 5), 4, 7, 2, 3, np.float32, 1),
+    "strided 1x1 shortcut": ((4, 16, 12, 25), 32, 1, 2, 0, np.float32, 1),
+    "float64": ((4, 32, 40, 25), 16, 9, 2, 4, np.float64, 2),
+}
+
+
+@pytest.mark.parametrize("case", STREAMED_CONV_CASES)
+def test_conv2d_streamed_matches_whole_batch_oracle_bitwise(case):
+    shape, c_out, kt, stride_t, pad_t, dtype, n_chunks = STREAMED_CONV_CASES[case]
+    batch, c_in, t_in, n = shape
+    t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
+    sample_bytes = c_in * kt * t_out * n * np.dtype(dtype).itemsize
+    chunk = min(batch, max(1, _COLS_BUDGET // sample_bytes))
+    assert -(-batch // chunk) == n_chunks
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
+    g = rng.standard_normal((batch, c_out, t_out, n)).astype(dtype)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t)
+    out.backward(g)
+    want_out, want_dx, want_dw = whole_batch_conv(x, w, stride_t, pad_t, g)
+    for got, want in ((out.data, want_out), (xt.grad, want_dx), (wt.grad, want_dw)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_batch_norm_training_statistics():
