@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Anatomy of a forward pass.
 
-Builds the full-size classifier, pushes one batch through it with the
-per-block record switched on, and prints how channels, frames, and
+Builds the full-size classifier, pushes one batch through it, and
+prints the block plan it was built from: how channels, frames, and
 joints evolve. The joint axis shrinks twice on the way down; that is
 the aggregation schedule doing its job.
 """
@@ -17,16 +17,16 @@ model = build_model(config, seed=0)
 print(f"blocks: {len(model.blocks)}, parameters: {model.parameter_count():,}")
 
 x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 64, 25)).astype(np.float32))
-record = []
 with no_grad():
-    logits = model.eval()(x, record=record)
+    logits = model.eval()(x)
 print(f"input {x.data.shape} -> logits {logits.data.shape}\n")
 
+# The same plan drives the cost model (demo 06), so the two cannot drift.
 print("block  channels      frames      joints")
-for i, entry in enumerate(record, start=1):
-    (_, c_in, t_in, _), (_, c_out, t_out, _) = entry["in_shape"], entry["out_shape"]
-    print(f"  {i:2d}   {c_in:3d} -> {c_out:3d}   {t_in:3d} -> {t_out:3d}"
-          f"   {entry['joints_in']:3d} -> {entry['joints_out']:3d}")
+for i, spec in enumerate(config.block_plan(model.layout.n_joints), start=1):
+    print(f"  {i:2d}   {spec.in_channels:3d} -> {spec.out_channels:3d}"
+          f"   {spec.in_frames:3d} -> {spec.out_frames:3d}"
+          f"   {spec.in_joints:3d} -> {spec.out_joints:3d}")
 
 # Each block fuses two spatial paths: the static one runs the input
 # through all three masked skeleton graphs, the dynamic one multiplies

@@ -72,8 +72,25 @@ class SkeletonSequence:
         return np.ascontiguousarray(self.data.transpose(1, 3, 0, 2))
 
 
+def _first_non_finite(data):
+    """Flat position and description of the first NaN or +-inf, or None."""
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        where = tuple(int(i) for i in np.unravel_index(bad[0], data.shape))
+        return int(bad[0]), f"non-finite coordinate {data[where]} at (t, m, n, d) {where}"
+    return None
+
+
+def _check_finite(path, seq):
+    """Refuse to write a sequence that ``load_sequence`` would reject."""
+    found = _first_non_finite(seq.data)
+    if found is not None:
+        raise ValueError(f"{path}: {found[1]}; nothing written")
+
+
 def save_sequence(path, seq):
     path = Path(path)
+    _check_finite(path, seq)
     layout_bytes = seq.layout_name.encode("utf-8")
     id_bytes = seq.sample_id.encode("utf-8")
     t, m, n, d = seq.data.shape
@@ -113,12 +130,11 @@ def _parse_binary(raw, path):
         fail(offset, f"payload holds {len(raw) - offset} bytes, header promises {payload} "
                      f"({t}x{m}x{n}x{d} float32)")
     data = np.frombuffer(raw, dtype="<f4", count=t * m * n * d, offset=offset)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        first = int(bad[0])
-        where = tuple(int(i) for i in np.unravel_index(first, (t, m, n, d)))
-        fail(offset + 4 * first, f"non-finite coordinate {data[first]} at (t, m, n, d) {where}")
-    data = data.reshape(t, m, n, d).astype(np.float32)
+    data = data.reshape(t, m, n, d)
+    found = _first_non_finite(data)
+    if found is not None:
+        fail(offset + 4 * found[0], found[1])
+    data = data.astype(np.float32)
     return SkeletonSequence(data, label, strings[0], strings[1])
 
 
@@ -141,6 +157,7 @@ def format_sequence_text(seq):
 
 def save_sequence_text(path, seq):
     path = Path(path)
+    _check_finite(path, seq)
     path.write_text(format_sequence_text(seq))
     return path
 
@@ -254,16 +271,6 @@ def load_sequence(path):
     return parse_sequence_text(text, path=str(path))
 
 
-def convert_ntu_file(path):
-    """Placeholder for real-capture ingestion.
-
-    Parsing motion-capture vendor formats is out of scope here; a
-    converter would read the vendor file, zero-fill absent persons up to
-    two, and emit ``SkeletonSequence`` objects through ``save_sequence``.
-    """
-    raise NotImplementedError("real-capture ingestion is not part of this package")
-
-
 # -- transforms ---------------------------------------------------------
 
 
@@ -356,7 +363,11 @@ def load_manifest(path, check_paths=True):
             elif tokens[:1] == ["split"] and len(tokens) == 2:
                 split = tokens[1]
             elif tokens[:1] == ["class"] and len(tokens) == 3:
-                class_names[int(tokens[1])] = tokens[2]
+                index = int(tokens[1]) if tokens[1].isdecimal() else None
+                if index is None or index in class_names:
+                    what = "bad" if index is None else "duplicate"
+                    raise ValueError(f"{path}: line {lineno}: {what} class index {tokens[1]!r}")
+                class_names[index] = (lineno, tokens[2])
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -365,7 +376,11 @@ def load_manifest(path, check_paths=True):
             entries.append((parts[0], int(parts[1])))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad label {parts[1]!r}") from None
-    names = [class_names.get(i, f"class{i}") for i in range(len(class_names))]
+    for index, (lineno, _) in class_names.items():
+        if index >= len(class_names):
+            raise ValueError(f"{path}: line {lineno}: class index {index} leaves a gap in "
+                             f"0..{len(class_names) - 1}")
+    names = [class_names[i][1] for i in range(len(class_names))]
     manifest = DatasetManifest(entries, names, layout_name, split, root=path.parent)
     if check_paths:
         for rel, _ in manifest.entries:

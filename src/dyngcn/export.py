@@ -27,28 +27,28 @@ def class_average_adjacency(model, x, labels, class_id, layer_index, batch_size=
 
     ``layer_index`` is the 1-based block position.  ``x`` is the usual
     (S, M, C, T, N) array; only each sample's first person contributes.
+    Only the input stage and the blocks before the chosen one run; its
+    learner then predicts the matrices directly.
     """
     n_blocks = len(model.blocks)
     if not 1 <= layer_index <= n_blocks:
         raise ValueError(f"layer index {layer_index} outside 1..{n_blocks}")
+    block = model.blocks[layer_index - 1]
+    if block.learner is None:
+        raise ValueError(f"block {layer_index} has no topology learner; nothing to export")
     chosen = np.flatnonzero(labels == class_id)
     if chosen.size == 0:
         raise ValueError(f"no samples with class {class_id}")
     model.eval()
     total = None
-    persons = x.shape[1]
     for start in range(0, chosen.size, batch_size):
         idx = chosen[start : start + batch_size]
-        record = []
         with no_grad():
-            model(Tensor(x[idx]), record=record)
-        entry = record[layer_index - 1]
-        if "adjacency" not in entry:
-            raise ValueError(
-                f"block {layer_index} has no topology learner; nothing to export"
-            )
-        adj = entry["adjacency"]
-        first = adj.reshape(len(idx), persons, *adj.shape[1:])[:, 0]
+            h, batch, persons = model.input_stage(Tensor(x[idx]))
+            for earlier in model.blocks[: layer_index - 1]:
+                h = earlier(h)
+            adj = block.learner(h).data
+        first = adj.reshape(batch, persons, *adj.shape[1:])[:, 0]
         summed = first.sum(axis=0, dtype=np.float64)
         total = summed if total is None else total + summed
     return total / chosen.size
@@ -90,7 +90,7 @@ def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
     matrix = class_average_adjacency(model, x, labels, class_id, layer_index,
                                      batch_size=batch_size)
     block = model.blocks[layer_index - 1]
-    graph_layout = layout if block.joints == layout.n_joints else None
+    graph_layout = layout if block.spec.in_joints == layout.n_joints else None
     names = meta.get("class_names", [])
     class_name = names[class_id] if class_id < len(names) else f"class {class_id}"
     out_prefix = Path(out_prefix)

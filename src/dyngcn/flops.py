@@ -135,7 +135,7 @@ def count_learner_params(kind, channels, frames, joints):
 
 
 def count_model_flops(config, include_cen=True, persons=1):
-    """Walk the model's layer schedule and sum per-layer costs.
+    """Price each block of ``config.block_plan`` and sum per-layer costs.
 
     The report always carries learner and dynamic-branch rows so that a
     with/without pair over the same config stays aligned; without the
@@ -149,19 +149,13 @@ def count_model_flops(config, include_cen=True, persons=1):
         raise ValueError("config has no topology learner to include")
 
     layout = build_layout(config.layout)
-    schedule = config.joint_schedule(layout.n_joints)
+    report = CostReport(f"{config.layout} {'with' if include_cen else 'without'} learner")
+    minor = config.in_channels * layout.n_joints * config.frames  # input norm
 
-    label = f"{config.layout} {'with' if include_cen else 'without'} learner"
-    report = CostReport(label)
-    minor = 0
-
-    c_in = config.in_channels
-    frames = config.frames
-    minor += c_in * layout.n_joints * frames  # input norm
-
-    for i, (out_c, stride) in enumerate(zip(config.channels, config.strides), start=1):
-        joints, joints_after = schedule[i - 1]
-        t_out = -(-frames // stride)
+    plan = config.block_plan(layout.n_joints)
+    for i, spec in enumerate(plan, start=1):
+        c_in, out_c, joints = spec.in_channels, spec.out_channels, spec.in_joints
+        frames, t_out = spec.in_frames, spec.out_frames
         in_shape = (c_in, frames, joints)
         fused_shape = (out_c, frames, joints)
         out_shape = (out_c, t_out, joints)
@@ -181,38 +175,30 @@ def count_model_flops(config, include_cen=True, persons=1):
         report.add(f"block{i}.learner", in_shape, (joints, joints), learner)
         report.add(f"block{i}.dynamic", in_shape, fused_shape, dynamic)
 
-        pad = (config.tc_kernel - 1) // 2
-        tc = count_conv_flops(fused_shape, (out_c, out_c, config.tc_kernel, 1),
-                              stride=stride, pad=pad)
+        tc = count_conv_flops(fused_shape, (out_c, out_c, spec.tc_kernel, 1),
+                              stride=spec.stride, pad=spec.tc_pad)
         report.add(f"block{i}.tc", fused_shape, out_shape, tc)
 
-        if c_in != out_c or stride != 1:
-            shortcut = count_conv_flops(in_shape, (out_c, c_in, 1, 1), stride=stride)
+        if spec.has_shortcut_conv:
+            shortcut = count_conv_flops(in_shape, (out_c, c_in, 1, 1), stride=spec.stride)
             report.add(f"block{i}.shortcut", in_shape, out_shape, shortcut)
             minor += out_c * t_out * joints  # shortcut norm
 
         minor += 3 * out_c * frames * joints + 2 * out_c * t_out * joints  # norms, relus
 
-        if joints_after != joints:
-            proj = 2 * out_c * t_out * joints * joints_after
-            report.add(f"block{i}.project", out_shape, (out_c, t_out, joints_after), proj)
+        if spec.projects:
+            proj = 2 * out_c * t_out * joints * spec.out_joints
+            report.add(f"block{i}.project", out_shape, (out_c, t_out, spec.out_joints), proj)
 
-        c_in = out_c
-        frames = t_out
-
-    final_joints = schedule[-1][1]
-    minor += c_in * frames * final_joints  # global pool
-    report.add("classifier", (c_in,), (config.n_classes,),
-               2 * c_in * config.n_classes)
+    last = plan[-1]
+    minor += last.out_channels * last.out_frames * last.out_joints  # global pool
+    report.add("classifier", (last.out_channels,), (config.n_classes,),
+               2 * last.out_channels * config.n_classes)
     minor += config.n_classes  # bias
 
-    if persons > 1:
-        report.entries = [
-            LayerCost(e.name, e.in_shape, e.out_shape, e.flops * persons)
-            for e in report.entries
-        ]
-        minor *= persons
-    report.minor_ops = minor
+    report.entries = [LayerCost(e.name, e.in_shape, e.out_shape, e.flops * persons)
+                      for e in report.entries]
+    report.minor_ops = minor * persons
     return report
 
 

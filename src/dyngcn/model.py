@@ -25,7 +25,7 @@ N_i x N_{i+1} matrix, shrinking the graph for everything downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -110,17 +110,49 @@ class ModelConfig:
     def from_dict(cls, data):
         return cls(**data)
 
-    def joint_schedule(self, n_joints):
-        """Joint count seen by each block, plus the projected size after it."""
-        sizes = []
-        current = n_joints
-        for i in range(1, len(self.channels) + 1):
-            after = current
+    def block_plan(self, n_joints):
+        """The layer schedule, one ``BlockSpec`` per block, that the
+        classifier is built from and the cost model prices."""
+        plan = []
+        channels, frames, joints = self.in_channels, self.frames, n_joints
+        for i, (out_channels, stride) in enumerate(zip(self.channels, self.strides), start=1):
+            out_joints = joints
             if i in self.aggregate_after:
-                after = max(round_half_up(self.aggregate_rate * current), 1)
-            sizes.append((current, after))
-            current = after
-        return sizes
+                out_joints = max(round_half_up(self.aggregate_rate * joints), 1)
+            spec = BlockSpec(channels, out_channels, frames, joints, out_joints,
+                             stride, self.tc_kernel)
+            plan.append(spec)
+            channels, frames, joints = out_channels, spec.out_frames, out_joints
+        return tuple(plan)
+
+
+@dataclass(frozen=True)
+class BlockSpec:
+    """Geometry of one block: what it takes in, what it gives out."""
+
+    in_channels: int
+    out_channels: int
+    in_frames: int
+    in_joints: int
+    out_joints: int
+    stride: int
+    tc_kernel: int
+
+    @property
+    def out_frames(self):
+        return -(-self.in_frames // self.stride)  # ceil division
+
+    @property
+    def tc_pad(self):
+        return (self.tc_kernel - 1) // 2
+
+    @property
+    def has_shortcut_conv(self):
+        return self.in_channels != self.out_channels or self.stride != 1
+
+    @property
+    def projects(self):
+        return self.out_joints != self.in_joints
 
 
 def graph_apply(graph, x):
@@ -177,19 +209,15 @@ def joint_aggregate(x, projection):
 class DynamicGConvBlock(Module):
     """One spatial-temporal unit: fused graph conv, temporal conv, residual."""
 
-    def __init__(self, in_channels, out_channels, joints, frames, layout,
-                 stride=1, tc_kernel=9, lambda_static=1.0, topology="context",
-                 learner_final_relu=True, alpha_degree=0.001, project_to=None,
-                 learn_projection=True, rng=None, dtype=np.float32):
+    def __init__(self, spec, layout, lambda_static=1.0, topology="context",
+                 learner_final_relu=True, alpha_degree=0.001, learn_projection=True,
+                 rng=None, dtype=np.float32):
         super().__init__()
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.joints = joints
-        self.frames = frames
-        self.stride = stride
+        self.spec = spec
         self.lambda_static = float(lambda_static)
+        c_in, c_out, joints = spec.in_channels, spec.out_channels, spec.in_joints
 
         if layout is not None and layout.n_joints == joints:
             self.topo = TopologySet.from_layout(layout, alpha_degree, dtype)
@@ -197,45 +225,39 @@ class DynamicGConvBlock(Module):
             self.topo = TopologySet.self_loops_only(joints, alpha_degree=alpha_degree,
                                                     dtype=dtype)
         self.static_convs = [
-            Conv2d(in_channels, out_channels, rng=rng, dtype=dtype)
+            Conv2d(c_in, c_out, rng=rng, dtype=dtype)
             for _ in range(self.topo.n_configs)
         ]
         self.learner = build_topology_learner(
-            topology, in_channels, frames, joints,
+            topology, c_in, spec.in_frames, joints,
             final_relu=learner_final_relu, rng=rng, dtype=dtype,
         )
         self.dynamic_conv = (
-            Conv2d(in_channels, out_channels, rng=rng, dtype=dtype)
+            Conv2d(c_in, c_out, rng=rng, dtype=dtype)
             if self.learner is not None else None
         )
-        self.bn_fused = BatchNorm(out_channels, dtype=dtype)
-        pad = (tc_kernel - 1) // 2
-        self.tc_conv = Conv2d(out_channels, out_channels, kernel_t=tc_kernel,
-                              stride_t=stride, pad_t=pad, rng=rng, dtype=dtype)
-        self.bn_tc = BatchNorm(out_channels, dtype=dtype)
-        if in_channels == out_channels and stride == 1:
+        self.bn_fused = BatchNorm(c_out, dtype=dtype)
+        self.tc_conv = Conv2d(c_out, c_out, kernel_t=spec.tc_kernel,
+                              stride_t=spec.stride, pad_t=spec.tc_pad, rng=rng, dtype=dtype)
+        self.bn_tc = BatchNorm(c_out, dtype=dtype)
+        if spec.has_shortcut_conv:
+            self.shortcut_conv = Conv2d(c_in, c_out, stride_t=spec.stride, rng=rng, dtype=dtype)
+            self.shortcut_bn = BatchNorm(c_out, dtype=dtype)
+        else:
             self.shortcut_conv = None
             self.shortcut_bn = None
-        else:
-            self.shortcut_conv = Conv2d(in_channels, out_channels,
-                                        stride_t=stride, rng=rng, dtype=dtype)
-            self.shortcut_bn = BatchNorm(out_channels, dtype=dtype)
-        if project_to is None:
-            self.projection = None
-        else:
-            proj = (np.eye(joints, project_to) if not learn_projection
-                    else None)
-            init = (proj if proj is not None
-                    else rng.uniform(-1, 1, (joints, project_to)) / np.sqrt(joints))
+        if spec.projects:
+            init = (rng.uniform(-1, 1, (joints, spec.out_joints)) / np.sqrt(joints)
+                    if learn_projection else np.eye(joints, spec.out_joints))
             self.projection = Parameter(init.astype(dtype), name="projection")
             self.projection.tensor.requires_grad = bool(learn_projection)
-        self.out_joints = project_to if project_to is not None else joints
-        self.out_frames = -(-frames // stride)  # ceil division
+        else:
+            self.projection = None
 
-    def forward(self, x, record=None):
-        if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
+    def forward(self, x):
+        if x.data.ndim != 4 or x.data.shape[1] != self.spec.in_channels:
             raise ValueError(
-                f"block expects (B, {self.in_channels}, T, N) input, got {x.data.shape}"
+                f"block expects (B, {self.spec.in_channels}, T, N) input, got {x.data.shape}"
             )
         predicted = self.learner(x) if self.learner is not None else None
         y = None
@@ -253,16 +275,6 @@ class DynamicGConvBlock(Module):
         y = relu(add(y, shortcut))
         if self.projection is not None:
             y = joint_aggregate(y, self.projection.tensor)
-        if record is not None:
-            entry = {
-                "in_shape": tuple(x.data.shape),
-                "out_shape": tuple(y.data.shape),
-                "joints_in": self.joints,
-                "joints_out": self.out_joints,
-            }
-            if predicted is not None:
-                entry["adjacency"] = predicted.data
-            record.append(entry)
         return y
 
 
@@ -282,28 +294,20 @@ class SkeletonClassifier(Module):
         layout = build_layout(config.layout)
         self.layout = layout
         self.input_bn = BatchNorm(config.in_channels * layout.n_joints, dtype=dtype)
-        schedule = config.joint_schedule(layout.n_joints)
-        self.blocks = []
-        in_c = config.in_channels
-        frames = config.frames
-        for i, (out_c, stride) in enumerate(zip(config.channels, config.strides), start=1):
-            joints, joints_after = schedule[i - 1]
-            block = DynamicGConvBlock(
-                in_c, out_c, joints, frames, layout,
-                stride=stride, tc_kernel=config.tc_kernel,
-                lambda_static=config.lambda_static, topology=config.topology,
-                learner_final_relu=config.learner_final_relu,
-                alpha_degree=config.alpha_degree,
-                project_to=joints_after if joints_after != joints else None,
-                learn_projection=config.learn_projection,
+        self.blocks = [
+            DynamicGConvBlock(
+                spec, layout, lambda_static=config.lambda_static,
+                topology=config.topology, learner_final_relu=config.learner_final_relu,
+                alpha_degree=config.alpha_degree, learn_projection=config.learn_projection,
                 rng=rng, dtype=dtype,
             )
-            self.blocks.append(block)
-            in_c = out_c
-            frames = block.out_frames
+            for spec in config.block_plan(layout.n_joints)
+        ]
         self.classifier = Linear(config.channels[-1], config.n_classes, rng=rng, dtype=dtype)
 
-    def forward(self, x, record=None):
+    def input_stage(self, x):
+        """Check the input, fold persons into the batch, apply the input norm;
+        returns the (B * M, C, T, N) input of the first block, B and M."""
         config = self.config
         n = self.layout.n_joints
         if x.data.ndim == 5:
@@ -330,22 +334,20 @@ class SkeletonClassifier(Module):
         folded = reshape(permute(x, (0, 1, 3, 2)), (x.data.shape[0], config.in_channels * n, frames, 1))
         folded = self.input_bn(folded)
         x = permute(reshape(folded, (x.data.shape[0], config.in_channels, n, frames)), (0, 1, 3, 2))
+        return x, batch, persons
 
+    def forward(self, x):
+        x, batch, persons = self.input_stage(x)
         for block in self.blocks:
-            x = block(x, record=record)
+            x = block(x)
 
         pooled = mean_pool_global(x)  # (B * M, C_out)
         if persons > 1:
-            pooled = tensor_mean_over_persons(pooled, batch, persons)
+            pooled = reshape(pooled, (batch, persons, pooled.data.shape[-1])).mean(axis=1)
         return self.classifier(pooled)
 
     def parameter_count(self):
         return sum(int(np.prod(p.data.shape)) for p in self.parameters())
-
-
-def tensor_mean_over_persons(pooled, batch, persons):
-    stacked = reshape(pooled, (batch, persons, pooled.data.shape[-1]))
-    return stacked.mean(axis=1)
 
 
 def build_model(config, seed=0, dtype=np.float32):

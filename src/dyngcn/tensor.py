@@ -79,9 +79,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def backward(self, gradient=None):
         """Backpropagate from this tensor.
 

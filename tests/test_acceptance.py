@@ -255,20 +255,18 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_shape_contract():
     ntu = build_model(ModelConfig(layout="ntu25", n_classes=60), seed=0)
-    record = []
-    out = ntu(Tensor(np.zeros((1, 3, 64, 25), dtype=np.float32)), record=record)
+    out = ntu(Tensor(np.zeros((1, 3, 64, 25), dtype=np.float32)))
     assert out.shape == (1, 60)
-    joint_path = [(e["joints_in"], e["joints_out"]) for e in record]
+    joint_path = [(b.spec.in_joints, b.spec.out_joints) for b in ntu.blocks]
     assert [j for j, _ in joint_path] == [25] * 5 + [15] * 3 + [9] * 2
     assert joint_path[4] == (25, 15) and joint_path[7] == (15, 9)
 
     kinetics = build_model(
         ModelConfig(layout="openpose18", n_classes=400, frames=150), seed=0
     )
-    record = []
-    out = kinetics(Tensor(np.zeros((1, 3, 150, 18), dtype=np.float32)), record=record)
+    out = kinetics(Tensor(np.zeros((1, 3, 150, 18), dtype=np.float32)))
     assert out.shape == (1, 400)
-    joint_path = [(e["joints_in"], e["joints_out"]) for e in record]
+    joint_path = [(b.spec.in_joints, b.spec.out_joints) for b in kinetics.blocks]
     assert [j for j, _ in joint_path] == [18] * 5 + [11] * 3 + [7] * 2
     report(5, "shapes: 25->15->9 after blocks 5 and 8; 18->11->7 accepted")
 

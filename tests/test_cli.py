@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from dyngcn import cli
 from dyngcn.checkpoint import load_checkpoint
 from dyngcn.data import load_manifest
 from dyngcn.export import class_average_adjacency, export_topology, format_dot
+from dyngcn.model import build_model
 from dyngcn.skeleton import build_layout
+from dyngcn.tensor import Tensor, no_grad
 from dyngcn.train import load_dataset
 
 
@@ -155,6 +159,56 @@ def test_export_error_cases(workspace):
         class_average_adjacency(model, x, y, 0, 99)
     with pytest.raises(ValueError, match="no samples with class"):
         class_average_adjacency(model, x, y, 7, 1)
+
+
+def full_forward_oracle(model, x, labels, class_id, layer_index, batch_size):
+    """Class average of the matrices the chosen learner predicts inside
+    complete ``model(x)`` forwards, first person only."""
+    learner = model.blocks[layer_index - 1].learner
+    captured = []
+    original = learner.forward
+
+    def spy(h):
+        out = original(h)
+        captured.append(out.data)
+        return out
+
+    learner.forward = spy
+    chosen = np.flatnonzero(labels == class_id)
+    total = None
+    model.eval()
+    try:
+        for start in range(0, chosen.size, batch_size):
+            idx = chosen[start : start + batch_size]
+            with no_grad():
+                model(Tensor(x[idx]))
+            first = captured[-1].reshape(len(idx), x.shape[1], *captured[-1].shape[1:])[:, 0]
+            summed = first.sum(axis=0, dtype=np.float64)
+            total = summed if total is None else total + summed
+    finally:
+        del learner.forward
+    assert len(captured) == -(-chosen.size // batch_size)
+    return total / chosen.size
+
+
+@pytest.mark.parametrize("layer", [1, 2])
+def test_class_average_adjacency_matches_full_forward(workspace, layer):
+    model, _ = load_checkpoint(workspace / "run" / "model.ckpt")
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((5, 2, 3, model.config.frames, 25)).astype(np.float32)
+    labels = np.array([0, 1, 0, 0, 1])
+    got = class_average_adjacency(model, x, labels, 0, layer, batch_size=2)
+    want = full_forward_oracle(model, x, labels, 0, layer, batch_size=2)
+    assert got.shape == ((25, 25) if layer == 1 else (15, 15))
+    assert np.array_equal(got, want)
+
+
+def test_export_without_learner_raises(workspace):
+    model, _ = load_checkpoint(workspace / "run" / "model.ckpt")
+    static_only = build_model(replace(model.config, topology="none"))
+    x = np.zeros((2, 2, 3, model.config.frames, 25), dtype=np.float32)
+    with pytest.raises(ValueError, match="no topology learner"):
+        class_average_adjacency(static_only, x, np.array([0, 1]), 0, 1)
 
 
 def test_dot_threshold_filters_learned_edges():

@@ -5,7 +5,6 @@ from dyngcn.data import (
     DatasetManifest,
     SkeletonSequence,
     SynthSpec,
-    convert_ntu_file,
     format_sequence_text,
     load_manifest,
     load_sequence,
@@ -71,11 +70,15 @@ def test_binary_truncation_reports_offset(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_binary_non_finite_coordinate_reports_offset(tmp_path, value):
+    # save_sequence refuses non-finite data, so poison the written payload
     seq = random_sequence(np.random.default_rng(5))
-    seq.data[4, 1, 2, 0] = value
-    seq.data[5, 0, 0, 1] = np.nan
     path = save_sequence(tmp_path / "a.skl", seq)
-    payload = len(path.read_bytes()) - seq.data.nbytes
+    raw = bytearray(path.read_bytes())
+    payload = len(raw) - seq.data.nbytes
+    for where, bad in (((4, 1, 2, 0), value), ((5, 0, 0, 1), np.nan)):
+        at = payload + 4 * np.ravel_multi_index(where, seq.data.shape)
+        raw[at : at + 4] = np.float32(bad).astype("<f4").tobytes()
+    path.write_bytes(bytes(raw))
     first = np.ravel_multi_index((4, 1, 2, 0), seq.data.shape)
     with pytest.raises(ValueError, match=rf"a\.skl: byte {payload + 4 * first}: "
                                          rf"non-finite coordinate {value}"):
@@ -157,15 +160,23 @@ def test_text_non_finite_coordinate_reports_line(tmp_path, token):
         load_sequence(path)
 
 
+@pytest.mark.parametrize("save", [save_sequence, save_sequence_text])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_rejects_non_finite_before_writing(tmp_path, save, value):
+    seq = random_sequence(np.random.default_rng(6))
+    seq.data[3, 1, 2, 1] = value
+    seq.data[5, 0, 0, 0] = np.nan
+    path = tmp_path / "a.out"
+    with pytest.raises(ValueError, match=rf"a\.out: non-finite coordinate {value} at "
+                                         rf"\(t, m, n, d\) \(3, 1, 2, 1\)"):
+        save(path, seq)
+    assert not path.exists()
+
+
 def test_format_text_is_parseable_inverse():
     seq = random_sequence(np.random.default_rng(4), t=2, m=1)
     again = parse_sequence_text(format_sequence_text(seq))
     assert np.array_equal(again.data, seq.data)
-
-
-def test_converter_stub():
-    with pytest.raises(NotImplementedError):
-        convert_ntu_file("anything.skeleton")
 
 
 # -- resize -------------------------------------------------------------
@@ -268,6 +279,27 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_label_out_of_table():
     with pytest.raises(ValueError, match="class table"):
         DatasetManifest([("x.skl", 5)], ["only"], "l", "train")
+
+
+@pytest.mark.parametrize("classes, line, problem", [
+    (["0 walk", "abc run"], 4, "bad class index 'abc'"),
+    (["0 walk", "-1 run"], 4, "bad class index '-1'"),
+    (["0 walk", "1 run", "0 sit"], 5, "duplicate class index '0'"),
+    (["0 walk", "5 run"], 4, r"class index 5 leaves a gap in 0\.\.1"),
+    (["2 sit", "0 walk", "1 run", "4 jump"], 6, r"class index 4 leaves a gap in 0\.\.3"),
+], ids=["not-integer", "negative", "duplicate", "gap", "gap-out-of-order"])
+def test_manifest_bad_class_table_names_line(tmp_path, classes, line, problem):
+    header = ["# layout l", "# split t"] + [f"# class {c}" for c in classes]
+    path = tmp_path / "m.manifest"
+    path.write_text("\n".join(header) + "\n")
+    with pytest.raises(ValueError, match=rf"m\.manifest: line {line}: {problem}"):
+        load_manifest(path, check_paths=False)
+
+
+def test_manifest_class_lines_in_any_order(tmp_path):
+    path = tmp_path / "m.manifest"
+    path.write_text("# class 1 run\n# class 0 walk\n")
+    assert load_manifest(path).class_names == ["walk", "run"]
 
 
 def test_manifest_missing_file(tmp_path):

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from dyngcn.flops import (
     count_model_flops,
     overhead_report,
 )
-from dyngcn.model import ModelConfig
+from dyngcn.config import model_preset, run_preset
+from dyngcn.model import ModelConfig, build_model
+from dyngcn.tensor import Tensor, no_grad
 from dyngcn.topology import ContextEncoder, NonLocalTopology
 
 # Hand-summed closed forms for the 10-block 25-joint configuration
@@ -188,6 +191,37 @@ def test_aggregation_shrinks_downstream_costs():
     for name in ("block6.static", "block6.tc", "block9.static", "block10.tc"):
         assert shrunk[name] < full[name]
     assert with_agg.total < no_agg.total
+
+
+@pytest.mark.parametrize("config", [
+    model_preset("toy"),
+    run_preset("smoke").model,
+    replace(run_preset("smoke").model, frames=15),
+], ids=["toy", "smoke", "smoke-odd-frames"])
+def test_block_output_shapes_match_last_cost_row(config):
+    # each block's last shape-changing cost row (tc, or project after it)
+    # carries the shape that block really hands to the next
+    model = build_model(config, seed=0).eval()
+    captured = []
+
+    def capture(forward):
+        def wrapped(x):
+            out = forward(x)
+            captured.append(out.shape[1:])
+            return out
+        return wrapped
+
+    for block in model.blocks:
+        block.forward = capture(block.forward)
+    x = np.random.default_rng(3).standard_normal((2, 2, 3, config.frames, 25))
+    with no_grad():
+        model(Tensor(x.astype(np.float32)))
+    report = count_model_flops(config)
+    assert len(captured) == len(config.channels)
+    for i, shape in enumerate(captured, start=1):
+        rows = {e.name: e for e in report.entries}
+        last = rows.get(f"block{i}.project", rows[f"block{i}.tc"])
+        assert shape == last.out_shape
 
 
 def test_model_flops_rejects_learnerless_config():

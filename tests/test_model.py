@@ -3,6 +3,7 @@ import pytest
 
 from dyngcn.layers import Conv2d
 from dyngcn.model import (
+    BlockSpec,
     DynamicGConvBlock,
     ModelConfig,
     build_model,
@@ -191,14 +192,13 @@ def test_spatial_routes_batch_invariant_bitwise(route, batch):
 # -- block behavior -----------------------------------------------------
 
 
-def small_block(**overrides):
-    args = dict(
-        in_channels=3, out_channels=3, joints=4, frames=6,
-        layout=chain_layout(4), stride=1, tc_kernel=3,
-        topology="context", rng=np.random.default_rng(5), dtype=np.float64,
-    )
+def small_block(out_channels=3, frames=6, out_joints=4, stride=1, **overrides):
+    spec = BlockSpec(in_channels=3, out_channels=out_channels, in_frames=frames,
+                     in_joints=4, out_joints=out_joints, stride=stride, tc_kernel=3)
+    args = dict(layout=chain_layout(4), topology="context",
+                rng=np.random.default_rng(5), dtype=np.float64)
     args.update(overrides)
-    return DynamicGConvBlock(**args)
+    return DynamicGConvBlock(spec, **args)
 
 
 def test_block_zero_weights_reduces_to_relu_shortcut():
@@ -211,11 +211,11 @@ def test_block_zero_weights_reduces_to_relu_shortcut():
 
 
 def test_block_output_shape_with_stride_and_projection():
-    block = small_block(out_channels=5, stride=2, project_to=3)
+    block = small_block(out_channels=5, stride=2, out_joints=3)
     x = Tensor(np.zeros((2, 3, 6, 4)))
     out = block(x)
     assert out.shape == (2, 5, 3, 3)
-    assert block.out_frames == 3 and block.out_joints == 3
+    assert block.spec.out_frames == 3 and block.spec.out_joints == 3
 
 
 def test_block_odd_length_stride_two():
@@ -224,14 +224,12 @@ def test_block_odd_length_stride_two():
     assert out.shape[2] == 4  # ceil(7 / 2)
 
 
-def test_block_record_captures_adjacency():
+def test_block_learner_captures_adjacency():
     block = small_block()
-    record = []
-    block(Tensor(np.random.default_rng(7).standard_normal((2, 3, 6, 4))), record=record)
-    assert len(record) == 1
-    entry = record[0]
-    assert entry["in_shape"] == (2, 3, 6, 4)
-    assert entry["adjacency"].shape == (2, 4, 4)
+    x = Tensor(np.random.default_rng(7).standard_normal((2, 3, 6, 4)))
+    spec = block.spec
+    assert (2, spec.in_channels, spec.in_frames, spec.in_joints) == (2, 3, 6, 4)
+    assert block.learner(x).shape == (2, 4, 4)
 
 
 def test_block_static_only_has_no_learner_parameters():
@@ -283,8 +281,8 @@ def test_block_batching_invariance_eval():
 def test_ntu_width_block_batch_invariance_eval():
     # ntu-like block 5 on 32 frames: its temporal conv streams a batch of 3
     # through column-buffer chunks of 2 and 1, its strided shortcut in one
-    block = DynamicGConvBlock(64, 128, joints=25, frames=32, layout=build_layout("ntu25"),
-                              stride=2, rng=np.random.default_rng(8)).eval()
+    spec = BlockSpec(64, 128, in_frames=32, in_joints=25, out_joints=25, stride=2, tc_kernel=9)
+    block = DynamicGConvBlock(spec, build_layout("ntu25"), rng=np.random.default_rng(8)).eval()
     x = np.random.default_rng(9).standard_normal((3, 64, 32, 25)).astype(np.float32)
     with no_grad():
         full = block(Tensor(x)).data
@@ -356,14 +354,18 @@ def test_model_config_round_trip():
     assert again == cfg
 
 
-def test_joint_schedule_ntu_and_kinetics():
-    ntu = ModelConfig(layout="ntu25", n_classes=60)
-    assert ntu.joint_schedule(25)[4] == (25, 15)
-    assert ntu.joint_schedule(25)[7] == (15, 9)
-    assert ntu.joint_schedule(25)[9] == (9, 9)
-    kin = ModelConfig(layout="openpose18", n_classes=400, frames=150)
-    assert kin.joint_schedule(18)[4] == (18, 11)
-    assert kin.joint_schedule(18)[7] == (11, 7)
+def joint_path(specs):
+    return [(spec.in_joints, spec.out_joints) for spec in specs]
+
+
+def test_block_plan_ntu_and_kinetics():
+    ntu = joint_path(ModelConfig(layout="ntu25", n_classes=60).block_plan(25))
+    assert ntu[4] == (25, 15)
+    assert ntu[7] == (15, 9)
+    assert ntu[9] == (9, 9)
+    kin = joint_path(ModelConfig(layout="openpose18", n_classes=400, frames=150).block_plan(18))
+    assert kin[4] == (18, 11)
+    assert kin[7] == (11, 7)
 
 
 def tiny_config(**overrides):
@@ -378,11 +380,11 @@ def tiny_config(**overrides):
 
 def test_model_forward_shapes_and_schedule():
     model = build_model(tiny_config(), seed=0)
-    record = []
-    out = model(Tensor(np.random.default_rng(12).standard_normal((2, 3, 12, 25))), record=record)
+    out = model(Tensor(np.random.default_rng(12).standard_normal((2, 3, 12, 25))))
     assert out.shape == (2, 5)
-    assert record[0]["joints_in"] == 25 and record[0]["joints_out"] == 15
-    assert record[1]["joints_in"] == 15 and record[1]["joints_out"] == 15
+    path = joint_path(block.spec for block in model.blocks)
+    assert path[0] == (25, 15)
+    assert path[1] == (15, 15)
 
 
 def test_model_rejects_wrong_frames():
