@@ -123,7 +123,10 @@ def _parse_binary(raw, path):
         offset += 2
         if offset + length > len(raw):
             fail(offset, f"truncated {what}")
-        strings.append(raw[offset : offset + length].decode("utf-8"))
+        try:
+            strings.append(raw[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            fail(offset, f"{what} is not UTF-8 ({exc.reason} at byte {offset + exc.start})")
         offset += length
     payload = t * m * n * d * 4
     if len(raw) - offset != payload:
@@ -335,6 +338,10 @@ class DatasetManifest:
 
 def save_manifest(path, manifest):
     path = Path(path)
+    for i, name in enumerate(manifest.class_names):
+        if name.split() != [name]:
+            raise ValueError(f"{path}: class {i} name {name!r} is empty or holds whitespace; "
+                             "nothing written")
     lines = ["# skeleton dataset manifest",
              f"# layout {manifest.layout_name}",
              f"# split {manifest.split}"]
@@ -362,7 +369,10 @@ def load_manifest(path, check_paths=True):
                 layout_name = tokens[1]
             elif tokens[:1] == ["split"] and len(tokens) == 2:
                 split = tokens[1]
-            elif tokens[:1] == ["class"] and len(tokens) == 3:
+            elif tokens[:1] == ["class"]:
+                if len(tokens) != 3:
+                    raise ValueError(f"{path}: line {lineno}: class line takes an index and "
+                                     f"one name without whitespace, got {line!r}")
                 index = int(tokens[1]) if tokens[1].isdecimal() else None
                 if index is None or index in class_names:
                     what = "bad" if index is None else "duplicate"
@@ -373,14 +383,19 @@ def load_manifest(path, check_paths=True):
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'path<TAB>label', got {line!r}")
         try:
-            entries.append((parts[0], int(parts[1])))
+            entries.append((lineno, parts[0], int(parts[1])))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad label {parts[1]!r}") from None
     for index, (lineno, _) in class_names.items():
         if index >= len(class_names):
             raise ValueError(f"{path}: line {lineno}: class index {index} leaves a gap in "
                              f"0..{len(class_names) - 1}")
+    for lineno, _, label in entries:
+        if not 0 <= label < len(class_names):
+            raise ValueError(f"{path}: line {lineno}: label {label} outside the class table "
+                             f"({len(class_names)} names)")
     names = [class_names[i][1] for i in range(len(class_names))]
+    entries = [(rel, label) for _, rel, label in entries]
     manifest = DatasetManifest(entries, names, layout_name, split, root=path.parent)
     if check_paths:
         for rel, _ in manifest.entries:

@@ -83,8 +83,10 @@ class Tensor:
         """Backpropagate from this tensor.
 
         Without an explicit ``gradient`` the tensor must hold a single
-        element (a loss).  Gradients accumulate additively, so callers
-        clear parameter grads between steps.
+        element (a loss).  Gradients accumulate additively into leaves
+        (tensors without a backward closure), so callers clear parameter
+        grads between steps.  An op output's gradient is freed once its
+        closure has passed it on, so afterwards only leaves hold ``.grad``.
         """
         if gradient is None:
             if self.data.size != 1:
@@ -119,6 +121,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -------------------------------------------------
 

@@ -85,6 +85,21 @@ def test_binary_non_finite_coordinate_reports_offset(tmp_path, value):
         load_sequence(path)
 
 
+@pytest.mark.parametrize("what, field", [("layout name", 0), ("sample id", 1)])
+def test_binary_string_not_utf8_reports_offset(tmp_path, what, field):
+    seq = random_sequence(np.random.default_rng(6))
+    path = save_sequence(tmp_path / "a.skl", seq)
+    raw = bytearray(path.read_bytes())
+    start = 18 + 2                                  # fixed header, layout length
+    if field == 1:
+        start += len(seq.layout_name.encode()) + 2  # layout bytes, id length
+    raw[start + 3] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"a\.skl: byte {start}: {what} is not UTF-8 "
+                                         rf"\(.* at byte {start + 3}\)"):
+        load_sequence(path)
+
+
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "junk.skl"
     path.write_bytes(b"\xff\xfe\x00\x01" + b"\x00" * 30)
@@ -300,6 +315,33 @@ def test_manifest_class_lines_in_any_order(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("# class 1 run\n# class 0 walk\n")
     assert load_manifest(path).class_names == ["walk", "run"]
+
+
+@pytest.mark.parametrize("name", ["run fast", "run\tfast", " run", ""])
+def test_save_manifest_refuses_class_name_with_whitespace(tmp_path, name):
+    manifest = DatasetManifest([("a.skl", 1)], ["walk", name], "l", "train")
+    path = tmp_path / "m.manifest"
+    with pytest.raises(ValueError, match=r"m\.manifest: class 1 name .* nothing written"):
+        save_manifest(path, manifest)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("line", ["# class 1 run fast", "# class 1"])
+def test_manifest_class_line_with_wrong_token_count_names_line(tmp_path, line):
+    path = tmp_path / "m.manifest"
+    path.write_text(f"# layout l\n# class 0 walk\n{line}\nb.skl\t1\n")
+    with pytest.raises(ValueError, match=r"m\.manifest: line 3: class line takes an index "
+                                         r"and one name"):
+        load_manifest(path, check_paths=False)
+
+
+@pytest.mark.parametrize("label", ["1", "-1"])
+def test_manifest_label_outside_class_table_names_line(tmp_path, label):
+    path = tmp_path / "m.manifest"
+    path.write_text(f"# layout l\n# class 0 walk\na.skl\t0\nb.skl\t{label}\n")
+    with pytest.raises(ValueError, match=rf"m\.manifest: line 4: label {label} outside "
+                                         rf"the class table \(1 names\)"):
+        load_manifest(path, check_paths=False)
 
 
 def test_manifest_missing_file(tmp_path):

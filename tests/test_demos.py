@@ -1,6 +1,7 @@
 """Run the quick demos end to end, so an API change that breaks one fails here."""
 
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,12 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize("name", [
     "01_layouts_and_topology.py",
+    "02_synthetic_data.py",
     "03_model_forward.py",
+    "05_learned_topology.py",
     "06_cost_accounting.py",
 ])
-def test_demo_runs(name, capsys):
+def test_demo_runs(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demos write under mkdtemp()
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out

@@ -194,6 +194,38 @@ def test_relu_nan_propagates_and_gets_no_gradient():
     assert np.array_equal(x.grad, np.array([0.0, 0.0, 0.0, 1.0]))
 
 
+def _relu_square_graph():
+    x = Tensor(np.array([1.0, 2.0, -1.0]), requires_grad=True)
+    h = relu(scale(x, 3.0))
+    loss = mul(h, h).sum()
+    return x, h, loss
+
+
+def test_backward_keeps_only_leaf_gradients():
+    x, h, loss = _relu_square_graph()
+    w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    out = add(loss, mul(h, w).sum())
+    out.backward()
+    nodes, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node._prev)
+    ops = [n for n in nodes if n._backward is not None]
+    assert len(ops) >= 6 and out in ops and h in ops
+    assert all(n.grad is None for n in ops)
+    assert x.grad is not None and w.grad is not None
+    assert np.array_equal(w.grad, h.data)
+
+
+def test_second_backward_adds_exactly_one_leaf_gradient():
+    x, _, loss = _relu_square_graph()
+    loss.backward()
+    assert np.array_equal(x.grad, [18.0, 36.0, 0.0])
+    loss.backward()
+    assert np.array_equal(x.grad, [36.0, 72.0, 0.0])
+
+
 def test_concat_joins_in_order():
     parts = [Tensor(np.full((2, k, 3), float(k))) for k in (1, 2, 3)]
     out = concat(parts, axis=1)
