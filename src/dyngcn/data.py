@@ -50,6 +50,9 @@ class SkeletonSequence:
             raise ValueError(f"joint and coordinate counts must be positive, got {n}, {d}")
         if self.label < 0:
             raise ValueError(f"label must be nonnegative, got {self.label}")
+        found = _first_non_finite(self.data)
+        if found is not None:
+            raise ValueError(f"sequence {self.sample_id!r}: {found[1]}")
 
     @property
     def frames(self):
@@ -74,11 +77,12 @@ class SkeletonSequence:
 
 def _first_non_finite(data):
     """Flat position and description of the first NaN or +-inf, or None."""
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        where = tuple(int(i) for i in np.unravel_index(bad[0], data.shape))
-        return int(bad[0]), f"non-finite coordinate {data[where]} at (t, m, n, d) {where}"
-    return None
+    finite = np.isfinite(data)
+    if finite.all():
+        return None
+    bad = np.flatnonzero(~finite)
+    where = tuple(int(i) for i in np.unravel_index(bad[0], data.shape))
+    return int(bad[0]), f"non-finite coordinate {data[where]} at (t, m, n, d) {where}"
 
 
 def _check_finite(path, seq):

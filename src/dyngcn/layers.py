@@ -110,10 +110,15 @@ class Conv2d(Module):
 
 
 class BatchNorm(Module):
-    """Batch normalization over channel axis 1 of (B, C, T, N) input."""
+    """Batch normalization over channel axis 1 of (B, C, T, N) input.
 
-    def __init__(self, channels, dtype=np.float32):
+    With ``relu`` the output passes through a ReLU, and ``forward`` may add
+    a ``residual`` before it; both run inside the batch-norm op.
+    """
+
+    def __init__(self, channels, relu=False, dtype=np.float32):
         super().__init__()
+        self.relu = bool(relu)
         self.gamma = Parameter(np.ones(channels, dtype=dtype))
         self.beta = Parameter(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -122,7 +127,7 @@ class BatchNorm(Module):
     def buffer_names(self):
         return ("running_mean", "running_var")
 
-    def forward(self, x):
+    def forward(self, x, residual=None):
         return batch_norm(
             x,
             self.gamma.tensor,
@@ -130,6 +135,8 @@ class BatchNorm(Module):
             running_mean=self.running_mean,
             running_var=self.running_var,
             training=self.training,
+            relu=self.relu,
+            residual=residual,
         )
 
 

@@ -39,7 +39,6 @@ from .tensor import (
     matmul,
     mean_pool_global,
     permute,
-    relu,
     reshape,
     scale,
 )
@@ -228,6 +227,10 @@ class DynamicGConvBlock(Module):
             Conv2d(c_in, c_out, rng=rng, dtype=dtype)
             for _ in range(self.topo.n_configs)
         ]
+        if self.lambda_static == 0.0:
+            # the static route never runs, so its weights and masks are frozen
+            for p in [conv.weight for conv in self.static_convs] + self.topo.mask:
+                p.tensor.requires_grad = False
         self.learner = build_topology_learner(
             topology, c_in, spec.in_frames, joints,
             final_relu=learner_final_relu, rng=rng, dtype=dtype,
@@ -236,10 +239,10 @@ class DynamicGConvBlock(Module):
             Conv2d(c_in, c_out, rng=rng, dtype=dtype)
             if self.learner is not None else None
         )
-        self.bn_fused = BatchNorm(c_out, dtype=dtype)
+        self.bn_fused = BatchNorm(c_out, relu=True, dtype=dtype)
         self.tc_conv = Conv2d(c_out, c_out, kernel_t=spec.tc_kernel,
                               stride_t=spec.stride, pad_t=spec.tc_pad, rng=rng, dtype=dtype)
-        self.bn_tc = BatchNorm(c_out, dtype=dtype)
+        self.bn_tc = BatchNorm(c_out, relu=True, dtype=dtype)
         if spec.has_shortcut_conv:
             self.shortcut_conv = Conv2d(c_in, c_out, stride_t=spec.stride, rng=rng, dtype=dtype)
             self.shortcut_bn = BatchNorm(c_out, dtype=dtype)
@@ -266,13 +269,12 @@ class DynamicGConvBlock(Module):
         if predicted is not None:
             y_dynamic = dynamic_branch(x, predicted, self.dynamic_conv)
             y = y_dynamic if y is None else add(y_dynamic, y)
-        y = relu(self.bn_fused(y))
-        y = self.bn_tc(self.tc_conv(y))
+        y = self.bn_fused(y)
         if self.shortcut_conv is None:
             shortcut = x
         else:
             shortcut = self.shortcut_bn(self.shortcut_conv(x))
-        y = relu(add(y, shortcut))
+        y = self.bn_tc(self.tc_conv(y), residual=shortcut)
         if self.projection is not None:
             y = joint_aggregate(y, self.projection.tensor)
         return y

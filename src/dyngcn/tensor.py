@@ -472,6 +472,8 @@ def batch_norm(
     training=True,
     momentum=BN_MOMENTUM,
     eps=BN_EPS,
+    relu=False,
+    residual=None,
 ):
     """Per-channel batch normalization for (B, C, T, N) tensors.
 
@@ -482,6 +484,11 @@ def batch_norm(
     map ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``;
     its backward recomputes the normalized input only when gamma needs a
     gradient.
+
+    The epilogue adds ``residual`` (a tensor of the output's shape) and
+    then applies a ReLU, both in place on the op's own output buffer, so
+    ``batch_norm(x, ..., relu=True, residual=r)`` gives the same bits as
+    ``relu(add(batch_norm(x, ...), r))`` without the two extra outputs.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm expects a 4-d tensor, got shape {x.data.shape}")
@@ -491,23 +498,32 @@ def batch_norm(
             f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match {channels} channels"
         )
+    if residual is not None and residual.data.shape != x.data.shape:
+        raise ValueError(
+            f"batch_norm residual shape {residual.data.shape} does not match "
+            f"input shape {x.data.shape}"
+        )
     axes = (0, 2, 3)
     per_channel = (1, channels, 1, 1)
 
     if training:
+        # x_hat is centred once and reused for the variance; squaring it
+        # into a scratch buffer and summing is bitwise equal to x.var, and
+        # the scratch buffer then becomes the output.
         gamma_b = gamma.data.reshape(per_channel)
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x.data.mean(axis=axes, keepdims=True)
+        x_hat = x.data - mean
+        data = np.square(x_hat)
+        var = data.sum(axis=axes) / (x.data.size // channels)
         if running_mean is not None:
             running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
+            running_mean += momentum * mean.reshape(channels)
         if running_var is not None:
             running_var *= 1.0 - momentum
             running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = x.data - mean.reshape(per_channel)
         x_hat *= inv_std.reshape(per_channel)
-        data = gamma_b * x_hat
+        np.multiply(gamma_b, x_hat, out=data)
         data += beta.data.reshape(per_channel)
     else:
         if running_mean is None or running_var is None:
@@ -518,27 +534,48 @@ def batch_norm(
         a = gamma.data * inv_std
         data = x.data * a.reshape(per_channel)
         data += (beta.data - mean * a).reshape(per_channel)
+    if residual is not None:
+        data += residual.data
+    if relu:
+        # np.maximum keeps NaN, as the relu op does
+        np.maximum(data, 0, out=data)
 
     def backward(g):
+        # Neither g nor any array handed to _accumulate is written to: g
+        # may be the caller's array, and an accumulated gradient may be
+        # held as some tensor's .grad.
+        if relu:
+            # out > 0 exactly where the pre-activation is > 0, as in relu
+            g = g * (data > 0)
+        if residual is not None:
+            _accumulate(residual, g)
+        scratch = None
         if gamma.requires_grad:
             if training:
                 x_norm = x_hat
             else:
                 x_norm = x.data - mean.reshape(per_channel)
                 x_norm *= inv_std.reshape(per_channel)
-            _accumulate(gamma, (g * x_norm).sum(axis=axes))
+            scratch = np.multiply(g, x_norm)
+            _accumulate(gamma, scratch.sum(axis=axes))
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes))
         if x.requires_grad:
             if training:
-                dxh = g * gamma_b
-                m1 = dxh.mean(axis=axes, keepdims=True)
-                m2 = (dxh * x_hat).mean(axis=axes, keepdims=True)
-                _accumulate(x, inv_std.reshape(per_channel) * (dxh - m1 - x_hat * m2))
+                # inv_std * (dxh - m1 - x_hat * m2), built in dx
+                dx = g * gamma_b
+                m1 = dx.mean(axis=axes, keepdims=True)
+                scratch = np.multiply(dx, x_hat, out=scratch)
+                m2 = scratch.mean(axis=axes, keepdims=True)
+                dx -= m1
+                dx -= np.multiply(x_hat, m2, out=scratch)
+                dx *= inv_std.reshape(per_channel)
+                _accumulate(x, dx)
             else:
                 _accumulate(x, g * a.reshape(per_channel))
 
-    return _from_op(data, (x, gamma, beta), backward)
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return _from_op(data, inputs, backward)
 
 
 def softmax(x, axis=-1):

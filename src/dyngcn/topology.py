@@ -32,7 +32,6 @@ from .tensor import (
     matmul,
     mean_pool_global,
     permute,
-    relu,
     reshape,
     scale,
     softmax,
@@ -57,7 +56,6 @@ class ContextEncoder(Module):
         self.joints = joints
         self.axis = axis
         self.symmetric = symmetric
-        self.final_relu = final_relu
         n_sq = joints * joints
         if axis == "joint":
             squeeze_dims, final_dim = (channels, frames), joints
@@ -66,11 +64,11 @@ class ContextEncoder(Module):
         else:
             squeeze_dims, final_dim = (channels, joints), frames
         self.squeeze_a = Conv2d(squeeze_dims[0], 1, rng=rng, dtype=dtype)
-        self.bn_a = BatchNorm(1, dtype=dtype)
+        self.bn_a = BatchNorm(1, relu=True, dtype=dtype)
         self.squeeze_b = Conv2d(squeeze_dims[1], 1, rng=rng, dtype=dtype)
-        self.bn_b = BatchNorm(1, dtype=dtype)
+        self.bn_b = BatchNorm(1, relu=True, dtype=dtype)
         self.expand = Conv2d(final_dim, n_sq, rng=rng, dtype=dtype)
-        self.bn_out = BatchNorm(n_sq, dtype=dtype)
+        self.bn_out = BatchNorm(n_sq, relu=final_relu, dtype=dtype)
 
     def _check_input(self, x):
         expected = (self.channels, self.frames, self.joints)
@@ -86,28 +84,24 @@ class ContextEncoder(Module):
         batch = x.data.shape[0]
         c, t, n = self.channels, self.frames, self.joints
 
-        def stage(conv, bn, h):
-            return relu(bn(conv(h)))
-
+        # bn_a and bn_b apply a ReLU, bn_out one when final_relu is set
         if self.axis == "joint":
-            h = stage(self.squeeze_a, self.bn_a, x)              # (B, 1, T, N)
+            h = self.bn_a(self.squeeze_a(x))                      # (B, 1, T, N)
             h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, N)
-            h = stage(self.squeeze_b, self.bn_b, h)               # (B, 1, 1, N)
+            h = self.bn_b(self.squeeze_b(h))                      # (B, 1, 1, N)
             h = permute(h, (0, 3, 1, 2))                          # (B, N, 1, 1)
         elif self.axis == "feature":
-            h = stage(self.squeeze_a, self.bn_a, permute(x, (0, 2, 1, 3)))  # (B,1,C,N)
+            h = self.bn_a(self.squeeze_a(permute(x, (0, 2, 1, 3))))  # (B, 1, C, N)
             h = permute(h, (0, 3, 2, 1))                          # (B, N, C, 1)
-            h = stage(self.squeeze_b, self.bn_b, h)               # (B, 1, C, 1)
+            h = self.bn_b(self.squeeze_b(h))                      # (B, 1, C, 1)
             h = permute(h, (0, 2, 1, 3))                          # (B, C, 1, 1)
         else:
-            h = stage(self.squeeze_a, self.bn_a, x)               # (B, 1, T, N)
+            h = self.bn_a(self.squeeze_a(x))                      # (B, 1, T, N)
             h = permute(h, (0, 3, 2, 1))                          # (B, N, T, 1)
-            h = stage(self.squeeze_b, self.bn_b, h)               # (B, 1, T, 1)
+            h = self.bn_b(self.squeeze_b(h))                      # (B, 1, T, 1)
             h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, 1)
 
         h = self.bn_out(self.expand(h))                           # (B, N*N, 1, 1)
-        if self.final_relu:
-            h = relu(h)
         out = reshape(h, (batch, n, n))
         if self.symmetric:
             out = scale(out + permute(out, (0, 2, 1)), 0.5)

@@ -187,9 +187,16 @@ def train(config):
                 )
             loss.backward()
             if optimizer is None:
-                live = [p for p in model.parameters()
-                        if p.tensor.requires_grad and p.tensor.grad is not None]
-                optimizer = NesterovSGD(live, config.lr, momentum=config.momentum,
+                trainable = [(name, p) for name, p in model.named_parameters()
+                             if p.tensor.requires_grad]
+                missing = [name for name, p in trainable if p.grad is None]
+                if missing:
+                    raise RuntimeError(
+                        f"trainable parameters got no gradient from the first batch: "
+                        f"{', '.join(missing)}"
+                    )
+                optimizer = NesterovSGD([p for _, p in trainable], config.lr,
+                                        momentum=config.momentum,
                                         weight_decay=config.weight_decay,
                                         nesterov=config.nesterov)
             lr = optimizer.set_epoch(epoch, config.milestones, config.decay)

@@ -40,6 +40,16 @@ def test_sequence_validation():
         SkeletonSequence(good, -1, "l", "s")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sequence_rejects_non_finite_values_in_memory(value):
+    data = np.zeros((4, 2, 3, 3), dtype=np.float32)
+    data[2, 1, 0, 2] = value
+    data[3, 0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=rf"sequence 's7': non-finite coordinate {value} "
+                                         rf"at \(t, m, n, d\) \(2, 1, 0, 2\)"):
+        SkeletonSequence(data, 0, "l", "s7")
+
+
 def test_to_model_input_layout():
     seq = random_sequence(np.random.default_rng(0))
     arr = seq.to_model_input()

@@ -327,6 +327,40 @@ def test_non_finite_loss_aborts(tmp_path):
         train(cfg)
 
 
+def _frozen_static_names(model):
+    return [f"blocks.{i}.{name}"
+            for i, block in enumerate(model.blocks)
+            for name in [f"static_convs.{k}.weight" for k in range(block.topo.n_configs)]
+            + [f"topo.mask.{k}" for k in range(block.topo.n_configs)]]
+
+
+def test_lambda_zero_trains_with_the_static_route_frozen(smoke_setup, tmp_path):
+    _, cfg = smoke_setup
+    cfg = cfg.with_overrides(["model.lambda_static=0.0", "total_epochs=1",
+                              f"out_dir={tmp_path / 'run'}"])
+    model = build_model(cfg.model, seed=cfg.seed)
+    fresh = dict(model.named_parameters())
+    frozen = [name for name, p in fresh.items() if not p.tensor.requires_grad]
+    assert sorted(frozen) == sorted(_frozen_static_names(model))
+    result = train(cfg)
+    for name, p in result.model.named_parameters():
+        assert np.array_equal(p.data, fresh[name].data) == (name in frozen), name
+
+
+def test_trainable_parameter_without_gradient_is_named(smoke_setup, tmp_path, monkeypatch):
+    import dyngcn.train as d_train
+
+    _, cfg = smoke_setup
+    cfg = cfg.with_overrides(["model.lambda_static=0.0", f"out_dir={tmp_path / 'run'}"])
+    model = build_model(cfg.model, seed=cfg.seed)
+    # declared trainable, but the static route it belongs to never runs
+    model.blocks[1].static_convs[2].weight.tensor.requires_grad = True
+    monkeypatch.setattr(d_train, "build_model", lambda config, seed: model)
+    with pytest.raises(RuntimeError, match=r"no gradient from the first batch: "
+                                           r"blocks\.1\.static_convs\.2\.weight$"):
+        train(cfg)
+
+
 @pytest.fixture(scope="module")
 def five_class_data(tmp_path_factory):
     root = tmp_path_factory.mktemp("five")

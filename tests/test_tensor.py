@@ -179,6 +179,112 @@ def test_batch_norm_eval_uses_running_stats():
         batch_norm(x, gamma, beta, training=False)
 
 
+# Shapes the model runs batch norm at: a block, the input norm (B, C*N, T, 1),
+# and the context encoder's squeeze (B, 1, T, N) and output (B, N*N, 1, 1).
+BN_SHAPES = [(8, 64, 64, 25), (8, 75, 64, 1), (8, 1, 64, 25), (8, 625, 1, 1)]
+
+
+def _bn_case(shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    channels = shape[1]
+    x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype)
+    residual = rng.standard_normal(shape).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, channels).astype(dtype)
+    beta = rng.standard_normal(channels).astype(dtype)
+    stats = (rng.standard_normal(channels).astype(dtype),
+             rng.uniform(0.5, 2.0, channels).astype(dtype))
+    g = rng.standard_normal(shape).astype(dtype)
+    return x, residual, gamma, beta, stats, g
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_epilogue_matches_separate_ops_bitwise(shape, dtype, training):
+    x, residual, gamma, beta, (rm, rv), g = _bn_case(shape, dtype)
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, residual)]
+        xt, gt, bt, rt = leaves
+        stats = dict(running_mean=rm.copy(), running_var=rv.copy(), training=training)
+        if fused:
+            out = batch_norm(xt, gt, bt, relu=True, residual=rt, **stats)
+        else:
+            out = relu(add(batch_norm(xt, gt, bt, **stats), rt))
+        out.backward(g)
+        results.append([out.data, stats["running_mean"], stats["running_var"]]
+                       + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _reference_batch_norm(x, gamma, beta, g):
+    """The training-mode op as first written: x.var and unfused temporaries."""
+    axes, per_channel = (0, 2, 3), (1, x.shape[1], 1, 1)
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    x_hat = x - mean.reshape(per_channel)
+    x_hat *= inv_std.reshape(per_channel)
+    out = gamma.reshape(per_channel) * x_hat
+    out += beta.reshape(per_channel)
+    dxh = g * gamma.reshape(per_channel)
+    m1 = dxh.mean(axis=axes, keepdims=True)
+    m2 = (dxh * x_hat).mean(axis=axes, keepdims=True)
+    dx = inv_std.reshape(per_channel) * (dxh - m1 - x_hat * m2)
+    return out, mean, var, dx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES + [(3, 5, 7, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_training_matches_unfused_reference_bitwise(shape, dtype):
+    x, _, gamma, beta, _, g = _bn_case(shape, dtype, seed=1)
+    # momentum 1 makes the running buffers the batch statistics themselves
+    rm, rv = np.zeros(shape[1], dtype), np.ones(shape[1], dtype)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = batch_norm(*leaves, running_mean=rm, running_var=rv, momentum=1.0)
+    out.backward(g)
+    got = (out.data, rm, rv) + tuple(t.grad for t in leaves)
+    for a, b in zip(got, _reference_batch_norm(x, gamma, beta, g)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_residual_may_alias_the_input(training):
+    x, _, gamma, beta, (rm, rv), g = _bn_case((4, 3, 5, 2), np.float64)
+    results = []
+    for fused in (True, False):
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        stats = dict(running_mean=rm.copy(), running_var=rv.copy(), training=training)
+        if fused:
+            out = batch_norm(xt, gt, bt, relu=True, residual=xt, **stats)
+        else:
+            out = relu(add(batch_norm(xt, gt, bt, **stats), xt))
+        out.backward(g)
+        results.append((out.data, xt.grad, gt.grad, bt.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("relu_on", [True, False])
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_backward_leaves_the_given_gradient_unmodified(relu_on, training):
+    x, residual, gamma, beta, (rm, rv), g = _bn_case((4, 3, 5, 2), np.float32)
+    given = g.copy()
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, residual)]
+    out = batch_norm(*leaves[:3], running_mean=rm, running_var=rv, training=training,
+                     relu=relu_on, residual=leaves[3])
+    out.backward(given)
+    assert np.array_equal(given, g)
+    assert all(t.grad is not None for t in leaves)
+
+
+def test_batch_norm_rejects_mismatched_residual():
+    x = Tensor(np.zeros((2, 3, 4, 1)))
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    with pytest.raises(ValueError, match="residual shape"):
+        batch_norm(x, gamma, beta, residual=Tensor(np.zeros((2, 3, 4, 2))))
+
+
 def test_relu_subgradient_at_zero_is_zero():
     x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
     out = relu(x).sum()
@@ -357,29 +463,37 @@ def test_grad_concat(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("training", [True, False])
 def test_grad_batch_norm(seed, training):
-    rng = np.random.default_rng(seed)
-    x = rand(rng, 3, 2, 4, 2)
-    gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
-    beta = Tensor(rng.standard_normal(2), requires_grad=True)
-    rm = rng.standard_normal(2)
-    rv = rng.uniform(0.5, 2.0, 2)
+    # every epilogue: plain, ReLU, residual, residual then ReLU
+    for relu_on, with_residual in ((False, False), (True, False), (False, True), (True, True)):
+        rng = np.random.default_rng(seed)
+        x = rand(rng, 3, 2, 4, 2)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
+        beta = Tensor(rng.standard_normal(2), requires_grad=True)
+        rm = rng.standard_normal(2)
+        rv = rng.uniform(0.5, 2.0, 2)
+        residual = rand(rng, 3, 2, 4, 2) if with_residual else None
 
-    def run(kind):
-        def f(t):
-            args = dict(training=training)
-            if not training:
-                args.update(running_mean=rm, running_var=rv)
-            xx = t if kind == "x" else x
-            gg = t if kind == "gamma" else gamma
-            bb = t if kind == "beta" else beta
-            out = batch_norm(xx, gg, bb, **args)
-            return mul(out, out).sum()
+        def run(kind):
+            def f(t):
+                args = dict(training=training, relu=relu_on)
+                if not training:
+                    args.update(running_mean=rm, running_var=rv)
+                if with_residual:
+                    args.update(residual=t if kind == "residual" else residual)
+                xx = t if kind == "x" else x
+                gg = t if kind == "gamma" else gamma
+                bb = t if kind == "beta" else beta
+                out = batch_norm(xx, gg, bb, **args)
+                return mul(out, out).sum()
 
-        return f
+            return f
 
-    assert check_gradient(run("x"), x) < 1e-4
-    assert check_gradient(run("gamma"), gamma) < 1e-4
-    assert check_gradient(run("beta"), beta) < 1e-4
+        label = f"relu={relu_on} residual={with_residual}"
+        assert check_gradient(run("x"), x) < 1e-4, label
+        assert check_gradient(run("gamma"), gamma) < 1e-4, label
+        assert check_gradient(run("beta"), beta) < 1e-4, label
+        if with_residual:
+            assert check_gradient(run("residual"), residual) < 1e-4, label
 
 
 @pytest.mark.parametrize("seed", SEEDS)
