@@ -3,7 +3,7 @@
 
 Trains a small classifier on seeded synthetic motion twice: once on raw
 joint positions and once on the bone stream derived from them. Each run
-writes a checkpoint and a metrics file; averaging the two checkpoints'
+writes a checkpoint and a metrics file; summing the two checkpoints'
 logits gives the ensemble result.
 """
 

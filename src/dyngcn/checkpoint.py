@@ -66,7 +66,7 @@ def read_checkpoint_header(path):
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {raw[:4]!r})")
+        raise ValueError(f"{path}: not a checkpoint (bad magic {raw[:4]!r} at byte offset 0)")
     start = HEADER_OFFSET
     if len(raw) < start:
         raise ValueError(
@@ -75,9 +75,12 @@ def read_checkpoint_header(path):
         )
     version, header_len = struct.unpack_from("<HQ", raw, 4)
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version} at byte offset 4")
     if start + header_len > len(raw):
-        raise ValueError(f"{path}: truncated header")
+        raise ValueError(
+            f"{path}: truncated at byte offset {len(raw)}: "
+            f"the header ends at byte offset {start + header_len}"
+        )
 
     def bad_header(message):
         return ValueError(f"{path}: header at byte offset {start}: {message}")
@@ -108,15 +111,14 @@ def read_checkpoint_header(path):
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes; returns (model, meta)."""
     header, raw, offset = read_checkpoint_header(path)
+    dtypes = {entry["dtype"] for entry in header["arrays"]}
+    dtype = np.float64 if dtypes == {"float64"} else np.float32
     try:
-        config = ModelConfig.from_dict(header["config"])
+        model = build_model(ModelConfig.from_dict(header["config"]), seed=0, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"{path}: header at byte offset {HEADER_OFFSET}: bad config ({exc})"
         ) from None
-    dtypes = {entry["dtype"] for entry in header["arrays"]}
-    dtype = np.float64 if dtypes == {"float64"} else np.float32
-    model = build_model(config, seed=0, dtype=dtype)
 
     stored = {}
     for entry in header["arrays"]:
@@ -132,21 +134,26 @@ def load_checkpoint(path):
         stored[entry["name"]] = arr.reshape(shape).astype(entry["dtype"])
         offset += arr.nbytes
     if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes after arrays")
+        raise ValueError(
+            f"{path}: {len(raw) - offset} trailing bytes after the arrays end "
+            f"at byte offset {offset}"
+        )
 
     expected = dict(_model_arrays(model))
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
         raise ValueError(
-            f"{path}: array set does not match the configured model "
+            f"{path}: header at byte offset {HEADER_OFFSET}: array set does not match "
+            f"the configured model "
             f"(missing {missing[:3]}, unexpected {extra[:3]})"
         )
     for name, target in expected.items():
         value = stored[name]
         if target.shape != value.shape:
             raise ValueError(
-                f"{path}: array {name!r} has shape {value.shape}, model expects {target.shape}"
+                f"{path}: header at byte offset {HEADER_OFFSET}: array {name!r} has shape "
+                f"{value.shape}, model expects {target.shape}"
             )
         target[...] = value
     return model, header["meta"]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .model import ModelConfig
 from .skeleton import N_SPATIAL_CONFIGS, build_layout
+from .topology import LEARNERS, context_stages
 
 
 @dataclass(frozen=True)
@@ -104,34 +105,15 @@ def count_graph_mult_flops(n_joints, channels, frames, n_graphs=1):
 
 def count_learner_flops(kind, channels, frames, joints):
     """Conv and matmul work inside one topology learner, per sample."""
+    if kind not in LEARNERS or kind == "none":
+        raise ValueError(f"unknown learner kind {kind!r}")
     c, t, n = channels, frames, joints
-    if kind in ("context", "context-symmetric"):
-        return 2 * c * t * n + 2 * t * n + 2 * n ** 3
-    if kind == "context-feature":
-        return 2 * t * c * n + 2 * n * c + 2 * c * n * n
-    if kind == "context-temporal":
-        return 2 * c * t * n + 2 * c * t + 2 * t * n * n
     if kind == "nonlocal":
         e = max(c // 4, 4)
         return 2 * (2 * c * e * t * n) + 2 * n * n * e
-    raise ValueError(f"unknown learner kind {kind!r}")
-
-
-def count_learner_params(kind, channels, frames, joints):
-    """Learnable scalars in one topology learner (conv kernels plus norms)."""
-    c, t, n = channels, frames, joints
-    n_sq = n * n
-    if kind in ("context", "context-symmetric"):
-        squeezes, final = c + t, n
-    elif kind == "context-feature":
-        squeezes, final = t + n, c
-    elif kind == "context-temporal":
-        squeezes, final = c + n, t
-    elif kind == "nonlocal":
-        return 2 * max(c // 4, 4) * c
-    else:
-        raise ValueError(f"unknown learner kind {kind!r}")
-    return squeezes + final * n_sq + 2 * n_sq + 4
+    axis, _ = LEARNERS[kind]
+    return sum(2 * w_in * w_out * positions
+               for w_in, w_out, positions in context_stages(axis, c, t, n))
 
 
 def count_model_flops(config, include_cen=True, persons=1):

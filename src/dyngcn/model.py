@@ -9,12 +9,14 @@ Each block mixes joint features along two routes and adds them:
                  topology learner and W' is its own channel map
 
 Graph aggregation acts on the joint axis and the 1x1 channel map on the
-channel axis, so the two commute and the static route is computed the
-ST-GCN way: one broadcast graph product writes all K aggregations of a
-sample as a (K * C, T, N) channel stack, and one 1x1 convolution with
-the concatenated weight lambda * [W_0 | ... | W_{K-1}] maps the stack
-to the output channels.  Every contraction keeps a per-sample GEMM
-shape, so eval outputs do not depend on the batch size.
+channel axis, so the two commute and both routes run through
+``graph_conv`` the ST-GCN way: one broadcast graph product writes all
+aggregations of a sample as a channel stack, and one 1x1 convolution
+maps the stack to the output channels.  The static route passes its K
+graphs with the concatenated weight lambda * [W_0 | ... | W_{K-1}], the
+dynamic route its one learned graph per sample with W'.  Every
+contraction keeps a per-sample GEMM shape, so eval outputs do not
+depend on the batch size.
 
 The fused output passes through batch norm, ReLU, a temporal convolution
 (t x 1 kernel, optionally strided), a residual shortcut, and a final
@@ -42,16 +44,7 @@ from .tensor import (
     reshape,
     scale,
 )
-from .topology import build_topology_learner
-
-TOPOLOGY_KINDS = (
-    "context",
-    "context-symmetric",
-    "context-feature",
-    "context-temporal",
-    "nonlocal",
-    "none",
-)
+from .topology import LEARNERS, build_topology_learner
 
 
 def round_half_up(value):
@@ -88,6 +81,8 @@ class ModelConfig:
             )
         if not self.channels:
             raise ValueError("at least one block is required")
+        if min(self.in_channels, self.frames, *self.channels) < 1:
+            raise ValueError("in_channels, frames and channels must be positive")
         if any(s < 1 for s in self.strides):
             raise ValueError("strides must be positive")
         if self.tc_kernel < 1 or self.tc_kernel % 2 == 0:
@@ -97,7 +92,7 @@ class ModelConfig:
         for pos in self.aggregate_after:
             if not 1 <= pos <= len(self.channels):
                 raise ValueError(f"aggregate_after position {pos} out of range")
-        if self.topology not in TOPOLOGY_KINDS:
+        if self.topology not in LEARNERS:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "none" and self.lambda_static == 0.0:
             raise ValueError("a model needs at least one active branch")
@@ -154,50 +149,45 @@ class BlockSpec:
         return self.out_joints != self.in_joints
 
 
-def graph_apply(graph, x):
-    """Aggregate joint features: out[..., i] = sum_j graph[i, j] * x[..., j].
+def graph_conv(x, graphs, weight):
+    """Aggregate joint features with each graph, then map the channels.
 
-    ``graph`` is (N, N) shared or (B, N, N) per sample; ``x`` is
-    (B, C, T, N).  Each sample is one (C*T) x N by N x N product.
+    ``x`` is (B, C, T, N), ``graphs`` is (1, K, N, N) shared or (B, K, N, N)
+    per sample, and ``weight`` is the (C_out, K * C, 1, 1) channel map.  One
+    broadcast product of the (B, 1, C*T, N) input view with the transposed
+    graphs gives a (B, K, C*T, N) result that already is the (B, K*C, T, N)
+    channel stack, and one 1x1 convolution maps it to the output channels.
     """
     batch, channels, frames, n = x.data.shape
-    if graph.data.ndim == 2:
-        flipped = permute(graph, (1, 0))
-    elif graph.data.ndim == 3:
-        if graph.data.shape[0] != batch:
-            raise ValueError(
-                f"graph batch {graph.data.shape[0]} does not match input batch {batch}"
-            )
-        flipped = permute(graph, (0, 2, 1))
-    else:
-        raise ValueError(f"graph must be (N, N) or (B, N, N), got shape {graph.data.shape}")
-    rows = reshape(x, (batch, channels * frames, n))
-    return reshape(matmul(rows, flipped), x.data.shape)
+    k = graphs.data.shape[1]
+    rows = reshape(x, (batch, 1, channels * frames, n))
+    aggregated = matmul(rows, permute(graphs, (0, 1, 3, 2)))
+    return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight)
 
 
 def static_branch(x, topo, convs, lambda_static=1.0):
-    """``lambda_static`` times the sum over configurations k of conv_k(graph_k x).
-
-    All K graph products run as one broadcast product whose (B, K, C*T, N)
-    result already is the (B, K*C, T, N) channel stack, and one 1x1
-    convolution applies the concatenated, lambda-scaled weights.
-    """
+    """``lambda_static`` times the sum over configurations k of conv_k(graph_k x),
+    as one ``graph_conv`` over all K graphs with the concatenated,
+    lambda-scaled weights."""
     if len(convs) != topo.n_configs:
         raise ValueError(
             f"{len(convs)} channel maps for {topo.n_configs} configurations"
         )
-    batch, channels, frames, n = x.data.shape
-    k = topo.n_configs
-    graphs = reshape(permute(topo.static_topology(), (0, 2, 1)), (1, k, n, n))
-    rows = reshape(x, (batch, 1, channels * frames, n))
-    stacked = reshape(matmul(rows, graphs), (batch, k * channels, frames, n))
+    n = x.data.shape[-1]
+    graphs = reshape(topo.static_topology(), (1, topo.n_configs, n, n))
     weight = scale(concat([conv.weight.tensor for conv in convs], axis=1), lambda_static)
-    return conv2d(stacked, weight)
+    return graph_conv(x, graphs, weight)
 
 
 def dynamic_branch(x, graph, conv):
-    """Per-sample graph aggregation followed by its own 1x1 channel map."""
-    return conv(graph_apply(graph, x))
+    """Per-sample (B, N, N) graph aggregation followed by its own 1x1 channel map."""
+    batch, _, _, n = x.data.shape
+    if graph.data.shape != (batch, n, n):
+        raise ValueError(
+            f"graph shape {graph.data.shape} does not match input batch {batch} "
+            f"and {n} joints"
+        )
+    return graph_conv(x, reshape(graph, (batch, 1, n, n)), conv.weight.tensor)
 
 
 def joint_aggregate(x, projection):

@@ -54,7 +54,7 @@ class SkeletonLayout:
                 raise ValueError(f"layout {self.name!r}: self loop at joint {i}")
         if len({frozenset(e) for e in self.edges}) != len(self.edges):
             raise ValueError(f"layout {self.name!r}: duplicate edge")
-        if not self._connected():
+        if not (self.hop_distances() >= 0).all():
             raise ValueError(f"layout {self.name!r}: edge list is not connected")
         targets = [t for _, t in self.bone_pairs]
         expected = sorted(set(range(n)) - {self.center_joint})
@@ -66,23 +66,6 @@ class SkeletonLayout:
         for s, t in self.bone_pairs:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"layout {self.name!r}: bone ({s}, {t}) out of range")
-
-    def _connected(self):
-        if self.n_joints == 1:
-            return True
-        adj = [[] for _ in range(self.n_joints)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n_joints
 
     def adjacency(self):
         """Symmetric physical adjacency without self loops."""

@@ -38,7 +38,33 @@ from .tensor import (
     tensor_mean,
 )
 
-CONTEXT_AXES = ("joint", "feature", "temporal")
+# Model-config topology kind -> (context axis, symmetric).  The non-local
+# baseline has no context axis, and "none" builds no learner.
+LEARNERS = {
+    "context": ("joint", False),
+    "context-symmetric": ("joint", True),
+    "context-feature": ("feature", False),
+    "context-temporal": ("temporal", False),
+    "nonlocal": (None, False),
+    "none": (None, False),
+}
+
+# Context axis -> the order in which the encoder takes the (C, T, N) axes:
+# it squeezes the first, then the second, and maps the kept third to N^2.
+_SQUEEZE_ORDER = {"joint": "ctn", "feature": "tnc", "temporal": "cnt"}
+
+
+def context_stages(axis, channels, frames, joints):
+    """(input width, output width, positions) of the context encoder's three
+    pointwise maps, per sample: two squeezes to width 1, then the expansion
+    of the kept axis into N^2 values."""
+    if axis not in _SQUEEZE_ORDER:
+        raise ValueError(
+            f"unknown context axis {axis!r}, expected one of {tuple(_SQUEEZE_ORDER)}"
+        )
+    size = {"c": channels, "t": frames, "n": joints}
+    first, second, kept = (size[a] for a in _SQUEEZE_ORDER[axis])
+    return ((first, 1, second * kept), (second, 1, kept), (kept, joints * joints, 1))
 
 
 class ContextEncoder(Module):
@@ -47,8 +73,8 @@ class ContextEncoder(Module):
     def __init__(self, channels, frames, joints, axis="joint", symmetric=False,
                  final_relu=True, rng=None, dtype=np.float32):
         super().__init__()
-        if axis not in CONTEXT_AXES:
-            raise ValueError(f"unknown context axis {axis!r}, expected one of {CONTEXT_AXES}")
+        (a_in, a_out, _), (b_in, b_out, _), (e_in, e_out, _) = context_stages(
+            axis, channels, frames, joints)
         if rng is None:
             rng = np.random.default_rng(0)
         self.channels = channels
@@ -56,19 +82,12 @@ class ContextEncoder(Module):
         self.joints = joints
         self.axis = axis
         self.symmetric = symmetric
-        n_sq = joints * joints
-        if axis == "joint":
-            squeeze_dims, final_dim = (channels, frames), joints
-        elif axis == "feature":
-            squeeze_dims, final_dim = (frames, joints), channels
-        else:
-            squeeze_dims, final_dim = (channels, joints), frames
-        self.squeeze_a = Conv2d(squeeze_dims[0], 1, rng=rng, dtype=dtype)
-        self.bn_a = BatchNorm(1, relu=True, dtype=dtype)
-        self.squeeze_b = Conv2d(squeeze_dims[1], 1, rng=rng, dtype=dtype)
-        self.bn_b = BatchNorm(1, relu=True, dtype=dtype)
-        self.expand = Conv2d(final_dim, n_sq, rng=rng, dtype=dtype)
-        self.bn_out = BatchNorm(n_sq, relu=final_relu, dtype=dtype)
+        self.squeeze_a = Conv2d(a_in, a_out, rng=rng, dtype=dtype)
+        self.bn_a = BatchNorm(a_out, relu=True, dtype=dtype)
+        self.squeeze_b = Conv2d(b_in, b_out, rng=rng, dtype=dtype)
+        self.bn_b = BatchNorm(b_out, relu=True, dtype=dtype)
+        self.expand = Conv2d(e_in, e_out, rng=rng, dtype=dtype)
+        self.bn_out = BatchNorm(e_out, relu=final_relu, dtype=dtype)
 
     def _check_input(self, x):
         expected = (self.channels, self.frames, self.joints)
@@ -140,19 +159,13 @@ class NonLocalTopology(Module):
 def build_topology_learner(kind, channels, frames, joints, final_relu=True,
                            rng=None, dtype=np.float32):
     """Factory keyed by the model-config topology name; None for "none"."""
+    if kind not in LEARNERS:
+        raise ValueError(f"unknown topology learner {kind!r}")
     if kind == "none":
         return None
     if kind == "nonlocal":
         return NonLocalTopology(channels, rng=rng, dtype=dtype)
-    table = {
-        "context": ("joint", False),
-        "context-symmetric": ("joint", True),
-        "context-feature": ("feature", False),
-        "context-temporal": ("temporal", False),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown topology learner {kind!r}")
-    axis, symmetric = table[kind]
+    axis, symmetric = LEARNERS[kind]
     return ContextEncoder(
         channels, frames, joints, axis=axis, symmetric=symmetric,
         final_relu=final_relu, rng=rng, dtype=dtype,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,20 +92,35 @@ class TrainResult:
     class_names: list = field(default_factory=list)
 
 
+@contextmanager
+def _overflow_located(path, stage):
+    """Turn a float overflow in the block into a ValueError naming the file
+    and the stage, in place of a numpy warning and a non-finite result."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{path}: {stage} overflows float32 ({exc})") from None
+
+
 def load_dataset(manifest, frames, layout, modality):
     """Materialize a manifest as ((S, M, C, T, N) float32, (S,) labels)."""
     arrays = []
     labels = []
     for rel, label in manifest.entries:
-        seq = load_sequence(manifest.resolve(rel))
+        path = manifest.resolve(rel)
+        seq = load_sequence(path)
         if seq.joints != layout.n_joints:
             raise ValueError(
                 f"{rel}: sequence has {seq.joints} joints, layout "
                 f"{layout.name!r} defines {layout.n_joints}"
             )
-        seq = normalize_coords(resize_sequence(seq, frames), layout)
-        coords = seq.to_model_input()             # (M, C, T, N)
-        arrays.append(apply_modality(coords, modality, layout).astype(np.float32))
+        seq = resize_sequence(seq, frames)   # a convex blend of finite frames
+        with _overflow_located(path, "centring"):
+            seq = normalize_coords(seq, layout)
+        with _overflow_located(path, f"the {modality} transform"):
+            coords = seq.to_model_input()             # (M, C, T, N)
+            arrays.append(apply_modality(coords, modality, layout).astype(np.float32))
         labels.append(label)
     persons = max(arr.shape[0] for arr in arrays)
     stacked = np.zeros((len(arrays),) + (persons,) + arrays[0].shape[1:], dtype=np.float32)

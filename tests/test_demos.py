@@ -13,6 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "01_layouts_and_topology.py",
     "02_synthetic_data.py",
     "03_model_forward.py",
+    "04_training_and_ensembles.py",
     "05_learned_topology.py",
     "06_cost_accounting.py",
 ])

@@ -4,20 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dyngcn.layers as d_layers
+import dyngcn.topology as d_topology
 from dyngcn.flops import (
     CostReport,
     LayerCost,
     count_conv_flops,
     count_graph_mult_flops,
     count_learner_flops,
-    count_learner_params,
     count_model_flops,
     overhead_report,
 )
 from dyngcn.config import model_preset, run_preset
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.tensor import Tensor, no_grad
-from dyngcn.topology import ContextEncoder, NonLocalTopology
+from dyngcn.topology import LEARNERS, ContextEncoder, NonLocalTopology, context_stages
 
 # Hand-summed closed forms for the 10-block 25-joint configuration
 # (3 graph products and 3 pointwise convs per static branch, 9x1 temporal
@@ -70,6 +71,8 @@ def test_graph_mult_flops():
 
 # -- learner costs and parameter counts ---------------------------------
 
+LEARNER_KINDS = [kind for kind in LEARNERS if kind != "none"]
+
 
 def learner_modules(c, t, n):
     return {
@@ -81,29 +84,70 @@ def learner_modules(c, t, n):
     }
 
 
-@pytest.mark.parametrize("kind", ["context", "context-symmetric", "context-feature",
-                                  "context-temporal", "nonlocal"])
+def parameter_count(module):
+    return sum(int(np.prod(p.data.shape)) for p in module.parameters())
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
 def test_learner_param_count_matches_modules(kind):
+    # a context encoder holds one conv per stage of its geometry and one
+    # batch norm (scale and shift) per conv output; the non-local baseline
+    # holds two C -> E embeddings
     c, t, n = 6, 10, 5
     module = learner_modules(c, t, n)[kind]
-    actual = sum(int(np.prod(p.data.shape)) for p in module.parameters())
-    assert count_learner_params(kind, c, t, n) == actual
+    if kind == "nonlocal":
+        expected = 2 * module.embed_channels * c
+    else:
+        stages = context_stages(LEARNERS[kind][0], c, t, n)
+        expected = sum(w_in * w_out + 2 * w_out for w_in, w_out, _ in stages)
+    assert parameter_count(module) == expected
 
 
 def test_temporal_variant_final_kernel_scales_with_frames():
     c, t, n = 64, 64, 25
-    base = count_learner_params("context", c, t, n)
-    temporal = count_learner_params("context-temporal", c, t, n)
-    # the final mapping kernels differ by (T - N) * N^2 weights
+    base = parameter_count(ContextEncoder(c, t, n, axis="joint"))
+    temporal = parameter_count(ContextEncoder(c, t, n, axis="temporal"))
+    # the squeezes bind (C, T) and (C, N), and the final mapping kernels
+    # differ by (T - N) * N^2 weights
     assert temporal - base == (t - n) * n * n + (n - t)
+
+
+@pytest.mark.parametrize("shape", [(6, 10, 5), (7, 3, 11)], ids=["6x10x5", "7x3x11"])
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_learner_flops_match_traced_contractions(kind, shape, monkeypatch):
+    # every matmul and conv2d a learner's forward runs, counted at 2 FLOPs
+    # per multiply-add, against the closed form
+    c, t, n = shape
+    batch = 3
+    traced = []
+
+    def counting(name, original):
+        def op(*args, **kwargs):
+            out = original(*args, **kwargs)
+            inner = (args[0].data.shape[-1] if name == "matmul"
+                     else args[1].data.shape[1] * args[1].data.shape[2])
+            traced.append(2 * out.data.size * inner)
+            return out
+        return op
+
+    monkeypatch.setattr(d_layers, "conv2d", counting("conv2d", d_layers.conv2d))
+    monkeypatch.setattr(d_topology, "matmul", counting("matmul", d_topology.matmul))
+    module = learner_modules(c, t, n)[kind]
+    x = np.random.default_rng(4).standard_normal((batch, c, t, n)).astype(np.float32)
+    with no_grad():
+        assert module(Tensor(x)).shape == (batch, n, n)
+    assert sum(traced) == batch * count_learner_flops(kind, c, t, n)
 
 
 def test_learner_flops_closed_forms():
     c, t, n = 3, 4, 3
     assert count_learner_flops("context", c, t, n) == 2 * c * t * n + 2 * t * n + 2 * n**3
+    assert count_learner_flops("context-temporal", c, t, n) == (
+        2 * c * t * n + 2 * n * t + 2 * t * n * n)
     assert count_learner_flops("nonlocal", c, t, n) == 2 * (2 * c * 4 * t * n) + 2 * n * n * 4
-    with pytest.raises(ValueError, match="unknown learner"):
-        count_learner_flops("psychic", c, t, n)
+    for kind in ("psychic", "none"):
+        with pytest.raises(ValueError, match="unknown learner"):
+            count_learner_flops(kind, c, t, n)
 
 
 # -- model walker -------------------------------------------------------

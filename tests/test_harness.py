@@ -1,6 +1,8 @@
 import json
+import re
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +225,16 @@ def test_checkpoint_header_missing_key_names_offset(tmp_path, key):
         load_checkpoint(path)
 
 
+def test_checkpoint_config_rejected_by_the_model_names_offset(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+    raw = path.read_bytes()
+    # one flipped bit: '5' (0x35) becomes '7' (0x37)
+    path.write_bytes(raw.replace(b'"ntu25"', b'"ntu27"', 1))
+    with pytest.raises(ValueError, match=r"m\.ckpt: header at byte offset 14: "
+                                         r"bad config \(unknown layout 'ntu27'"):
+        load_checkpoint(path)
+
+
 # -- training harness ---------------------------------------------------
 
 
@@ -325,6 +337,57 @@ def test_non_finite_loss_aborts(tmp_path):
     ])
     with pytest.raises(RuntimeError, match="non-finite loss .* epoch 1"):
         train(cfg)
+
+
+@pytest.fixture
+def two_sequences(tmp_path):
+    """A two-sample ntu25 manifest, and the sequence file of its first entry."""
+    spec = SynthSpec(n_classes=2, samples_per_class=1, test_per_class=0,
+                     layout="ntu25", frames=8, noise_sigma=0.05, seed=5)
+    manifest, _ = synth_generate(tmp_path / "data", spec)
+    return manifest, manifest.resolve(manifest.entries[0][0])
+
+
+def poison(path, edit):
+    from dyngcn.data import load_sequence, save_sequence
+
+    seq = load_sequence(path)
+    edit(seq.data)
+    save_sequence(path, seq)
+
+
+@pytest.mark.parametrize("modality, stage", [("joint", "centring"), ("bone", "the bone transform"),
+                                             ("joint_motion", "the joint_motion transform")])
+def test_dataset_overflow_names_file_and_stage(two_sequences, modality, stage):
+    manifest, victim = two_sequences
+    layout = build_layout("ntu25")
+    center = layout.center_joint
+    source, target = next((s, t) for s, t in layout.bone_pairs if center not in (s, t))
+
+    def edit(data):
+        if stage == "centring":
+            data[0, 0, center, 0] = -3e38     # first-frame centre joint
+            data[:, 0, target, 0] = 3e38
+        elif modality == "bone":
+            data[:, 0, source, 0] = -3e38
+            data[:, 0, target, 0] = 3e38
+        else:
+            data[::2, 0, target, 0] = -3e38   # alternate frames: motion overflows
+            data[1::2, 0, target, 0] = 3e38
+
+    poison(victim, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(victim))}: {stage} overflows float32"):
+            load_dataset(manifest, 8, layout, modality)
+
+
+def test_dataset_near_float32_max_that_does_not_overflow_loads(two_sequences):
+    manifest, victim = two_sequences
+    layout = build_layout("ntu25")
+    poison(victim, lambda data: data.__setitem__((slice(None), 0, 3, 0), 3e38))
+    x, _ = load_dataset(manifest, 8, layout, "joint")
+    assert np.isfinite(x).all()
 
 
 def _frozen_static_names(model):

@@ -8,14 +8,23 @@ from dyngcn.model import (
     ModelConfig,
     build_model,
     dynamic_branch,
-    graph_apply,
+    graph_conv,
     joint_aggregate,
     round_half_up,
     static_branch,
 )
 from dyngcn.modality import apply_modality, derive_bone, derive_motion, ensemble_logits
 from dyngcn.skeleton import SkeletonLayout, TopologySet, build_layout
-from dyngcn.tensor import Tensor, mul, no_grad, relu, softmax_cross_entropy
+from dyngcn.tensor import (
+    Tensor,
+    conv2d,
+    matmul,
+    mul,
+    no_grad,
+    permute,
+    reshape,
+    softmax_cross_entropy,
+)
 from dyngcn.gradcheck import check_gradient
 
 
@@ -124,9 +133,44 @@ def test_dynamic_branch_permutation_graph():
     assert np.abs(out - x[:, :, :, perm]).max() < 1e-12
 
 
-def test_graph_apply_batch_mismatch():
+def test_dynamic_branch_batch_mismatch():
+    conv = identity_conv(1)
     with pytest.raises(ValueError, match="batch"):
-        graph_apply(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 1, 5, 4))))
+        dynamic_branch(Tensor(np.zeros((2, 1, 5, 4))), Tensor(np.zeros((3, 4, 4))), conv)
+
+
+def per_sample_graph_conv(graph, x, weight):
+    """The dynamic route before ``graph_conv``: one (C*T) x N by N x N product
+    per sample on the (B, C*T, N) view, then the 1x1 channel map."""
+    batch, channels, frames, n = x.data.shape
+    rows = reshape(x, (batch, channels * frames, n))
+    aggregated = reshape(matmul(rows, permute(graph, (0, 2, 1))), x.data.shape)
+    return conv2d(aggregated, weight)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dynamic_branch_bitwise_matches_per_sample_products(batch, dtype):
+    rng = np.random.default_rng(23)
+    n, c_in, c_out, t = 25, 6, 5, 7
+    x_data = rng.standard_normal((batch, c_in, t, n)).astype(dtype)
+    graph_data = rng.standard_normal((batch, n, n)).astype(dtype)
+    g_out = rng.standard_normal((batch, c_out, t, n)).astype(dtype)
+    conv = Conv2d(c_in, c_out, rng=rng, dtype=dtype)
+
+    def run(route):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        graph = Tensor(graph_data.copy(), requires_grad=True)
+        conv.weight.clear_grad()
+        out = route(x, graph)
+        out.backward(g_out)
+        return [out.data, x.grad, graph.grad, conv.weight.grad]
+
+    got = run(lambda x, graph: dynamic_branch(x, graph, conv))
+    want = run(lambda x, graph: per_sample_graph_conv(graph, x, conv.weight.tensor))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def random_static_route(rng, n, c_in, c_out, dtype=np.float64):
@@ -178,9 +222,9 @@ def test_spatial_routes_batch_invariant_bitwise(route, batch):
     def apply(i, j):
         xs = Tensor(x[i:j])
         if route == "shared graph":
-            return graph_apply(Tensor(graphs[0]), xs).data
+            return graph_conv(xs, Tensor(graphs[None, :1]), convs[0].weight.tensor).data
         if route == "per-sample graphs":
-            return graph_apply(Tensor(graphs[i:j]), xs).data
+            return dynamic_branch(xs, Tensor(graphs[i:j]), convs[0]).data
         return static_branch(xs, topo, convs, 0.5).data
 
     with no_grad():
@@ -346,6 +390,9 @@ def test_model_config_validation():
         ModelConfig(layout="ntu25", n_classes=5, topology="magic")
     with pytest.raises(ValueError, match="branch"):
         ModelConfig(layout="ntu25", n_classes=5, topology="none", lambda_static=0.0)
+    for sizes in ({"channels": (8, 0), "strides": (1, 1)}, {"frames": 0}, {"in_channels": 0}):
+        with pytest.raises(ValueError, match="positive"):
+            ModelConfig(layout="ntu25", n_classes=5, **sizes)
 
 
 def test_model_config_round_trip():
