@@ -95,6 +95,9 @@ def read_checkpoint_header(path):
         if not isinstance(header.get(key), kind):
             what = "array" if kind is list else "object"
             raise bad_header(f"{key!r} is missing or not a JSON {what}")
+    json_version = header.get("version")
+    if type(json_version) is not int or json_version != version:
+        raise bad_header(f"'version' is {json_version!r}, the fixed header says {version}")
     for entry in header["arrays"]:
         if not (isinstance(entry, dict) and {"name", "shape", "dtype"} <= entry.keys()
                 and isinstance(entry["shape"], list)

@@ -1,8 +1,12 @@
-"""Run configuration: declarative text format, overrides, and presets."""
+"""Run configuration: declarative text format, overrides, and presets.
+
+The keys are the dataclass fields (``model.<name>`` for ``ModelConfig``);
+each field's annotation picks the parser of its value."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .modality import MODALITIES
 from .model import ModelConfig
@@ -18,10 +22,7 @@ def _parse_bool(text):
 
 
 def _parse_int_tuple(text):
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    return tuple(int(v) for v in stripped.split(","))
+    return tuple(int(v) for v in text.split(",")) if text.strip() else ()
 
 
 def _format_value(value):
@@ -32,38 +33,21 @@ def _format_value(value):
     return str(value)
 
 
-_MODEL_PARSERS = {
-    "layout": str,
-    "n_classes": int,
-    "in_channels": int,
-    "frames": int,
-    "channels": _parse_int_tuple,
-    "strides": _parse_int_tuple,
-    "tc_kernel": int,
-    "lambda_static": float,
-    "aggregate_rate": float,
-    "aggregate_after": _parse_int_tuple,
-    "topology": str,
-    "learner_final_relu": _parse_bool,
-    "learn_projection": _parse_bool,
-    "alpha_degree": float,
-}
+# Field annotation -> parser of the value text.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple": _parse_int_tuple}
 
-_RUN_PARSERS = {
-    "train_manifest": str,
-    "test_manifest": str,
-    "out_dir": str,
-    "modality": str,
-    "lr": float,
-    "momentum": float,
-    "nesterov": _parse_bool,
-    "weight_decay": float,
-    "batch_size": int,
-    "total_epochs": int,
-    "milestones": _parse_int_tuple,
-    "decay": float,
-    "seed": int,
-}
+
+def _key_parsers(cls):
+    """Field name -> value parser, in field order (``model`` is a section)."""
+    parsers = {}
+    for f in fields(cls):
+        if f.name == "model":
+            continue
+        if f.type not in _PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for annotation {f.type!r}")
+        parsers[f.name] = _PARSERS[f.type]
+    return parsers
 
 
 def _parse_assignments(items):
@@ -79,9 +63,9 @@ def _parse_assignments(items):
             raise ValueError(f"{where}: expected key=value, got {text!r}")
         key, value = (part.strip() for part in text.split("=", 1))
         if key.startswith("model."):
-            name, parsers, target = key[len("model."):], _MODEL_PARSERS, model_kwargs
+            name, parsers, target = key[len("model."):], _MODEL_KEYS, model_kwargs
         else:
-            name, parsers, target = key, _RUN_PARSERS, run_kwargs
+            name, parsers, target = key, _RUN_KEYS, run_kwargs
         if name not in parsers:
             kind = "model key" if target is model_kwargs else "key"
             raise ValueError(f"{where}: unknown {kind} {name!r}")
@@ -126,13 +110,21 @@ class RunConfig:
             )
         if list(self.milestones) != sorted(self.milestones):
             raise ValueError(f"milestones must be increasing, got {self.milestones}")
+        for key, value in self._items():
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ValueError(f"{key}={value!r} would not read back from the config text "
+                                 f"(it holds '#' or a line break, or whitespace at an end)")
+
+    def _items(self):
+        """(key, value) of every config key, in text order."""
+        for prefix, obj, keys in (("model.", self.model, _MODEL_KEYS), ("", self, _RUN_KEYS)):
+            for name in keys:
+                yield prefix + name, getattr(obj, name)
 
     def to_text(self):
         lines = ["# run configuration"]
-        for f in fields(ModelConfig):
-            lines.append(f"model.{f.name}={_format_value(getattr(self.model, f.name))}")
-        for name in _RUN_PARSERS:
-            lines.append(f"{name}={_format_value(getattr(self, name))}")
+        lines += [f"{key}={_format_value(value)}" for key, value in self._items()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -144,55 +136,65 @@ class RunConfig:
         )
         if "layout" not in model_kwargs or "n_classes" not in model_kwargs:
             raise ValueError(f"{source}: model.layout and model.n_classes are required")
-        return cls(model=ModelConfig(**model_kwargs), **run_kwargs)
+        try:
+            return cls(model=ModelConfig(**model_kwargs), **run_kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def save(self, path):
-        from pathlib import Path
-
         Path(path).write_text(self.to_text())
         return path
 
     @classmethod
     def load(cls, path):
-        from pathlib import Path
-
         path = Path(path)
         return cls.from_text(path.read_text(), source=str(path))
 
     def with_overrides(self, assignments):
         """Apply ``key=value`` strings, e.g. from repeated --set flags."""
+        assignments = list(assignments)
         model_kwargs, run_kwargs = _parse_assignments(
             (f"override {item!r}", item) for item in assignments
         )
-        model = replace(self.model, **model_kwargs) if model_kwargs else self.model
-        return replace(self, model=model, **run_kwargs)
+        try:
+            model = replace(self.model, **model_kwargs) if model_kwargs else self.model
+            return replace(self, model=model, **run_kwargs)
+        except ValueError as exc:
+            raise ValueError(f"overrides {assignments}: {exc}") from None
+
+
+_MODEL_KEYS = _key_parsers(ModelConfig)
+_RUN_KEYS = _key_parsers(RunConfig)
+
+
+# Preset name -> factory of a fresh config.
+MODEL_PRESETS = {
+    "ntu-like": lambda: ModelConfig(layout="ntu25", n_classes=60),
+    "kinetics-like": lambda: ModelConfig(layout="openpose18", n_classes=400, frames=150),
+    "toy": lambda: ModelConfig(layout="ntu25", n_classes=2, frames=4,
+                               channels=(4,), strides=(1,), tc_kernel=3,
+                               aggregate_after=(), topology="context"),
+}
+RUN_PRESETS = {
+    "ntu-like": lambda: RunConfig(model=model_preset("ntu-like")),
+    "kinetics-like": lambda: RunConfig(model=model_preset("kinetics-like")),
+    "smoke": lambda: RunConfig(
+        model=ModelConfig(layout="ntu25", n_classes=2, frames=16,
+                          channels=(8, 16), strides=(1, 2), tc_kernel=5,
+                          aggregate_after=(1,), topology="context"),
+        lr=0.05, weight_decay=1e-4, batch_size=8, total_epochs=3, milestones=()),
+}
+
+
+def _preset(kind, presets, name):
+    if name not in presets:
+        raise ValueError(f"unknown {kind} preset {name!r}, expected one of {', '.join(presets)}")
+    return presets[name]()
 
 
 def model_preset(name):
-    if name == "ntu-like":
-        return ModelConfig(layout="ntu25", n_classes=60)
-    if name == "kinetics-like":
-        return ModelConfig(layout="openpose18", n_classes=400, frames=150)
-    if name == "toy":
-        return ModelConfig(layout="ntu25", n_classes=2, frames=4,
-                           channels=(4,), strides=(1,), tc_kernel=3,
-                           aggregate_after=(), topology="context")
-    raise ValueError(f"unknown model preset {name!r}, expected ntu-like, kinetics-like, or toy")
+    return _preset("model", MODEL_PRESETS, name)
 
 
 def run_preset(name):
-    if name == "ntu-like":
-        return RunConfig(model=model_preset("ntu-like"))
-    if name == "kinetics-like":
-        return RunConfig(model=model_preset("kinetics-like"))
-    if name == "smoke":
-        model = ModelConfig(layout="ntu25", n_classes=2, frames=16,
-                            channels=(8, 16), strides=(1, 2), tc_kernel=5,
-                            aggregate_after=(1,), topology="context")
-        return RunConfig(model=model, lr=0.05, weight_decay=1e-4,
-                         batch_size=8, total_epochs=3, milestones=())
-    raise ValueError(f"unknown run preset {name!r}, expected ntu-like, kinetics-like, or smoke")
-
-
-MODEL_PRESETS = ("ntu-like", "kinetics-like", "toy")
-RUN_PRESETS = ("ntu-like", "kinetics-like", "smoke")
+    return _preset("run", RUN_PRESETS, name)

@@ -336,9 +336,6 @@ class DatasetManifest:
     def resolve(self, rel):
         return self.root / rel
 
-    def labels(self):
-        return np.array([label for _, label in self.entries], dtype=np.int64)
-
 
 def save_manifest(path, manifest):
     path = Path(path)

@@ -13,11 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
-from .data import load_manifest
-from .skeleton import build_layout
 from .tensor import Tensor, no_grad
-from .train import load_dataset
+from .train import load_checkpoint_inputs
 
 DEFAULT_THRESHOLD = 0.4
 
@@ -82,15 +79,11 @@ def format_dot(matrix, layout, threshold=DEFAULT_THRESHOLD, class_name=""):
 def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
                     out_prefix, threshold=DEFAULT_THRESHOLD, batch_size=16):
     """Write <prefix>.txt and <prefix>.dot; returns (matrix, txt, dot)."""
-    model, meta = load_checkpoint(checkpoint_path)
-    manifest = load_manifest(manifest_path)
-    layout = build_layout(model.config.layout)
-    x, labels = load_dataset(manifest, model.config.frames, layout,
-                             meta.get("modality", "joint"))
+    model, meta, x, labels = load_checkpoint_inputs(checkpoint_path, manifest_path)
     matrix = class_average_adjacency(model, x, labels, class_id, layer_index,
                                      batch_size=batch_size)
     block = model.blocks[layer_index - 1]
-    graph_layout = layout if block.spec.in_joints == layout.n_joints else None
+    graph_layout = model.layout if block.spec.in_joints == model.layout.n_joints else None
     names = meta.get("class_names", [])
     class_name = names[class_id] if class_id < len(names) else f"class {class_id}"
     out_prefix = Path(out_prefix)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .model import ModelConfig
 from .skeleton import N_SPATIAL_CONFIGS, build_layout
-from .topology import LEARNERS, context_stages
+from .topology import LEARNERS, context_stages, nonlocal_width
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def count_learner_flops(kind, channels, frames, joints):
         raise ValueError(f"unknown learner kind {kind!r}")
     c, t, n = channels, frames, joints
     if kind == "nonlocal":
-        e = max(c // 4, 4)
+        e = nonlocal_width(c)
         return 2 * (2 * c * e * t * n) + 2 * n * n * e
     axis, _ = LEARNERS[kind]
     return sum(2 * w_in * w_out * positions

@@ -34,7 +34,6 @@ import numpy as np
 from .layers import BatchNorm, Conv2d, Linear, Module, Parameter
 from .skeleton import TopologySet, build_layout
 from .tensor import (
-    Tensor,
     add,
     concat,
     conv2d,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

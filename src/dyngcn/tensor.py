@@ -22,8 +22,6 @@ import contextlib
 
 import numpy as np
 
-_FLOAT_TYPES = (np.float32, np.float64)
-
 _grad_enabled = [True]
 
 

@@ -30,7 +30,6 @@ from .layers import BatchNorm, Conv2d, Module
 from .tensor import (
     l2_row_normalize,
     matmul,
-    mean_pool_global,
     permute,
     reshape,
     scale,
@@ -100,27 +99,22 @@ class ContextEncoder(Module):
     def scores(self, x):
         """Dependency matrix before row normalization."""
         self._check_input(x)
-        batch = x.data.shape[0]
-        c, t, n = self.channels, self.frames, self.joints
-
-        # bn_a and bn_b apply a ReLU, bn_out one when final_relu is set
-        if self.axis == "joint":
-            h = self.bn_a(self.squeeze_a(x))                      # (B, 1, T, N)
-            h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, N)
-            h = self.bn_b(self.squeeze_b(h))                      # (B, 1, 1, N)
-            h = permute(h, (0, 3, 1, 2))                          # (B, N, 1, 1)
-        elif self.axis == "feature":
-            h = self.bn_a(self.squeeze_a(permute(x, (0, 2, 1, 3))))  # (B, 1, C, N)
-            h = permute(h, (0, 3, 2, 1))                          # (B, N, C, 1)
-            h = self.bn_b(self.squeeze_b(h))                      # (B, 1, C, 1)
-            h = permute(h, (0, 2, 1, 3))                          # (B, C, 1, 1)
-        else:
-            h = self.bn_a(self.squeeze_a(x))                      # (B, 1, T, N)
-            h = permute(h, (0, 3, 2, 1))                          # (B, N, T, 1)
-            h = self.bn_b(self.squeeze_b(h))                      # (B, 1, T, 1)
-            h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, 1)
-
-        h = self.bn_out(self.expand(h))                           # (B, N*N, 1, 1)
+        batch, n = x.data.shape[0], self.joints
+        # Each stage maps the axis at position 1; one permute swaps the
+        # stage's axis there.  bn_a and bn_b apply a ReLU, bn_out one when
+        # final_relu is set.
+        slots = list("bctn")
+        h = x
+        for axis, conv, norm in zip(_SQUEEZE_ORDER[self.axis],
+                                    (self.squeeze_a, self.squeeze_b, self.expand),
+                                    (self.bn_a, self.bn_b, self.bn_out)):
+            pos = slots.index(axis)
+            if pos != 1:
+                order = [0, 1, 2, 3]
+                order[1], order[pos] = pos, 1
+                h = permute(h, tuple(order))
+                slots[1], slots[pos] = axis, slots[1]
+            h = norm(conv(h))
         out = reshape(h, (batch, n, n))
         if self.symmetric:
             out = scale(out + permute(out, (0, 2, 1)), 0.5)
@@ -128,6 +122,11 @@ class ContextEncoder(Module):
 
     def forward(self, x):
         return l2_row_normalize(self.scores(x))
+
+
+def nonlocal_width(channels):
+    """Default embedding width of the non-local baseline."""
+    return max(channels // 4, 4)
 
 
 class NonLocalTopology(Module):
@@ -138,7 +137,7 @@ class NonLocalTopology(Module):
         if rng is None:
             rng = np.random.default_rng(0)
         if embed_channels is None:
-            embed_channels = max(channels // 4, 4)
+            embed_channels = nonlocal_width(channels)
         self.channels = channels
         self.embed_channels = embed_channels
         self.embed_query = Conv2d(channels, embed_channels, rng=rng, dtype=dtype)

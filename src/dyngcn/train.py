@@ -242,29 +242,34 @@ def train(config):
                        list(train_manifest.class_names))
 
 
-def evaluate_checkpoint(checkpoint_path, manifest_path, batch_size=64):
+def load_checkpoint_inputs(checkpoint_path, manifest_path):
+    """Load a checkpoint and a manifest's data as the checkpoint reads it:
+    its layout, frame count and modality; returns (model, meta, x, labels)."""
     model, meta = load_checkpoint(checkpoint_path)
     manifest = load_manifest(manifest_path)
-    layout = build_layout(model.config.layout)
+    layout = model.layout
     if manifest.layout_name and manifest.layout_name != layout.name:
         raise ValueError(
-            f"checkpoint was trained on layout {layout.name!r}, manifest "
-            f"declares {manifest.layout_name!r}"
+            f"{manifest_path}: manifest declares layout {manifest.layout_name!r}, "
+            f"checkpoint {checkpoint_path} was trained on {layout.name!r}"
         )
-    x, y = load_dataset(manifest, model.config.frames, layout,
-                        meta.get("modality", "joint"))
+    x, labels = load_dataset(manifest, model.config.frames, layout,
+                             meta.get("modality", "joint"))
+    return model, meta, x, labels
+
+
+def evaluate_checkpoint(checkpoint_path, manifest_path, batch_size=64):
+    model, _, x, y = load_checkpoint_inputs(checkpoint_path, manifest_path)
     return evaluate_arrays(model, x, y, batch_size=batch_size)
 
 
 def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=64):
     """Sum pre-softmax logits across streams; returns (per-stream, fused)."""
-    manifest = load_manifest(manifest_path)
-    labels = manifest.labels()
     per_stream = []
     stream_logits = []
     n_classes = None
     for path in checkpoint_paths:
-        model, meta = load_checkpoint(path)
+        model, _, x, y = load_checkpoint_inputs(path, manifest_path)
         if n_classes is None:
             n_classes = model.config.n_classes
         elif model.config.n_classes != n_classes:
@@ -272,11 +277,8 @@ def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=64):
                 f"{path}: checkpoint has {model.config.n_classes} classes, "
                 f"others have {n_classes}"
             )
-        layout = build_layout(model.config.layout)
-        x, y = load_dataset(manifest, model.config.frames, layout,
-                            meta.get("modality", "joint"))
         logits = collect_logits(model, x, batch_size)
         stream_logits.append(logits)
         per_stream.append(accuracy_from_logits(logits, y, n_classes))
-    fused = accuracy_from_logits(ensemble_logits(stream_logits), labels, n_classes)
+    fused = accuracy_from_logits(ensemble_logits(stream_logits), y, n_classes)
     return per_stream, fused

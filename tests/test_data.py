@@ -298,7 +298,6 @@ def test_manifest_round_trip(tmp_path):
     assert back.entries == entries
     assert back.class_names == ["a", "b"]
     assert back.layout_name == "test-layout" and back.split == "train"
-    assert np.array_equal(back.labels(), [0, 1, 0])
 
 
 def test_manifest_label_out_of_table():

@@ -1,7 +1,8 @@
-"""Property tests of the binary readers (sequences and checkpoints): round
-trips and corrupted files."""
+"""Property tests of the readers (sequences, checkpoints and run configs):
+round trips and corrupted input."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyngcn.checkpoint import HEADER_OFFSET, load_checkpoint, read_checkpoint_header, save_checkpoint
-from dyngcn.config import model_preset
+from dyngcn.config import RunConfig, model_preset
 from dyngcn.data import SkeletonSequence, load_sequence, save_sequence
-from dyngcn.model import build_model
+from dyngcn.modality import MODALITIES
+from dyngcn.model import ModelConfig, build_model
 from dyngcn.topology import LEARNERS
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -135,3 +137,103 @@ def test_bit_flip_in_checkpoint_header_loads_or_names_file(work, stored, region,
     raw[bit // 8] ^= 1 << (bit % 8)
     (work / "flip.ckpt").write_bytes(bytes(raw))
     loads_or_names_file_and_offset(work / "flip.ckpt")
+
+
+# -- run configs ----------------------------------------------------------
+
+# Config strings that read back: no '#', no line break, no whitespace at an end.
+config_strings = names.filter(
+    lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) <= 1)
+floats = st.floats(allow_nan=False)
+sizes = st.integers(1, 2**40)
+
+
+@st.composite
+def run_configs(draw):
+    blocks = draw(st.integers(1, 4))
+    topology = draw(st.sampled_from(sorted(LEARNERS)))
+    lambda_static = draw(floats)
+    if topology == "none" and lambda_static == 0.0:
+        lambda_static = 1.0
+    model = ModelConfig(
+        layout=draw(config_strings), n_classes=draw(sizes), in_channels=draw(sizes),
+        frames=draw(sizes),
+        channels=tuple(draw(st.lists(sizes, min_size=blocks, max_size=blocks))),
+        strides=tuple(draw(st.lists(sizes, min_size=blocks, max_size=blocks))),
+        tc_kernel=2 * draw(st.integers(0, 2**20)) + 1, lambda_static=lambda_static,
+        aggregate_rate=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        aggregate_after=tuple(draw(st.lists(st.integers(1, blocks), max_size=3))),
+        topology=topology, learner_final_relu=draw(st.booleans()),
+        learn_projection=draw(st.booleans()), alpha_degree=draw(floats),
+    )
+    total_epochs = draw(sizes)
+    milestones = sorted(draw(st.lists(st.integers(-5, total_epochs - 1), max_size=3)))
+    return RunConfig(
+        model=model, train_manifest=draw(config_strings), test_manifest=draw(config_strings),
+        out_dir=draw(config_strings), modality=draw(st.sampled_from(MODALITIES)),
+        lr=draw(st.floats(0.0, exclude_min=True)), momentum=draw(floats),
+        nesterov=draw(st.booleans()), weight_decay=draw(floats), batch_size=draw(sizes),
+        total_epochs=total_epochs, milestones=tuple(milestones), decay=draw(floats),
+        seed=draw(st.integers(-2**63, 2**63)),
+    )
+
+
+@FUZZ
+@given(config=run_configs(), key=st.sampled_from(["model.layout", "train_manifest",
+                                                  "test_manifest", "out_dir"]),
+       value=st.text(max_size=8))
+def test_config_string_reads_back_or_is_refused(config, key, value):
+    try:
+        if key == "model.layout":
+            changed = replace(config, model=replace(config.model, layout=value))
+        else:
+            changed = replace(config, **{key: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"{key}="), str(exc)
+        return
+    assert RunConfig.from_text(changed.to_text()) == changed
+
+
+def parses_or_names_source(text):
+    try:
+        RunConfig.from_text(text, source="fuzz.cfg")
+    except ValueError as exc:
+        assert str(exc).startswith("fuzz.cfg: "), str(exc)
+
+
+@FUZZ
+@given(config=run_configs())
+def test_run_config_text_round_trip(config):
+    text = config.to_text()
+    back = RunConfig.from_text(text)
+    assert back == config
+    assert back.to_text() == text
+
+
+@FUZZ
+@given(config=run_configs(), data=st.data())
+def test_truncated_run_config_parses_or_names_source(config, data):
+    text = config.to_text()
+    parses_or_names_source(text[:data.draw(st.integers(0, len(text)), label="cut")])
+
+
+@FUZZ
+@given(config=run_configs(), data=st.data())
+def test_junk_line_in_run_config_parses_or_names_source(config, data):
+    lines = config.to_text().splitlines()
+    at = data.draw(st.integers(0, len(lines)), label="at")
+    lines.insert(at, data.draw(st.text(max_size=20), label="junk"))
+    parses_or_names_source("\n".join(lines))
+
+
+@FUZZ
+@given(config=run_configs(), data=st.data())
+def test_bad_value_in_run_config_parses_or_names_source(config, data):
+    lines = config.to_text().splitlines()
+    at = data.draw(st.integers(1, len(lines) - 1), label="at")
+    key = lines[at].split("=", 1)[0]
+    value = data.draw(st.one_of(st.text(max_size=12), st.integers().map(str),
+                                st.floats().map(str), st.sampled_from(["", ",", "1,,2", "-1"])),
+                      label="value")
+    lines[at] = f"{key}={value}"
+    parses_or_names_source("\n".join(lines))

@@ -3,13 +3,15 @@ import re
 import shutil
 import struct
 import warnings
+from dataclasses import make_dataclass
 
 import numpy as np
 import pytest
 
 from dyngcn.checkpoint import load_checkpoint, read_checkpoint_header, save_checkpoint
-from dyngcn.config import RunConfig, model_preset, run_preset
-from dyngcn.data import SynthSpec, load_manifest, synth_generate
+from dyngcn.config import RunConfig, _key_parsers, model_preset, run_preset
+from dyngcn.data import SynthSpec, load_manifest, save_manifest, synth_generate
+from dyngcn.export import export_topology
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.skeleton import build_layout
 from dyngcn.train import (
@@ -79,6 +81,12 @@ def test_run_config_validation():
         RunConfig(model=model, batch_size=0)
 
 
+def test_config_field_without_a_parser_is_refused():
+    odd = make_dataclass("Odd", [("name", "str"), ("sizes", "list")])
+    with pytest.raises(TypeError, match=r"Odd\.sizes: no config parser for annotation 'list'"):
+        _key_parsers(odd)
+
+
 def test_with_overrides():
     cfg = run_preset("smoke")
     out = cfg.with_overrides(["lr=0.25", "milestones=1,2", "total_epochs=4",
@@ -101,6 +109,47 @@ def test_with_overrides_bad_value_names_key(override, key):
 def test_run_config_bad_value_names_line_and_key():
     with pytest.raises(ValueError, match=r"line 2: bad value 'x' for model\.frames: "):
         RunConfig.from_text("model.layout=ntu25\nmodel.frames=x\n")
+
+
+@pytest.mark.parametrize("key, value", [("out_dir", "runs/#3"), ("out_dir", "runs/\nseed=9"),
+                                        ("train_manifest", " a.manifest"),
+                                        ("test_manifest", "b.manifest\t"),
+                                        ("model.layout", "ntu25\x1c"), ("model.layout", "#")])
+def test_value_that_would_not_read_back_is_refused(key, value):
+    model, kwargs = model_preset("toy"), {key: value}
+    if key == "model.layout":
+        model, kwargs = ModelConfig(layout=value, n_classes=2), {}
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)}=.* would not read back"):
+        RunConfig(model=model, **kwargs)
+
+
+@pytest.mark.parametrize("override", ["out_dir=runs/#3", "model.layout=ntu25\nseed=9"])
+def test_override_that_would_not_read_back_is_refused(override):
+    key = override.split("=")[0]
+    with pytest.raises(ValueError, match=rf"^overrides \[.*\]: {re.escape(key)}=.* would not "):
+        run_preset("smoke").with_overrides([override])
+
+
+def test_values_that_read_back_are_kept():
+    cfg = run_preset("smoke").with_overrides(["out_dir=runs/a b=c", "train_manifest="])
+    assert cfg.out_dir == "runs/a b=c" and cfg.train_manifest == ""
+    assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+@pytest.mark.parametrize("line, message", [
+    ("model.n_classes=0", "n_classes must be at least 1"),
+    ("batch_size=0", "batch_size must be at least 1"),
+    ("model.topology=graph", "unknown topology 'graph'"),
+    ("modality=depth", "unknown modality 'depth'"),
+    ("model.channels=", "channel schedule (0) and stride schedule"),
+])
+def test_validation_errors_name_their_source(line, message):
+    text = f"model.layout=ntu25\nmodel.n_classes=2\n{line}\n"
+    with pytest.raises(ValueError, match=rf"^run\.cfg: {re.escape(message)}"):
+        RunConfig.from_text(text, source="run.cfg")
+    with pytest.raises(ValueError, match=rf"^overrides \['{re.escape(line)}'\]: "
+                                         rf"{re.escape(message)}"):
+        run_preset("smoke").with_overrides([line])
 
 
 # -- metrics log --------------------------------------------------------
@@ -211,6 +260,23 @@ def test_checkpoint_unreadable_header_names_offset(tmp_path, body):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("version", [7, 0, None, True, 1.0, "1"])
+def test_checkpoint_json_version_must_match_fixed_header(tmp_path, version):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+
+    def set_version(header):
+        if version is None:
+            del header["version"]
+        else:
+            header["version"] = version
+        return json.dumps(header).encode()
+
+    rewrite_header(path, set_version)
+    with pytest.raises(ValueError, match=r"m\.ckpt: header at byte offset 14: 'version' is "
+                                         r".*, the fixed header says 1"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key", ["config", "arrays"])
 def test_checkpoint_header_missing_key_names_offset(tmp_path, key):
     path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
@@ -314,6 +380,24 @@ def test_ensemble_class_count_mismatch(smoke_setup, smoke_run, tmp_path):
     with pytest.raises(ValueError, match="classes"):
         ensemble_checkpoints([smoke_run.checkpoint_path, path],
                              root / "data" / "test.manifest")
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "ensemble", "export"])
+def test_manifest_declaring_another_layout_is_refused(smoke_setup, smoke_run, tmp_path, entry):
+    root, _ = smoke_setup
+    manifest = load_manifest(root / "data" / "test.manifest")
+    manifest.entries = [(str(manifest.resolve(rel)), label) for rel, label in manifest.entries]
+    manifest.layout_name = "kinect25"
+    other = save_manifest(tmp_path / "kinect.manifest", manifest)
+    ckpt = smoke_run.checkpoint_path
+    call = {"evaluate": lambda: evaluate_checkpoint(ckpt, other),
+            "ensemble": lambda: ensemble_checkpoints([ckpt], other),
+            "export": lambda: export_topology(ckpt, other, 1, 0, tmp_path / "t")}[entry]
+    with pytest.raises(ValueError, match=rf"kinect\.manifest: manifest declares layout "
+                                         rf"'kinect25', checkpoint .*model\.ckpt was "
+                                         rf"trained on 'ntu25'"):
+        call()
+    assert not (tmp_path / "t.txt").exists()
 
 
 def test_non_finite_loss_aborts(tmp_path):

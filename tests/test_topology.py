@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyngcn.tensor import Tensor, mul, no_grad
+from dyngcn.tensor import Tensor, mul, no_grad, permute, reshape, scale
 from dyngcn.topology import ContextEncoder, NonLocalTopology, build_topology_learner
 from dyngcn.gradcheck import check_gradient
 
@@ -163,3 +163,55 @@ def test_gradient_flows_through_learner_to_input(kind, seed):
     # gradient; these sizes and seeds keep the map non-degenerate
     assert np.abs(x.grad).max() > 1e-4
     assert err < 1e-4
+
+
+def three_branch_scores(enc, x):
+    """Oracle: the context encoder's scores with one hand-written branch per
+    context axis, as they were before the squeeze order drove them."""
+    enc._check_input(x)
+    batch, n = x.data.shape[0], enc.joints
+    if enc.axis == "joint":
+        h = enc.bn_a(enc.squeeze_a(x))                        # (B, 1, T, N)
+        h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, N)
+        h = enc.bn_b(enc.squeeze_b(h))                        # (B, 1, 1, N)
+        h = permute(h, (0, 3, 1, 2))                          # (B, N, 1, 1)
+    elif enc.axis == "feature":
+        h = enc.bn_a(enc.squeeze_a(permute(x, (0, 2, 1, 3))))  # (B, 1, C, N)
+        h = permute(h, (0, 3, 2, 1))                          # (B, N, C, 1)
+        h = enc.bn_b(enc.squeeze_b(h))                        # (B, 1, C, 1)
+        h = permute(h, (0, 2, 1, 3))                          # (B, C, 1, 1)
+    else:
+        h = enc.bn_a(enc.squeeze_a(x))                        # (B, 1, T, N)
+        h = permute(h, (0, 3, 2, 1))                          # (B, N, T, 1)
+        h = enc.bn_b(enc.squeeze_b(h))                        # (B, 1, T, 1)
+        h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, 1)
+    out = reshape(enc.bn_out(enc.expand(h)), (batch, n, n))
+    if enc.symmetric:
+        out = scale(out + permute(out, (0, 2, 1)), 0.5)
+    return out
+
+
+def scores_and_grads(kind, shape, dtype, training, scores):
+    c, t, n = shape[1:]
+    enc = make_learner(kind, c, t, n, seed=5, dtype=dtype).train(training)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    out = scores(enc, x)
+    mul(out, Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
+    return ([out.data, x.grad]
+            + [p.grad for _, p in enc.named_parameters()]
+            + [b for _, b in enc.named_buffers()])
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 8, 6, 5), (2, 4, 7, 9)])
+@pytest.mark.parametrize("kind", ["context", "context-symmetric", "context-feature",
+                                  "context-temporal"])
+def test_scores_bitwise_match_three_branch_oracle(kind, shape, dtype, training):
+    want = scores_and_grads(kind, shape, dtype, training, three_branch_scores)
+    got = scores_and_grads(kind, shape, dtype, training, ContextEncoder.scores)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
