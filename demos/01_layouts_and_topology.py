@@ -34,10 +34,10 @@ print(f"joint {busiest} has degree {degrees[busiest]:.0f}; its largest raw entry
 # Masks start at zero, so a freshly built set reproduces the static
 # graphs exactly; training moves the masks away from zero.
 topo = TopologySet.from_layout(layout)
-g0 = topo.static_topology(0).data
-print(f"fresh mask zero: {np.array_equal(g0, topo.configs[0])}")
+graphs = topo.static_topology().data
+print(f"fresh mask zero: {np.array_equal(graphs, topo.configs)}")
 
-topo.mask[1].tensor.data[3, 5] = 0.25
-g1 = topo.static_topology(1).data
+topo.mask[1].data[3, 5] = 0.25
+g1 = topo.static_topology().data[1]
 print(f"after editing mask[1][3,5]: topology changed by "
       f"{np.abs(g1 - topo.configs[1]).max():.2f} at one entry")

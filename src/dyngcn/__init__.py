@@ -19,7 +19,7 @@ from .tensor import (
     mean_pool_global,
 )
 from .layers import Parameter, Module, Conv2d, BatchNorm, Linear
-from .optim import NesterovSGD, sgd_nesterov_step
+from .optim import NesterovSGD
 from .gradcheck import finite_difference_grad, relative_error, check_gradient
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .modality import MODALITIES
-from .model import ModelConfig
+from .model import ModelConfig, refuse_non_finite
 
 
 def _parse_bool(text):
@@ -95,6 +95,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.milestones = tuple(int(m) for m in self.milestones)
+        refuse_non_finite(self)
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}, expected one of {MODALITIES}")
         if self.batch_size < 1:

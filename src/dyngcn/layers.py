@@ -12,27 +12,19 @@ import numpy as np
 from .tensor import Tensor, batch_norm, conv2d, matmul, reshape, add
 
 
-class Parameter:
-    """A learnable tensor plus its momentum buffer."""
+class Parameter(Tensor):
+    """A learnable leaf tensor; modules find their parameters by this type."""
 
-    def __init__(self, data, name=""):
-        self.tensor = Tensor(data, requires_grad=True)
-        self.velocity = np.zeros_like(self.tensor.data)
-        self.name = name
+    __slots__ = ()
 
-    @property
-    def data(self):
-        return self.tensor.data
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
     @property
-    def grad(self):
-        return self.tensor.grad
-
-    def clear_grad(self):
-        self.tensor.grad = None
-
-    def __repr__(self):
-        return f"Parameter({self.name or 'unnamed'}, shape={self.data.shape})"
+    def tensor(self):
+        # Alias kept for perfbench/workloads.py, which still writes
+        # ``p.tensor.data``; nothing in the package reads it.
+        return self
 
 
 class Module:
@@ -106,7 +98,7 @@ class Conv2d(Module):
         self.pad_t = pad_t
 
     def forward(self, x):
-        return conv2d(x, self.weight.tensor, stride_t=self.stride_t, pad_t=self.pad_t)
+        return conv2d(x, self.weight, stride_t=self.stride_t, pad_t=self.pad_t)
 
 
 class BatchNorm(Module):
@@ -130,8 +122,8 @@ class BatchNorm(Module):
     def forward(self, x, residual=None):
         return batch_norm(
             x,
-            self.gamma.tensor,
-            self.beta.tensor,
+            self.gamma,
+            self.beta,
             running_mean=self.running_mean,
             running_var=self.running_var,
             training=self.training,
@@ -161,5 +153,5 @@ class Linear(Module):
         # Route through a (B, 1, F) stack so each sample sees the same GEMM
         # shape whatever the batch size.
         rows = reshape(x, (batch, 1, self.in_features))
-        out = matmul(rows, self.weight.tensor)
-        return add(reshape(out, (batch, self.out_features)), self.bias.tensor)
+        out = matmul(rows, self.weight)
+        return add(reshape(out, (batch, self.out_features)), self.bias)

@@ -27,7 +27,7 @@ N_i x N_{i+1} matrix, shrinking the graph for everything downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -48,6 +48,14 @@ from .topology import LEARNERS, build_topology_learner
 
 def round_half_up(value):
     return int(math.floor(value + 0.5))
+
+
+def refuse_non_finite(config):
+    """Raise if a float field of the config dataclass is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name}={value!r} must be finite")
 
 
 @dataclass
@@ -71,6 +79,7 @@ class ModelConfig:
         self.channels = tuple(int(c) for c in self.channels)
         self.strides = tuple(int(s) for s in self.strides)
         self.aggregate_after = tuple(int(i) for i in self.aggregate_after)
+        refuse_non_finite(self)
         if self.n_classes < 1:
             raise ValueError("n_classes must be at least 1")
         if len(self.channels) != len(self.strides):
@@ -174,7 +183,7 @@ def static_branch(x, topo, convs, lambda_static=1.0):
         )
     n = x.data.shape[-1]
     graphs = reshape(topo.static_topology(), (1, topo.n_configs, n, n))
-    weight = scale(concat([conv.weight.tensor for conv in convs], axis=1), lambda_static)
+    weight = scale(concat([conv.weight for conv in convs], axis=1), lambda_static)
     return graph_conv(x, graphs, weight)
 
 
@@ -186,7 +195,7 @@ def dynamic_branch(x, graph, conv):
             f"graph shape {graph.data.shape} does not match input batch {batch} "
             f"and {n} joints"
         )
-    return graph_conv(x, reshape(graph, (batch, 1, n, n)), conv.weight.tensor)
+    return graph_conv(x, reshape(graph, (batch, 1, n, n)), conv.weight)
 
 
 def joint_aggregate(x, projection):
@@ -219,7 +228,7 @@ class DynamicGConvBlock(Module):
         if self.lambda_static == 0.0:
             # the static route never runs, so its weights and masks are frozen
             for p in [conv.weight for conv in self.static_convs] + self.topo.mask:
-                p.tensor.requires_grad = False
+                p.requires_grad = False
         self.learner = build_topology_learner(
             topology, c_in, spec.in_frames, joints,
             final_relu=learner_final_relu, rng=rng, dtype=dtype,
@@ -241,8 +250,8 @@ class DynamicGConvBlock(Module):
         if spec.projects:
             init = (rng.uniform(-1, 1, (joints, spec.out_joints)) / np.sqrt(joints)
                     if learn_projection else np.eye(joints, spec.out_joints))
-            self.projection = Parameter(init.astype(dtype), name="projection")
-            self.projection.tensor.requires_grad = bool(learn_projection)
+            self.projection = Parameter(init.astype(dtype))
+            self.projection.requires_grad = bool(learn_projection)
         else:
             self.projection = None
 
@@ -265,7 +274,7 @@ class DynamicGConvBlock(Module):
             shortcut = self.shortcut_bn(self.shortcut_conv(x))
         y = self.bn_tc(self.tc_conv(y), residual=shortcut)
         if self.projection is not None:
-            y = joint_aggregate(y, self.projection.tensor)
+            y = joint_aggregate(y, self.projection)
         return y
 
 

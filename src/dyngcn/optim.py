@@ -7,38 +7,22 @@ The update, per parameter w with gradient grad and velocity v:
     w <- w - lr * (g + momentum * v)      (nesterov form)
     w <- w - lr * v                       (plain momentum)
 
-Velocities live on the Parameter itself so a bare function call is enough
-for a step; the ``NesterovSGD`` class adds the milestone learning-rate
-schedule used for full training runs.
+``NesterovSGD`` owns one velocity per parameter, allocated as zeros when
+it is built, and a milestone learning-rate schedule.  ``step`` checks
+that every parameter holds a gradient of its own shape before it moves
+any of them, so a failed step leaves parameters, gradients and
+velocities as they were.
 """
 
 from __future__ import annotations
 
-
-def sgd_nesterov_step(params, lr, momentum=0.9, weight_decay=0.0, nesterov=True):
-    """Apply one update to every parameter, then clear their gradients."""
-    for p in params:
-        grad = p.tensor.grad
-        if grad is None:
-            raise RuntimeError(f"parameter {p.name or '<unnamed>'} has no gradient")
-        if grad.shape != p.data.shape:
-            raise RuntimeError(
-                f"gradient shape {grad.shape} does not match parameter "
-                f"{p.name or '<unnamed>'} of shape {p.data.shape}"
-            )
-        g = grad + weight_decay * p.data if weight_decay else grad
-        p.velocity *= momentum
-        p.velocity += g
-        if nesterov:
-            p.tensor.data -= lr * (g + momentum * p.velocity)
-        else:
-            p.tensor.data -= lr * p.velocity
-        p.clear_grad()
+import numpy as np
 
 
 class NesterovSGD:
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0, nesterov=True):
         self.params = list(params)
+        self.velocities = [np.zeros_like(p.data) for p in self.params]
         self.base_lr = float(lr)
         self.lr = float(lr)
         self.momentum = momentum
@@ -46,13 +30,25 @@ class NesterovSGD:
         self.nesterov = nesterov
 
     def step(self):
-        sgd_nesterov_step(
-            self.params,
-            self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            nesterov=self.nesterov,
-        )
+        """Apply one update to every parameter, then clear their gradients."""
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise RuntimeError(f"parameter {i} of shape {p.data.shape} has no gradient")
+            if p.grad.shape != p.data.shape:
+                raise RuntimeError(
+                    f"gradient shape {p.grad.shape} does not match parameter {i} "
+                    f"of shape {p.data.shape}"
+                )
+        lr, momentum, weight_decay = self.lr, self.momentum, self.weight_decay
+        for p, velocity in zip(self.params, self.velocities):
+            g = p.grad + weight_decay * p.data if weight_decay else p.grad
+            velocity *= momentum
+            velocity += g
+            if self.nesterov:
+                p.data -= lr * (g + momentum * velocity)
+            else:
+                p.data -= lr * velocity
+            p.grad = None
 
     def set_epoch(self, epoch, milestones, decay):
         """Milestone schedule: multiply the base rate by ``decay`` per passed milestone."""

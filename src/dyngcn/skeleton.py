@@ -43,6 +43,12 @@ class SkeletonLayout:
         n = self.n_joints
         if n < 1:
             raise ValueError(f"layout {self.name!r}: needs at least one joint")
+        if len(self.bone_pairs) != n - 1:
+            # checked first: n sizes the arrays built below
+            raise ValueError(
+                f"layout {self.name!r}: {len(self.bone_pairs)} bone pairs for {n} joints, "
+                f"expected {n - 1}"
+            )
         if not 0 <= self.center_joint < n:
             raise ValueError(
                 f"layout {self.name!r}: center joint {self.center_joint} out of range"
@@ -93,6 +99,10 @@ class SkeletonLayout:
         return dist
 
 
+# Record keyword -> argument count.
+_RECORD_ARITY = {"name": 1, "joints": 1, "center": 1, "score_channel": 1, "edge": 2, "bone": 2}
+
+
 def parse_layout(text, name="layout"):
     """Parse the layout record grammar.
 
@@ -105,45 +115,32 @@ def parse_layout(text, name="layout"):
       edge <i> <j>          undirected physical edge
       bone <source> <target> directed bone pair
     """
-    joints = None
-    center = None
-    score_channel = None
-    edges = []
-    bones = []
+    found = {"name": name, "joints": None, "center": None, "score_channel": None,
+             "edge": [], "bone": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        key, args = tokens[0], tokens[1:]
+        key, *args = line.split()
+        if _RECORD_ARITY.get(key) != len(args):
+            raise ValueError(f"line {lineno}: unrecognized record {raw.strip()!r}")
         try:
-            if key == "name" and len(args) == 1:
-                name = args[0]
-            elif key == "joints" and len(args) == 1:
-                joints = int(args[0])
-            elif key == "center" and len(args) == 1:
-                center = int(args[0])
-            elif key == "score_channel" and len(args) == 1:
-                score_channel = int(args[0])
-            elif key == "edge" and len(args) == 2:
-                edges.append((int(args[0]), int(args[1])))
-            elif key == "bone" and len(args) == 2:
-                bones.append((int(args[0]), int(args[1])))
-            else:
-                raise ValueError(f"line {lineno}: unrecognized record {raw.strip()!r}")
-        except ValueError as exc:
-            if "unrecognized" in str(exc):
-                raise
-            raise ValueError(f"line {lineno}: malformed record {raw.strip()!r}") from exc
-    if joints is None or center is None:
+            values = args if key == "name" else tuple(int(a) for a in args)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed record {raw.strip()!r}") from None
+        if key in ("edge", "bone"):
+            found[key].append(values)
+        else:
+            found[key] = values[0]
+    if found["joints"] is None or found["center"] is None:
         raise ValueError("layout file must declare joints and center")
     return SkeletonLayout(
-        name=name,
-        n_joints=joints,
-        edges=tuple(edges),
-        center_joint=center,
-        bone_pairs=tuple(bones),
-        score_channel=score_channel,
+        name=found["name"],
+        n_joints=found["joints"],
+        edges=tuple(found["edge"]),
+        center_joint=found["center"],
+        bone_pairs=tuple(found["bone"]),
+        score_channel=found["score_channel"],
     )
 
 
@@ -157,7 +154,10 @@ def build_layout(name_or_path):
         return parse_layout(resource.read_text(), name=name_or_path)
     path = Path(name_or_path)
     if path.is_file():
-        return parse_layout(path.read_text(), name=path.stem)
+        try:
+            return parse_layout(path.read_text(), name=path.stem)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     raise ValueError(
         f"unknown layout {name_or_path!r}: not one of {BUILTIN_LAYOUTS} and not a file"
     )
@@ -223,10 +223,8 @@ class TopologySet(Module):
         normalized.flags.writeable = False
         self.configs = normalized
         self.alpha_degree = alpha_degree
-        self.mask = [
-            Parameter(np.zeros(raw.shape[1:], dtype=dtype), name=f"mask.{k}")
-            for k in range(raw.shape[0])
-        ]
+        self.mask = [Parameter(np.zeros(raw.shape[1:], dtype=dtype))
+                     for _ in range(raw.shape[0])]
 
     @classmethod
     def from_layout(cls, layout, alpha_degree=0.001, dtype=np.float32):
@@ -253,17 +251,11 @@ class TopologySet(Module):
     def n_joints(self):
         return self.configs.shape[1]
 
-    def static_topology(self, k=None):
-        """Combined static graph ``configs[k] + mask[k]``, as a Tensor.
-
-        With no ``k``, all K graphs at once as one (K, N, N) tensor.
-        """
-        if k is None:
-            masks = concat([m.tensor for m in self.mask], axis=0)   # (K * N, N)
-            return add(Tensor(self.configs), reshape(masks, self.configs.shape))
-        if not 0 <= k < self.n_configs:
-            raise ValueError(f"configuration index {k} out of range ({self.n_configs} configs)")
-        return add(Tensor(self.configs[k]), self.mask[k].tensor)
+    def static_topology(self):
+        """All K combined static graphs ``configs[k] + mask[k]`` as one
+        (K, N, N) tensor; graph k is ``static_topology().data[k]``."""
+        masks = concat(self.mask, axis=0)   # (K * N, N)
+        return add(Tensor(self.configs), reshape(masks, self.configs.shape))
 
     def fingerprint(self):
         """Stable digest of the frozen configs (masks excluded): SHA-256 hex."""

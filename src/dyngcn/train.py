@@ -181,12 +181,15 @@ def train(config):
                                  config.modality)
 
     model = build_model(config.model, seed=config.seed)
+    trainable = [(name, p) for name, p in model.named_parameters() if p.requires_grad]
+    optimizer = NesterovSGD([p for _, p in trainable], config.lr, momentum=config.momentum,
+                            weight_decay=config.weight_decay, nesterov=config.nesterov)
     rng = np.random.default_rng(config.seed)
-    optimizer = None
     log = MetricsLog()
 
     for epoch in range(1, config.total_epochs + 1):
         started = time.perf_counter()
+        lr = optimizer.set_epoch(epoch, config.milestones, config.decay)
         model.train()
         order = rng.permutation(len(y_train))
         loss_sum = 0.0
@@ -202,20 +205,13 @@ def train(config):
                     f"lower the learning rate or check the data"
                 )
             loss.backward()
-            if optimizer is None:
-                trainable = [(name, p) for name, p in model.named_parameters()
-                             if p.tensor.requires_grad]
+            if epoch == 1 and batch_index == 0:
                 missing = [name for name, p in trainable if p.grad is None]
                 if missing:
                     raise RuntimeError(
                         f"trainable parameters got no gradient from the first batch: "
                         f"{', '.join(missing)}"
                     )
-                optimizer = NesterovSGD([p for _, p in trainable], config.lr,
-                                        momentum=config.momentum,
-                                        weight_decay=config.weight_decay,
-                                        nesterov=config.nesterov)
-            lr = optimizer.set_epoch(epoch, config.milestones, config.decay)
             optimizer.step()
             loss_sum += value * len(idx)
             correct += int((logits.data.argmax(axis=1) == y_train[idx]).sum())

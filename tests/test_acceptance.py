@@ -212,14 +212,15 @@ def test_criterion_4_oracle_equivalence():
         layout = SkeletonLayout(f"chain{n}", n, edges, 0, edges)
         topo = TopologySet.from_layout(layout, dtype=np.float64)
         for k in range(3):
-            topo.mask[k].tensor.data[:] = rng.standard_normal((n, n)) * 0.2
+            topo.mask[k].data[:] = rng.standard_normal((n, n)) * 0.2
         convs = [Conv2d(c_in, c_out, rng=rng, dtype=np.float64) for _ in range(3)]
         x = rng.standard_normal((b, c_in, t, n))
 
         got = static_branch(Tensor(x), topo, convs).data
         expected = np.zeros_like(got)
+        graphs = topo.static_topology().data
         for k in range(3):
-            g = topo.static_topology(k).data
+            g = graphs[k]
             w = convs[k].weight.data[:, :, 0, 0]
             for bi in range(b):
                 for ti in range(t):

@@ -1,8 +1,10 @@
-"""Property tests of the readers (sequences, checkpoints and run configs):
-round trips and corrupted input."""
+"""Property tests of the readers (sequences, checkpoints, run configs and
+layouts): round trips and corrupted input."""
 
+import importlib.resources
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dyngcn.config import RunConfig, model_preset
 from dyngcn.data import SkeletonSequence, load_sequence, save_sequence
 from dyngcn.modality import MODALITIES
 from dyngcn.model import ModelConfig, build_model
+from dyngcn.skeleton import BUILTIN_LAYOUTS, parse_layout
 from dyngcn.topology import LEARNERS
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -144,7 +147,7 @@ def test_bit_flip_in_checkpoint_header_loads_or_names_file(work, stored, region,
 # Config strings that read back: no '#', no line break, no whitespace at an end.
 config_strings = names.filter(
     lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) <= 1)
-floats = st.floats(allow_nan=False)
+floats = st.floats(allow_nan=False, allow_infinity=False)
 sizes = st.integers(1, 2**40)
 
 
@@ -171,7 +174,7 @@ def run_configs(draw):
     return RunConfig(
         model=model, train_manifest=draw(config_strings), test_manifest=draw(config_strings),
         out_dir=draw(config_strings), modality=draw(st.sampled_from(MODALITIES)),
-        lr=draw(st.floats(0.0, exclude_min=True)), momentum=draw(floats),
+        lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)), momentum=draw(floats),
         nesterov=draw(st.booleans()), weight_decay=draw(floats), batch_size=draw(sizes),
         total_epochs=total_epochs, milestones=tuple(milestones), decay=draw(floats),
         seed=draw(st.integers(-2**63, 2**63)),
@@ -237,3 +240,63 @@ def test_bad_value_in_run_config_parses_or_names_source(config, data):
                       label="value")
     lines[at] = f"{key}={value}"
     parses_or_names_source("\n".join(lines))
+
+
+FLOAT_KEYS = ([f"model.{f.name}" for f in fields(ModelConfig) if f.type == "float"]
+              + [f.name for f in fields(RunConfig) if f.type == "float"])
+
+
+@FUZZ
+@given(config=run_configs(), key=st.sampled_from(FLOAT_KEYS),
+       value=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "-infinity"]))
+def test_non_finite_float_is_refused(config, key, value):
+    text = re.sub(rf"^{re.escape(key)}=.*$", f"{key}={value}", config.to_text(), flags=re.M)
+    with pytest.raises(ValueError, match=rf"^fuzz\.cfg: {key.split('.')[-1]}=-?(nan|inf) must be finite$"):
+        RunConfig.from_text(text, source="fuzz.cfg")
+    with pytest.raises(ValueError, match=rf"^overrides .*: {key.split('.')[-1]}=-?(nan|inf) must be finite$"):
+        config.with_overrides([f"{key}={value}"])
+
+
+# -- layouts --------------------------------------------------------------
+
+layout_texts = st.sampled_from([
+    (importlib.resources.files("dyngcn") / "layouts" / f"{name}.layout").read_text()
+    for name in BUILTIN_LAYOUTS])
+# Junk lines: free text, or a record keyword with a few small numbers.
+junk_lines = st.one_of(
+    st.text(max_size=20),
+    st.builds(lambda key, numbers: " ".join([key, *map(str, numbers)]),
+              st.sampled_from(["name", "joints", "center", "score_channel", "edge", "bone"]),
+              st.lists(st.integers(-2, 30), max_size=3)))
+
+
+def parses_or_refuses(text):
+    """Any exception but a ValueError fails the test."""
+    try:
+        parse_layout(text)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(text=layout_texts, data=st.data())
+def test_truncated_layout_parses_or_is_refused(text, data):
+    parses_or_refuses(text[:data.draw(st.integers(0, len(text)), label="cut")])
+
+
+@FUZZ
+@given(text=layout_texts, data=st.data())
+def test_junk_line_in_layout_parses_or_is_refused(text, data):
+    lines = text.splitlines()
+    at = data.draw(st.integers(0, len(lines)), label="at")
+    lines.insert(at, data.draw(junk_lines, label="junk"))
+    parses_or_refuses("\n".join(lines))
+
+
+@FUZZ
+@given(text=layout_texts, data=st.data())
+def test_digit_flip_in_layout_parses_or_is_refused(text, data):
+    digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+    at = data.draw(st.sampled_from(digits), label="at")
+    digit = data.draw(st.sampled_from("0123456789"), label="digit")
+    parses_or_refuses(text[:at] + digit + text[at + 1:])

@@ -487,7 +487,7 @@ def test_lambda_zero_trains_with_the_static_route_frozen(smoke_setup, tmp_path):
                               f"out_dir={tmp_path / 'run'}"])
     model = build_model(cfg.model, seed=cfg.seed)
     fresh = dict(model.named_parameters())
-    frozen = [name for name, p in fresh.items() if not p.tensor.requires_grad]
+    frozen = [name for name, p in fresh.items() if not p.requires_grad]
     assert sorted(frozen) == sorted(_frozen_static_names(model))
     result = train(cfg)
     for name, p in result.model.named_parameters():
@@ -501,7 +501,7 @@ def test_trainable_parameter_without_gradient_is_named(smoke_setup, tmp_path, mo
     cfg = cfg.with_overrides(["model.lambda_static=0.0", f"out_dir={tmp_path / 'run'}"])
     model = build_model(cfg.model, seed=cfg.seed)
     # declared trainable, but the static route it belongs to never runs
-    model.blocks[1].static_convs[2].weight.tensor.requires_grad = True
+    model.blocks[1].static_convs[2].weight.requires_grad = True
     monkeypatch.setattr(d_train, "build_model", lambda config, seed: model)
     with pytest.raises(RuntimeError, match=r"no gradient from the first batch: "
                                            r"blocks\.1\.static_convs\.2\.weight$"):

@@ -1,5 +1,6 @@
 """Every name a module imports or defines as module-level private is used
-in that module."""
+in that module, and no module reads the ``tensor`` alias of a parameter
+(a parameter is the tensor itself)."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,25 @@ def unused_names(source):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in {**imported, **private}.items()
                   if name not in used)
+
+
+def tensor_reads(source):
+    """Line numbers of every ``<expr>.tensor`` attribute read."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "tensor"
+            and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_reads_no_tensor_alias(path):
+    assert tensor_reads(path.read_text()) == []
+
+
+def test_tensor_reads_are_found():
+    source = ("from .tensor import add\n\n"
+              "def f(p, q):\n    p.tensor.requires_grad = False\n"
+              "    q.tensor = p\n    return add(p.tensor, q)\n")
+    assert tensor_reads(source) == [4, 6]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

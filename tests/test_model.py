@@ -40,7 +40,7 @@ def chain_layout(n):
 
 def identity_conv(channels, dtype=np.float64):
     conv = Conv2d(channels, channels, dtype=dtype)
-    conv.weight.tensor.data[:] = np.eye(channels).reshape(channels, channels, 1, 1)
+    conv.weight.data[:] = np.eye(channels).reshape(channels, channels, 1, 1)
     return conv
 
 
@@ -77,13 +77,13 @@ def test_static_branch_matches_loop_oracle(seed):
     layout = chain_layout(n)
     topo = TopologySet.from_layout(layout, dtype=np.float64)
     for k in range(3):
-        topo.mask[k].tensor.data[:] = rng.standard_normal((n, n)) * 0.1
+        topo.mask[k].data[:] = rng.standard_normal((n, n)) * 0.1
     convs = [Conv2d(c_in, c_out, rng=rng, dtype=np.float64) for _ in range(3)]
     x = rng.standard_normal((b, c_in, t, n))
     out = static_branch(Tensor(x), topo, convs).data
     expected = static_oracle(
         x,
-        [topo.static_topology(k).data for k in range(3)],
+        topo.static_topology().data,
         [c.weight.data for c in convs],
     )
     assert np.abs(out - expected).max() < 1e-5
@@ -161,13 +161,13 @@ def test_dynamic_branch_bitwise_matches_per_sample_products(batch, dtype):
     def run(route):
         x = Tensor(x_data.copy(), requires_grad=True)
         graph = Tensor(graph_data.copy(), requires_grad=True)
-        conv.weight.clear_grad()
+        conv.weight.grad = None
         out = route(x, graph)
         out.backward(g_out)
         return [out.data, x.grad, graph.grad, conv.weight.grad]
 
     got = run(lambda x, graph: dynamic_branch(x, graph, conv))
-    want = run(lambda x, graph: per_sample_graph_conv(graph, x, conv.weight.tensor))
+    want = run(lambda x, graph: per_sample_graph_conv(graph, x, conv.weight))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -177,7 +177,7 @@ def random_static_route(rng, n, c_in, c_out, dtype=np.float64):
     """Chain topology with random masks, plus one random 1x1 map per configuration."""
     topo = TopologySet.from_layout(chain_layout(n), dtype=dtype)
     for k in range(3):
-        topo.mask[k].tensor.data[:] = rng.standard_normal((n, n)) * 0.1
+        topo.mask[k].data[:] = rng.standard_normal((n, n)) * 0.1
     return topo, [Conv2d(c_in, c_out, rng=rng, dtype=dtype) for _ in range(3)]
 
 
@@ -203,8 +203,8 @@ def test_static_branch_gradients(target):
     w = Tensor(rng.standard_normal((b, c_out, t, n)))
     wrt = {"x": x}
     for k in range(3):
-        wrt[f"mask{k}"] = topo.mask[k].tensor
-        wrt[f"weight{k}"] = convs[k].weight.tensor
+        wrt[f"mask{k}"] = topo.mask[k]
+        wrt[f"weight{k}"] = convs[k].weight
     err = check_gradient(lambda _: mul(static_branch(x, topo, convs, 0.6), w).sum(),
                          wrt[target], eps=1e-6)
     assert err < 1e-6
@@ -222,7 +222,7 @@ def test_spatial_routes_batch_invariant_bitwise(route, batch):
     def apply(i, j):
         xs = Tensor(x[i:j])
         if route == "shared graph":
-            return graph_conv(xs, Tensor(graphs[None, :1]), convs[0].weight.tensor).data
+            return graph_conv(xs, Tensor(graphs[None, :1]), convs[0].weight).data
         if route == "per-sample graphs":
             return dynamic_branch(xs, Tensor(graphs[i:j]), convs[0]).data
         return static_branch(xs, topo, convs, 0.5).data
@@ -248,7 +248,7 @@ def small_block(out_channels=3, frames=6, out_joints=4, stride=1, **overrides):
 def test_block_zero_weights_reduces_to_relu_shortcut():
     block = small_block().eval()
     for _, p in block.named_parameters():
-        p.tensor.data[:] = 0.0
+        p.data[:] = 0.0
     x = np.random.default_rng(6).standard_normal((2, 3, 6, 4))
     out = block(Tensor(x)).data
     assert np.array_equal(out, np.maximum(x, 0.0))
@@ -291,9 +291,9 @@ def test_block_lambda_zero_ignores_static_parameters():
     with no_grad():
         before = block(Tensor(x)).data.copy()
     for conv in block.static_convs:
-        conv.weight.tensor.data[:] = 999.0
+        conv.weight.data[:] = 999.0
     for k in range(block.topo.n_configs):
-        block.topo.mask[k].tensor.data[:] = 123.0
+        block.topo.mask[k].data[:] = 123.0
     with no_grad():
         after = block(Tensor(x)).data
     assert np.array_equal(before, after)
@@ -307,7 +307,7 @@ def test_block_lambda_folds_into_static_weights():
     scaled = small_block(lambda_static=lam, rng=np.random.default_rng(8)).eval()
     folded = small_block(lambda_static=1.0, rng=np.random.default_rng(8)).eval()
     for conv in folded.static_convs:
-        conv.weight.tensor.data *= lam
+        conv.weight.data *= lam
     with no_grad():
         assert np.allclose(scaled(x).data, folded(x).data, atol=1e-12)
 
@@ -469,9 +469,9 @@ def test_model_lambda_zero_static_independence():
         before = model(Tensor(x)).data.copy()
     for block in model.blocks:
         for conv in block.static_convs:
-            conv.weight.tensor.data[:] = 7.0
+            conv.weight.data[:] = 7.0
         for k in range(block.topo.n_configs):
-            block.topo.mask[k].tensor.data[:] = -3.0
+            block.topo.mask[k].data[:] = -3.0
     with no_grad():
         after = model(Tensor(x)).data
     assert np.array_equal(before, after)

@@ -59,6 +59,25 @@ def test_parse_layout_errors_name_line():
         parse_layout("joints 2\ncenter 0\nedge 0 x\nbone 0 1\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_layout("joints 2\nwhatever 1 2 3\n")
+    # int() quotes the bad token in its message; what the token spells must not matter
+    with pytest.raises(ValueError, match="^line 3: malformed record 'edge 0 unrecognized'$"):
+        parse_layout("joints 2\ncenter 0\nedge 0 unrecognized\nbone 0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("joints 2\ncenter 0\nbone 0 1\nedge 1 x\n", "line 4: malformed record 'edge 1 x'"),
+    ("joints 3\ncenter 0\nedge 0 1\nbone 0 1\nbone 0 2\n", "edge list is not connected"),
+    ("joints 2\ncenter 7\nedge 0 1\nbone 0 1\n", "center joint 7 out of range"),
+    ("joints 99999999999\ncenter 0\nedge 0 1\nbone 0 1\n",
+     "1 bone pairs for 99999999999 joints, expected 99999999998"),
+], ids=["junk edge", "disconnected", "center", "huge joint count"])
+def test_layout_file_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad2.layout"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        build_layout(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
 
 
 def test_layout_validation():
@@ -167,15 +186,14 @@ def test_normalize_adjacency_rejects_negative():
 
 def test_topology_set_masks_start_at_zero():
     topo = TopologySet.from_layout(chain3())
-    for k in range(topo.n_configs):
-        assert np.array_equal(topo.static_topology(k).data, topo.configs[k])
+    assert np.array_equal(topo.static_topology().data, topo.configs)
 
 
 def test_topology_set_mask_is_additive():
     topo = TopologySet.from_layout(chain3())
-    before = topo.static_topology(1).data.copy()
-    topo.mask[1].tensor.data[0, 2] += 0.25
-    after = topo.static_topology(1).data
+    before = topo.static_topology().data[1].copy()
+    topo.mask[1].data[0, 2] += 0.25
+    after = topo.static_topology().data[1]
     delta = after - before
     assert np.isclose(delta[0, 2], 0.25)
     delta[0, 2] = 0.0
@@ -187,7 +205,7 @@ def test_topology_set_configs_frozen():
     fp = topo.fingerprint()
     with pytest.raises(ValueError):
         topo.configs[0, 0, 0] = 5.0
-    topo.mask[0].tensor.data += 1.0
+    topo.mask[0].data += 1.0
     assert topo.fingerprint() == fp
 
 
@@ -201,11 +219,6 @@ def test_topology_set_fingerprint_is_a_fixed_sha256():
 def test_topology_set_self_loops_only():
     topo = TopologySet.self_loops_only(4)
     assert topo.n_configs == 3 and topo.n_joints == 4
-    assert np.allclose(np.diag(topo.static_topology(0).data), 1.0 / 1.001, atol=1e-6)
-    assert topo.static_topology(1).data.sum() == 0.0
-
-
-def test_topology_set_bad_index():
-    topo = TopologySet.from_layout(chain3())
-    with pytest.raises(ValueError, match="out of range"):
-        topo.static_topology(3)
+    graphs = topo.static_topology().data
+    assert np.allclose(np.diag(graphs[0]), 1.0 / 1.001, atol=1e-6)
+    assert graphs[1].sum() == 0.0

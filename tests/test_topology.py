@@ -74,8 +74,8 @@ def test_nonlocal_rows_sum_to_one():
 
 def test_nonlocal_toy_similarity():
     learner = NonLocalTopology(2, embed_channels=1)
-    learner.embed_query.weight.tensor.data[:] = np.array([1.0, 0.0]).reshape(1, 2, 1, 1)
-    learner.embed_key.weight.tensor.data[:] = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
+    learner.embed_query.weight.data[:] = np.array([1.0, 0.0]).reshape(1, 2, 1, 1)
+    learner.embed_key.weight.data[:] = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
     x = np.zeros((1, 2, 1, 2), dtype=np.float32)
     x[0, 0, 0, :] = [1.0, 0.0]          # query embedding per joint
     x[0, 1, 0, :] = [0.0, np.log(3.0)]  # key embedding per joint
