@@ -33,7 +33,7 @@ print(f"joint {busiest} has degree {degrees[busiest]:.0f}; its largest raw entry
 # TopologySet bundles the three normalized matrices with their masks.
 # Masks start at zero, so a freshly built set reproduces the static
 # graphs exactly; training moves the masks away from zero.
-topo = TopologySet.from_layout(layout)
+topo = TopologySet.from_layout(layout, alpha_degree=0.001)
 graphs = topo.static_topology().data
 print(f"fresh mask zero: {np.array_equal(graphs, topo.configs)}")
 

@@ -24,7 +24,8 @@ rng = np.random.default_rng(0)
 
 # Invariant 1: rows of the predicted matrix are unit-length (L2), so no
 # joint can dominate by sheer magnitude.
-enc = ContextEncoder(channels=4, frames=8, joints=10, axis="joint", rng=rng)
+enc = ContextEncoder(channels=4, frames=8, joints=10, axis="joint", symmetric=False,
+                     final_relu=True, rng=rng)
 out = enc(Tensor(rng.standard_normal((2, 4, 8, 10)))).data
 print(f"row norms: {np.linalg.norm(out, axis=2).round(3).min()} .. "
       f"{np.linalg.norm(out, axis=2).round(3).max()}")
@@ -33,7 +34,7 @@ print(f"row norms: {np.linalg.norm(out, axis=2).round(3).min()} .. "
 # than j attends to i; the symmetric variant removes that freedom.
 gap = np.abs(out - out.transpose(0, 2, 1)).max()
 sym = ContextEncoder(channels=4, frames=8, joints=10, axis="joint",
-                     symmetric=True, rng=rng)
+                     symmetric=True, final_relu=True, rng=rng)
 pre = sym.scores(Tensor(rng.standard_normal((2, 4, 8, 10)))).data
 print(f"directed asymmetry {gap:.3f}; symmetric variant pre-normalization "
       f"asymmetry {np.abs(pre - pre.transpose(0, 2, 1)).max():.1f}")

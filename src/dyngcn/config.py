@@ -50,6 +50,15 @@ def _key_parsers(cls):
     return parsers
 
 
+def _model_config(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` of a ModelConfig; its errors, which lead with
+    a field name, gain the ``model.`` that the config text spells."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"model.{exc}") from None
+
+
 def _parse_assignments(items):
     """Parse ``(where, "key=value")`` pairs into (model kwargs, run kwargs).
 
@@ -138,7 +147,8 @@ class RunConfig:
         if "layout" not in model_kwargs or "n_classes" not in model_kwargs:
             raise ValueError(f"{source}: model.layout and model.n_classes are required")
         try:
-            return cls(model=ModelConfig(**model_kwargs), **run_kwargs)
+            model = _model_config(ModelConfig, **model_kwargs)
+            return cls(model=model, **run_kwargs)
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
 
@@ -158,7 +168,7 @@ class RunConfig:
             (f"override {item!r}", item) for item in assignments
         )
         try:
-            model = replace(self.model, **model_kwargs) if model_kwargs else self.model
+            model = _model_config(replace, self.model, **model_kwargs)
             return replace(self, model=model, **run_kwargs)
         except ValueError as exc:
             raise ValueError(f"overrides {assignments}: {exc}") from None

@@ -29,6 +29,24 @@ _HEADER = struct.Struct("<4sHHIHHH")
 
 MAX_PERSONS = 2
 
+# Byte offsets of T, M, N and D in the binary header.
+_SHAPE_OFFSETS = (8, 12, 14, 16)
+
+
+def _shape_problem(shape):
+    """(axis, reason) for the first entry of a (T, M, N, D) shape that no
+    sequence can have, or None."""
+    t, m, n, d = shape
+    for axis, ok, reason in (
+        (0, t >= 1, "sequence needs at least one frame"),
+        (1, 1 <= m <= MAX_PERSONS, f"person count must be 1..{MAX_PERSONS}, got {m}"),
+        (2, n >= 1, f"joint count must be positive, got {n}"),
+        (3, d >= 1, f"coordinate count must be positive, got {d}"),
+    ):
+        if not ok:
+            return axis, reason
+    return None
+
 
 @dataclass
 class SkeletonSequence:
@@ -41,13 +59,9 @@ class SkeletonSequence:
         self.data = np.asarray(self.data, dtype=np.float32)
         if self.data.ndim != 4:
             raise ValueError(f"sequence data must be (T, M, N, D), got shape {self.data.shape}")
-        t, m, n, d = self.data.shape
-        if t < 1:
-            raise ValueError("sequence needs at least one frame")
-        if not 1 <= m <= MAX_PERSONS:
-            raise ValueError(f"person count must be 1..{MAX_PERSONS}, got {m}")
-        if n < 1 or d < 1:
-            raise ValueError(f"joint and coordinate counts must be positive, got {n}, {d}")
+        problem = _shape_problem(self.data.shape)
+        if problem is not None:
+            raise ValueError(problem[1])
         if self.label < 0:
             raise ValueError(f"label must be nonnegative, got {self.label}")
         found = _first_non_finite(self.data)
@@ -118,6 +132,9 @@ def _parse_binary(raw, path):
         fail(0, f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         fail(4, f"unsupported version {version}")
+    problem = _shape_problem((t, m, n, d))
+    if problem is not None:
+        fail(_SHAPE_OFFSETS[problem[0]], problem[1])
     offset = _HEADER.size
     strings = []
     for what in ("layout name", "sample id"):
@@ -177,7 +194,7 @@ def parse_sequence_text(text, path="<text>"):
     N joint lines of D floats.  ``#`` starts a comment.
     """
     header = {}
-    shape = None
+    label = shape = None
     blocks = {}
     current = None
     expect_joints = 0
@@ -198,7 +215,15 @@ def parse_sequence_text(text, path="<text>"):
             elif key in ("layout", "id", "label"):
                 if len(tokens) != 2:
                     fail(lineno, f"{key} takes one value")
-                header[key] = tokens[1]
+                if key != "label":
+                    header[key] = tokens[1]
+                else:
+                    try:
+                        label = int(tokens[1])
+                    except ValueError:
+                        fail(lineno, f"bad label {tokens[1]!r}")
+                    if label < 0:
+                        fail(lineno, f"label must be nonnegative, got {label}")
             elif key == "shape":
                 if len(tokens) != 5:
                     fail(lineno, "shape takes T M N D")
@@ -206,6 +231,9 @@ def parse_sequence_text(text, path="<text>"):
                     shape = tuple(int(v) for v in tokens[1:])
                 except ValueError:
                     fail(lineno, f"bad shape entries {tokens[1:]}")
+                problem = _shape_problem(shape)
+                if problem is not None:
+                    fail(lineno, problem[1])
             else:
                 fail(lineno, f"unexpected {key!r} before shape line")
             continue
@@ -251,18 +279,24 @@ def parse_sequence_text(text, path="<text>"):
             f"{path}: frame {current[0]} person {current[1]} has "
             f"{shape[2] - expect_joints} joints, expected {shape[2]}"
         )
+    if label is None:
+        raise ValueError(f"{path}: missing label")
     t, m, n, d = shape
-    missing = [(ti, mi) for ti in range(t) for mi in range(m) if (ti, mi) not in blocks]
+    missing = t * m - len(blocks)   # blocks holds distinct in-range pairs
     if missing:
-        raise ValueError(f"{path}: missing frame blocks {missing[:4]}"
-                         + (" ..." if len(missing) > 4 else ""))
+        # walks at most len(blocks) + 4 pairs, however large the declared shape
+        gaps = []
+        for i in range(t * m):
+            pair = divmod(i, m)
+            if pair not in blocks:
+                gaps.append(pair)
+                if len(gaps) == 4:
+                    break
+        raise ValueError(f"{path}: missing frame blocks {gaps}" + (" ..." if missing > 4 else "")
+                         + f" ({missing} of {t * m} missing)")
     data = np.empty((t, m, n, d), dtype=np.float32)
     for (ti, mi), rows in blocks.items():
         data[ti, mi] = rows
-    try:
-        label = int(header.get("label", ""))
-    except ValueError:
-        raise ValueError(f"{path}: missing or bad label") from None
     return SkeletonSequence(data, label, header.get("layout", ""), header.get("id", ""))
 
 

@@ -86,11 +86,9 @@ def uniform_init(rng, shape, fan_in, dtype):
 class Conv2d(Module):
     """Convolution over a (time, joint) grid; kernel is kt x 1."""
 
-    def __init__(self, in_channels, out_channels, kernel_t=1, stride_t=1, pad_t=0,
-                 rng=None, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, rng, kernel_t=1, stride_t=1, pad_t=0,
+                 dtype=np.float32):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         shape = (out_channels, in_channels, kernel_t, 1)
         fan_in = in_channels * kernel_t
         self.weight = Parameter(uniform_init(rng, shape, fan_in, dtype))
@@ -135,10 +133,8 @@ class BatchNorm(Module):
 class Linear(Module):
     """Affine map on (B, F) input; weights are (F_in, F_out), bias starts at zero."""
 
-    def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
+    def __init__(self, in_features, out_features, rng, dtype=np.float32):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.weight = Parameter(uniform_init(rng, (in_features, out_features), in_features, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
         self.in_features = in_features

@@ -79,31 +79,34 @@ class ModelConfig:
         self.channels = tuple(int(c) for c in self.channels)
         self.strides = tuple(int(s) for s in self.strides)
         self.aggregate_after = tuple(int(i) for i in self.aggregate_after)
+        # Every message leads with the field it concerns, so a config file's
+        # reader can prefix "model." and name the key as the file spells it.
         refuse_non_finite(self)
         if self.n_classes < 1:
             raise ValueError("n_classes must be at least 1")
         if len(self.channels) != len(self.strides):
             raise ValueError(
-                f"channel schedule ({len(self.channels)}) and stride schedule "
+                f"channels schedule ({len(self.channels)}) and strides schedule "
                 f"({len(self.strides)}) differ in length"
             )
         if not self.channels:
-            raise ValueError("at least one block is required")
-        if min(self.in_channels, self.frames, *self.channels) < 1:
-            raise ValueError("in_channels, frames and channels must be positive")
-        if any(s < 1 for s in self.strides):
-            raise ValueError("strides must be positive")
+            raise ValueError("channels must hold at least one block")
+        for name, values in (("in_channels", (self.in_channels,)), ("frames", (self.frames,)),
+                             ("channels", self.channels), ("strides", self.strides)):
+            if min(values) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.tc_kernel < 1 or self.tc_kernel % 2 == 0:
-            raise ValueError("tc_kernel must be odd")
+            raise ValueError("tc_kernel must be positive and odd")
         if not 0.0 < self.aggregate_rate <= 1.0:
             raise ValueError("aggregate_rate must be in (0, 1]")
         for pos in self.aggregate_after:
             if not 1 <= pos <= len(self.channels):
                 raise ValueError(f"aggregate_after position {pos} out of range")
         if self.topology not in LEARNERS:
-            raise ValueError(f"unknown topology {self.topology!r}")
+            raise ValueError(f"topology {self.topology!r} is unknown, expected one of "
+                             f"{', '.join(LEARNERS)}")
         if self.topology == "none" and self.lambda_static == 0.0:
-            raise ValueError("a model needs at least one active branch")
+            raise ValueError("lambda_static=0 with topology 'none' leaves no active branch")
 
     def to_dict(self):
         return asdict(self)
@@ -173,7 +176,7 @@ def graph_conv(x, graphs, weight):
     return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight)
 
 
-def static_branch(x, topo, convs, lambda_static=1.0):
+def static_branch(x, topo, convs, lambda_static):
     """``lambda_static`` times the sum over configurations k of conv_k(graph_k x),
     as one ``graph_conv`` over all K graphs with the concatenated,
     lambda-scaled weights."""
@@ -204,23 +207,23 @@ def joint_aggregate(x, projection):
 
 
 class DynamicGConvBlock(Module):
-    """One spatial-temporal unit: fused graph conv, temporal conv, residual."""
+    """One spatial-temporal unit: fused graph conv, temporal conv, residual.
 
-    def __init__(self, spec, layout, lambda_static=1.0, topology="context",
-                 learner_final_relu=True, alpha_degree=0.001, learn_projection=True,
-                 rng=None, dtype=np.float32):
+    ``spec`` gives the block's geometry and ``config`` (a ``ModelConfig``)
+    its settings; a block at the layout's joint count gets the layout's
+    graphs, a block after a joint projection self loops only.
+    """
+
+    def __init__(self, spec, layout, config, rng, dtype=np.float32):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.spec = spec
-        self.lambda_static = float(lambda_static)
+        self.lambda_static = float(config.lambda_static)
         c_in, c_out, joints = spec.in_channels, spec.out_channels, spec.in_joints
 
-        if layout is not None and layout.n_joints == joints:
-            self.topo = TopologySet.from_layout(layout, alpha_degree, dtype)
+        if layout.n_joints == joints:
+            self.topo = TopologySet.from_layout(layout, config.alpha_degree, dtype)
         else:
-            self.topo = TopologySet.self_loops_only(joints, alpha_degree=alpha_degree,
-                                                    dtype=dtype)
+            self.topo = TopologySet.self_loops_only(joints, config.alpha_degree, dtype)
         self.static_convs = [
             Conv2d(c_in, c_out, rng=rng, dtype=dtype)
             for _ in range(self.topo.n_configs)
@@ -230,8 +233,7 @@ class DynamicGConvBlock(Module):
             for p in [conv.weight for conv in self.static_convs] + self.topo.mask:
                 p.requires_grad = False
         self.learner = build_topology_learner(
-            topology, c_in, spec.in_frames, joints,
-            final_relu=learner_final_relu, rng=rng, dtype=dtype,
+            config.topology, c_in, spec.in_frames, joints, config.learner_final_relu, rng, dtype,
         )
         self.dynamic_conv = (
             Conv2d(c_in, c_out, rng=rng, dtype=dtype)
@@ -249,9 +251,9 @@ class DynamicGConvBlock(Module):
             self.shortcut_bn = None
         if spec.projects:
             init = (rng.uniform(-1, 1, (joints, spec.out_joints)) / np.sqrt(joints)
-                    if learn_projection else np.eye(joints, spec.out_joints))
+                    if config.learn_projection else np.eye(joints, spec.out_joints))
             self.projection = Parameter(init.astype(dtype))
-            self.projection.requires_grad = bool(learn_projection)
+            self.projection.requires_grad = bool(config.learn_projection)
         else:
             self.projection = None
 
@@ -286,23 +288,14 @@ class SkeletonClassifier(Module):
     classifier.
     """
 
-    def __init__(self, config, rng=None, dtype=np.float32):
+    def __init__(self, config, rng, dtype=np.float32):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.config = config
         layout = build_layout(config.layout)
         self.layout = layout
         self.input_bn = BatchNorm(config.in_channels * layout.n_joints, dtype=dtype)
-        self.blocks = [
-            DynamicGConvBlock(
-                spec, layout, lambda_static=config.lambda_static,
-                topology=config.topology, learner_final_relu=config.learner_final_relu,
-                alpha_degree=config.alpha_degree, learn_projection=config.learn_projection,
-                rng=rng, dtype=dtype,
-            )
-            for spec in config.block_plan(layout.n_joints)
-        ]
+        self.blocks = [DynamicGConvBlock(spec, layout, config, rng, dtype)
+                       for spec in config.block_plan(layout.n_joints)]
         self.classifier = Linear(config.channels[-1], config.n_classes, rng=rng, dtype=dtype)
 
     def input_stage(self, x):

@@ -49,6 +49,9 @@ class SkeletonLayout:
                 f"layout {self.name!r}: {len(self.bone_pairs)} bone pairs for {n} joints, "
                 f"expected {n - 1}"
             )
+        if self.score_channel is not None and self.score_channel < 0:
+            raise ValueError(f"layout {self.name!r}: score channel {self.score_channel} "
+                             f"is negative")
         if not 0 <= self.center_joint < n:
             raise ValueError(
                 f"layout {self.name!r}: center joint {self.center_joint} out of range"
@@ -185,7 +188,7 @@ def partition_spatial_configs(layout):
     return configs
 
 
-def normalize_adjacency(adjacency, alpha_degree=0.001):
+def normalize_adjacency(adjacency, alpha_degree):
     """Symmetric degree normalization with a degree offset.
 
     Given a nonnegative matrix A, the degree of node i is the i-th row
@@ -212,7 +215,7 @@ class TopologySet(Module):
     static topology for branch k is ``configs[k] + mask[k]``.
     """
 
-    def __init__(self, raw_configs, alpha_degree=0.001, dtype=np.float32):
+    def __init__(self, raw_configs, alpha_degree, dtype=np.float32):
         super().__init__()
         raw = np.asarray(raw_configs, dtype=np.float64)
         if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
@@ -222,24 +225,22 @@ class TopologySet(Module):
         ).astype(dtype)
         normalized.flags.writeable = False
         self.configs = normalized
-        self.alpha_degree = alpha_degree
         self.mask = [Parameter(np.zeros(raw.shape[1:], dtype=dtype))
                      for _ in range(raw.shape[0])]
 
     @classmethod
-    def from_layout(cls, layout, alpha_degree=0.001, dtype=np.float32):
+    def from_layout(cls, layout, alpha_degree, dtype=np.float32):
         return cls(partition_spatial_configs(layout), alpha_degree, dtype)
 
     @classmethod
-    def self_loops_only(cls, n_joints, n_configs=N_SPATIAL_CONFIGS, alpha_degree=0.001,
-                        dtype=np.float32):
+    def self_loops_only(cls, n_joints, alpha_degree, dtype=np.float32):
         """Degenerate set for graphs with no physical edges.
 
         Used after joint aggregation, where the projected joints have no
         defined physical connectivity: the first configuration is the
         identity and the rest start empty, leaving structure to the masks.
         """
-        raw = np.zeros((n_configs, n_joints, n_joints))
+        raw = np.zeros((N_SPATIAL_CONFIGS, n_joints, n_joints))
         raw[0] = np.eye(n_joints)
         return cls(raw, alpha_degree, dtype)
 

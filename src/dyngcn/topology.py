@@ -69,13 +69,11 @@ def context_stages(axis, channels, frames, joints):
 class ContextEncoder(Module):
     """Predict an (B, N, N) dependency matrix from an (B, C, T, N) input."""
 
-    def __init__(self, channels, frames, joints, axis="joint", symmetric=False,
-                 final_relu=True, rng=None, dtype=np.float32):
+    def __init__(self, channels, frames, joints, axis, symmetric, final_relu, rng,
+                 dtype=np.float32):
         super().__init__()
         (a_in, a_out, _), (b_in, b_out, _), (e_in, e_out, _) = context_stages(
             axis, channels, frames, joints)
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.channels = channels
         self.frames = frames
         self.joints = joints
@@ -125,23 +123,19 @@ class ContextEncoder(Module):
 
 
 def nonlocal_width(channels):
-    """Default embedding width of the non-local baseline."""
+    """Embedding width of the non-local baseline."""
     return max(channels // 4, 4)
 
 
 class NonLocalTopology(Module):
     """Row-softmax similarity of embedded, time-averaged features."""
 
-    def __init__(self, channels, embed_channels=None, rng=None, dtype=np.float32):
+    def __init__(self, channels, rng, dtype=np.float32):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
-        if embed_channels is None:
-            embed_channels = nonlocal_width(channels)
         self.channels = channels
-        self.embed_channels = embed_channels
-        self.embed_query = Conv2d(channels, embed_channels, rng=rng, dtype=dtype)
-        self.embed_key = Conv2d(channels, embed_channels, rng=rng, dtype=dtype)
+        self.embed_channels = nonlocal_width(channels)
+        self.embed_query = Conv2d(channels, self.embed_channels, rng=rng, dtype=dtype)
+        self.embed_key = Conv2d(channels, self.embed_channels, rng=rng, dtype=dtype)
 
     def forward(self, x):
         if x.data.ndim != 4 or x.data.shape[1] != self.channels:
@@ -155,8 +149,8 @@ class NonLocalTopology(Module):
         return softmax(sim, axis=-1)
 
 
-def build_topology_learner(kind, channels, frames, joints, final_relu=True,
-                           rng=None, dtype=np.float32):
+def build_topology_learner(kind, channels, frames, joints, final_relu, rng,
+                           dtype=np.float32):
     """Factory keyed by the model-config topology name; None for "none"."""
     if kind not in LEARNERS:
         raise ValueError(f"unknown topology learner {kind!r}")
@@ -165,7 +159,4 @@ def build_topology_learner(kind, channels, frames, joints, final_relu=True,
     if kind == "nonlocal":
         return NonLocalTopology(channels, rng=rng, dtype=dtype)
     axis, symmetric = LEARNERS[kind]
-    return ContextEncoder(
-        channels, frames, joints, axis=axis, symmetric=symmetric,
-        final_relu=final_relu, rng=rng, dtype=dtype,
-    )
+    return ContextEncoder(channels, frames, joints, axis, symmetric, final_relu, rng, dtype)

@@ -14,7 +14,6 @@ from .data import load_manifest, load_sequence, normalize_coords, resize_sequenc
 from .modality import apply_modality, ensemble_logits
 from .model import build_model
 from .optim import NesterovSGD
-from .skeleton import build_layout
 from .tensor import Tensor, no_grad, softmax_cross_entropy
 
 
@@ -115,6 +114,16 @@ def load_dataset(manifest, frames, layout, modality):
                 f"{rel}: sequence has {seq.joints} joints, layout "
                 f"{layout.name!r} defines {layout.n_joints}"
             )
+        if layout.score_channel is not None and seq.coords <= layout.score_channel:
+            raise ValueError(
+                f"{path}: sequence has {seq.coords} coordinates, layout {layout.name!r} "
+                f"puts its score in channel {layout.score_channel}"
+            )
+        if arrays and seq.coords != arrays[0].shape[1]:
+            raise ValueError(
+                f"{path}: sequence has {seq.coords} coordinates, "
+                f"{manifest.resolve(manifest.entries[0][0])} has {arrays[0].shape[1]}"
+            )
         seq = resize_sequence(seq, frames)   # a convex blend of finite frames
         with _overflow_located(path, "centring"):
             seq = normalize_coords(seq, layout)
@@ -160,27 +169,46 @@ def evaluate_arrays(model, x, labels, batch_size=64):
     return accuracy_from_logits(logits, labels, model.config.n_classes)
 
 
+def load_model_inputs(model, manifest_path, modality, built_on):
+    """Read a manifest's sequences as ``model`` takes them: its layout and
+    frame count; returns (manifest, (S, M, C, T, N) float32, (S,) labels).
+
+    Before any sequence file is read, it refuses a declared layout other
+    than the model's, an empty manifest and a label the model has no class
+    for; after, coordinates that are not the model's input channels.
+    ``built_on`` says what holds the model's layout, as in "checkpoint
+    c.ckpt was trained on".
+    """
+    manifest = load_manifest(manifest_path)
+    layout, config = model.layout, model.config
+    if manifest.layout_name and manifest.layout_name != layout.name:
+        raise ValueError(f"{manifest_path}: manifest declares layout "
+                         f"{manifest.layout_name!r}, {built_on} {layout.name!r}")
+    if not manifest.entries:
+        raise ValueError(f"{manifest_path}: manifest lists no sequences")
+    for rel, label in manifest.entries:
+        if label >= config.n_classes:
+            raise ValueError(f"{manifest_path}: entry {rel!r} has label {label}, "
+                             f"the model has {config.n_classes} classes")
+    x, labels = load_dataset(manifest, config.frames, layout, modality)
+    if x.shape[2] != config.in_channels:
+        raise ValueError(f"{manifest_path}: sequences have {x.shape[2]} coordinates, "
+                         f"the model takes {config.in_channels} input channels")
+    return manifest, x, labels
+
+
 def train(config):
     """Run the configured schedule; writes checkpoint + metrics, returns both."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    layout = build_layout(config.model.layout)
-
-    train_manifest = load_manifest(config.train_manifest)
-    x_train, y_train = load_dataset(train_manifest, config.model.frames, layout,
-                                    config.modality)
-    if y_train.max() >= config.model.n_classes:
-        raise ValueError(
-            f"dataset labels run to {y_train.max()}, model has "
-            f"{config.model.n_classes} classes"
-        )
+    model = build_model(config.model, seed=config.seed)
+    train_manifest, x_train, y_train = load_model_inputs(
+        model, config.train_manifest, config.modality, "model.layout is")
     eval_data = None
     if config.test_manifest:
-        test_manifest = load_manifest(config.test_manifest)
-        eval_data = load_dataset(test_manifest, config.model.frames, layout,
-                                 config.modality)
+        eval_data = load_model_inputs(
+            model, config.test_manifest, config.modality, "model.layout is")[1:]
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = build_model(config.model, seed=config.seed)
     trainable = [(name, p) for name, p in model.named_parameters() if p.requires_grad]
     optimizer = NesterovSGD([p for _, p in trainable], config.lr, momentum=config.momentum,
                             weight_decay=config.weight_decay, nesterov=config.nesterov)
@@ -226,7 +254,7 @@ def train(config):
 
     meta = {
         "modality": config.modality,
-        "layout": layout.name,
+        "layout": model.layout.name,
         "seed": config.seed,
         "epochs": config.total_epochs,
         "class_names": list(train_manifest.class_names),
@@ -242,15 +270,8 @@ def load_checkpoint_inputs(checkpoint_path, manifest_path):
     """Load a checkpoint and a manifest's data as the checkpoint reads it:
     its layout, frame count and modality; returns (model, meta, x, labels)."""
     model, meta = load_checkpoint(checkpoint_path)
-    manifest = load_manifest(manifest_path)
-    layout = model.layout
-    if manifest.layout_name and manifest.layout_name != layout.name:
-        raise ValueError(
-            f"{manifest_path}: manifest declares layout {manifest.layout_name!r}, "
-            f"checkpoint {checkpoint_path} was trained on {layout.name!r}"
-        )
-    x, labels = load_dataset(manifest, model.config.frames, layout,
-                             meta.get("modality", "joint"))
+    _, x, labels = load_model_inputs(model, manifest_path, meta.get("modality", "joint"),
+                                     f"checkpoint {checkpoint_path} was trained on")
     return model, meta, x, labels
 
 

@@ -165,8 +165,8 @@ def test_criterion_2_gradient_checks():
 def test_criterion_3_learner_invariants():
     c, t, n = 4, 8, 6
     rng = np.random.default_rng(0)
-    directed = ContextEncoder(c, t, n, axis="joint", rng=rng)
-    symmetric = ContextEncoder(c, t, n, axis="joint", symmetric=True, rng=rng)
+    directed = ContextEncoder(c, t, n, axis="joint", symmetric=False, final_relu=True, rng=rng)
+    symmetric = ContextEncoder(c, t, n, axis="joint", symmetric=True, final_relu=True, rng=rng)
     nonlocal_ = NonLocalTopology(c, rng=rng)
 
     checked = 0
@@ -210,13 +210,13 @@ def test_criterion_4_oracle_equivalence():
         c_in, c_out, t, b = 3, 4, 4, 2
         edges = tuple((i, i + 1) for i in range(n - 1))
         layout = SkeletonLayout(f"chain{n}", n, edges, 0, edges)
-        topo = TopologySet.from_layout(layout, dtype=np.float64)
+        topo = TopologySet.from_layout(layout, 0.001, dtype=np.float64)
         for k in range(3):
             topo.mask[k].data[:] = rng.standard_normal((n, n)) * 0.2
         convs = [Conv2d(c_in, c_out, rng=rng, dtype=np.float64) for _ in range(3)]
         x = rng.standard_normal((b, c_in, t, n))
 
-        got = static_branch(Tensor(x), topo, convs).data
+        got = static_branch(Tensor(x), topo, convs, 1.0).data
         expected = np.zeros_like(got)
         graphs = topo.static_topology().data
         for k in range(3):

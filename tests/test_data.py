@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,48 @@ def test_text_missing_frame_block():
     broken = GOLDEN_TEXT.replace("shape 2 1 3 3", "shape 3 1 3 3")
     with pytest.raises(ValueError, match="missing frame blocks"):
         parse_sequence_text(broken)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("shape 0 1 3 3", "line 6: sequence needs at least one frame"),
+    ("shape -1 1 3 3", "line 6: sequence needs at least one frame"),
+    ("shape 2 3 3 3", "line 6: person count must be 1..2, got 3"),
+    ("shape 2 1 0 3", "line 6: joint count must be positive, got 0"),
+    ("shape 2 1 3 0", "line 6: coordinate count must be positive, got 0"),
+    ("label -1", "line 5: label must be nonnegative, got -1"),
+    ("label x", "line 5: bad label 'x'"),
+])
+def test_text_shape_and_label_errors_are_located(line, message):
+    key = line.split()[0]
+    old = next(row for row in GOLDEN_TEXT.splitlines() if row.startswith(key))
+    with pytest.raises(ValueError, match=rf"^golden\.skt: {re.escape(message)}$"):
+        parse_sequence_text(GOLDEN_TEXT.replace(old, line), path="golden.skt")
+
+
+def test_text_missing_frame_blocks_are_counted_not_listed():
+    # a header that declares 2 * 10**6 blocks and holds none: only the
+    # first four gaps are named
+    text = "format skelseq 1\nlabel 0\nshape 1000000 2 25 3\n"
+    with pytest.raises(ValueError, match=re.escape(
+            "missing frame blocks [(0, 0), (0, 1), (1, 0), (1, 1)] ... "
+            "(2000000 of 2000000 missing)")):
+        parse_sequence_text(text)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((1, 3, 1, 1), "byte 12: person count must be 1..2, got 3"),
+    ((0, 1, 1, 1), "byte 8: sequence needs at least one frame"),
+    ((1, 1, 0, 1), "byte 14: joint count must be positive, got 0"),
+    ((1, 1, 1, 0), "byte 16: coordinate count must be positive, got 0"),
+])
+def test_binary_header_shape_errors_are_located(tmp_path, shape, message):
+    # the payload matches the header, so only the shape itself is wrong
+    path = tmp_path / "bad.skl"
+    path.write_bytes(struct.pack("<4sHHIHHH", b"SKSQ", 1, 0, *shape)
+                     + struct.pack("<H", 0) + struct.pack("<H", 0)
+                     + bytes(4 * int(np.prod(shape))))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_sequence(path)
 
 
 def test_text_error_carries_line_number():

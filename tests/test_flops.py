@@ -74,13 +74,17 @@ def test_graph_mult_flops():
 LEARNER_KINDS = [kind for kind in LEARNERS if kind != "none"]
 
 
+def context_encoder(c, t, n, axis, symmetric=False):
+    return ContextEncoder(c, t, n, axis, symmetric, True, np.random.default_rng(0))
+
+
 def learner_modules(c, t, n):
     return {
-        "context": ContextEncoder(c, t, n, axis="joint"),
-        "context-symmetric": ContextEncoder(c, t, n, axis="joint", symmetric=True),
-        "context-feature": ContextEncoder(c, t, n, axis="feature"),
-        "context-temporal": ContextEncoder(c, t, n, axis="temporal"),
-        "nonlocal": NonLocalTopology(c),
+        "context": context_encoder(c, t, n, "joint"),
+        "context-symmetric": context_encoder(c, t, n, "joint", symmetric=True),
+        "context-feature": context_encoder(c, t, n, "feature"),
+        "context-temporal": context_encoder(c, t, n, "temporal"),
+        "nonlocal": NonLocalTopology(c, np.random.default_rng(0)),
     }
 
 
@@ -105,8 +109,8 @@ def test_learner_param_count_matches_modules(kind):
 
 def test_temporal_variant_final_kernel_scales_with_frames():
     c, t, n = 64, 64, 25
-    base = parameter_count(ContextEncoder(c, t, n, axis="joint"))
-    temporal = parameter_count(ContextEncoder(c, t, n, axis="temporal"))
+    base = parameter_count(context_encoder(c, t, n, "joint"))
+    temporal = parameter_count(context_encoder(c, t, n, "temporal"))
     # the squeezes bind (C, T) and (C, N), and the final mapping kernels
     # differ by (T - N) * N^2 weights
     assert temporal - base == (t - n) * n * n + (n - t)

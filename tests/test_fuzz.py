@@ -1,5 +1,5 @@
-"""Property tests of the readers (sequences, checkpoints, run configs and
-layouts): round trips and corrupted input."""
+"""Property tests of the readers (binary and text sequences, manifests,
+checkpoints, run configs and layouts): round trips and corrupted input."""
 
 import importlib.resources
 import re
@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 
 from dyngcn.checkpoint import HEADER_OFFSET, load_checkpoint, read_checkpoint_header, save_checkpoint
 from dyngcn.config import RunConfig, model_preset
-from dyngcn.data import SkeletonSequence, load_sequence, save_sequence
+from dyngcn.data import (
+    DatasetManifest,
+    SkeletonSequence,
+    format_sequence_text,
+    load_manifest,
+    load_sequence,
+    parse_sequence_text,
+    save_manifest,
+    save_sequence,
+)
 from dyngcn.modality import MODALITIES
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.skeleton import BUILTIN_LAYOUTS, parse_layout
@@ -26,7 +35,7 @@ names = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_si
 
 
 @st.composite
-def sequences(draw):
+def sequences(draw, strings=names):
     t = draw(st.integers(1, 4))
     m = draw(st.integers(1, 2))
     n = draw(st.integers(1, 3))
@@ -34,7 +43,7 @@ def sequences(draw):
     values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
                            min_size=t * m * n * d, max_size=t * m * n * d))
     data = np.array(values, dtype=np.float32).reshape(t, m, n, d)
-    return SkeletonSequence(data, draw(st.integers(0, 65535)), draw(names), draw(names))
+    return SkeletonSequence(data, draw(st.integers(0, 65535)), draw(strings), draw(strings))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +89,81 @@ def test_bit_flip_in_header_or_strings_loads_or_names_file(work, seq, data):
     raw[bit // 8] ^= 1 << (bit % 8)
     (work / "flip.skl").write_bytes(bytes(raw))
     loads_or_names_file(work / "flip.skl")
+
+
+# -- text sequences and manifests ----------------------------------------
+
+# Strings the text formats carry as one token: no whitespace, no comment marker.
+tokens = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)).filter(
+    lambda ch: not ch.isspace() and ch != "#"), min_size=1, max_size=6)
+small_numbers = st.lists(st.integers(-2, 30), max_size=5)
+
+
+def record_lines(keywords):
+    """Free text, or a record keyword followed by a few small numbers."""
+    return st.one_of(st.text(max_size=20), st.builds(
+        lambda key, numbers: " ".join([key, *map(str, numbers)]),
+        st.sampled_from(keywords), small_numbers))
+
+
+CORRUPTIONS = ["truncation", "junk line", "digit flip"]
+
+
+def corrupted(text, kind):
+    """``text`` cut short, with one junk line inserted, or with one digit changed."""
+    lines = text.splitlines()
+    digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+    return {
+        "truncation": st.integers(0, len(text)).map(lambda cut: text[:cut]),
+        "junk line": st.tuples(st.integers(0, len(lines)), record_lines(
+            ["format", "layout", "id", "label", "shape", "frame", "#", "# class", "# layout"]
+        )).map(lambda junk: "\n".join(lines[:junk[0]] + [junk[1]] + lines[junk[0]:])),
+        "digit flip": st.tuples(st.sampled_from(digits), st.sampled_from("0123456789")).map(
+            lambda flip: text[:flip[0]] + flip[1] + text[flip[0] + 1:]),
+    }[kind]
+
+
+@FUZZ
+@given(seq=sequences(tokens))
+def test_text_sequence_round_trip_is_bit_exact(seq):
+    back = parse_sequence_text(format_sequence_text(seq))
+    assert back.data.tobytes() == seq.data.tobytes()
+    assert (back.label, back.layout_name, back.sample_id) == (
+        seq.label, seq.layout_name, seq.sample_id)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@FUZZ
+@given(seq=sequences(tokens), data=st.data())
+def test_corrupted_text_sequence_parses_or_names_file(kind, seq, data):
+    text = data.draw(corrupted(format_sequence_text(seq), kind), label="text")
+    try:
+        parse_sequence_text(text, path="fuzz.skt")
+    except ValueError as exc:
+        assert str(exc).startswith("fuzz.skt: "), str(exc)
+
+
+@st.composite
+def manifests(draw):
+    classes = draw(st.lists(tokens, min_size=1, max_size=4))
+    entries = draw(st.lists(st.tuples(tokens, st.integers(0, len(classes) - 1)), max_size=4))
+    return DatasetManifest(entries, classes, draw(tokens), draw(tokens))
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@FUZZ
+@given(manifest=manifests(), data=st.data())
+def test_corrupted_manifest_loads_or_names_file(work, kind, manifest, data):
+    # new files each time: truncating a file in place is slow on some file systems
+    for name in ("fuzz.manifest", "bad.manifest"):
+        (work / name).unlink(missing_ok=True)
+    text = save_manifest(work / "fuzz.manifest", manifest).read_text()
+    path = work / "bad.manifest"
+    path.write_text(data.draw(corrupted(text, kind), label="text"))
+    try:
+        load_manifest(path, check_paths=False)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -251,9 +335,9 @@ FLOAT_KEYS = ([f"model.{f.name}" for f in fields(ModelConfig) if f.type == "floa
        value=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "-infinity"]))
 def test_non_finite_float_is_refused(config, key, value):
     text = re.sub(rf"^{re.escape(key)}=.*$", f"{key}={value}", config.to_text(), flags=re.M)
-    with pytest.raises(ValueError, match=rf"^fuzz\.cfg: {key.split('.')[-1]}=-?(nan|inf) must be finite$"):
+    with pytest.raises(ValueError, match=rf"^fuzz\.cfg: {re.escape(key)}=-?(nan|inf) must be finite$"):
         RunConfig.from_text(text, source="fuzz.cfg")
-    with pytest.raises(ValueError, match=rf"^overrides .*: {key.split('.')[-1]}=-?(nan|inf) must be finite$"):
+    with pytest.raises(ValueError, match=rf"^overrides .*: {re.escape(key)}=-?(nan|inf) must be finite$"):
         config.with_overrides([f"{key}={value}"])
 
 

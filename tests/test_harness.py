@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import re
 import shutil
@@ -8,9 +9,17 @@ from dataclasses import make_dataclass
 import numpy as np
 import pytest
 
+import dyngcn.train
 from dyngcn.checkpoint import load_checkpoint, read_checkpoint_header, save_checkpoint
 from dyngcn.config import RunConfig, _key_parsers, model_preset, run_preset
-from dyngcn.data import SynthSpec, load_manifest, save_manifest, synth_generate
+from dyngcn.data import (
+    SynthSpec,
+    load_manifest,
+    load_sequence,
+    save_manifest,
+    save_sequence,
+    synth_generate,
+)
 from dyngcn.export import export_topology
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.skeleton import build_layout
@@ -137,11 +146,11 @@ def test_values_that_read_back_are_kept():
 
 
 @pytest.mark.parametrize("line, message", [
-    ("model.n_classes=0", "n_classes must be at least 1"),
+    ("model.n_classes=0", "model.n_classes must be at least 1"),
     ("batch_size=0", "batch_size must be at least 1"),
-    ("model.topology=graph", "unknown topology 'graph'"),
+    ("model.topology=graph", "model.topology 'graph' is unknown"),
     ("modality=depth", "unknown modality 'depth'"),
-    ("model.channels=", "channel schedule (0) and stride schedule"),
+    ("model.channels=", "model.channels schedule (0) and strides schedule"),
 ])
 def test_validation_errors_name_their_source(line, message):
     text = f"model.layout=ntu25\nmodel.n_classes=2\n{line}\n"
@@ -400,6 +409,68 @@ def test_manifest_declaring_another_layout_is_refused(smoke_setup, smoke_run, tm
     assert not (tmp_path / "t.txt").exists()
 
 
+def faulty_manifest(root, tmp_path, fault):
+    """The smoke test manifest, with absolute entry paths and one fault."""
+    manifest = load_manifest(root / "data" / "test.manifest")
+    manifest.entries = [(str(manifest.resolve(rel)), label) for rel, label in manifest.entries]
+    if fault == "layout":
+        manifest.layout_name = "kinect25"
+    elif fault == "empty":
+        manifest.entries = []
+    elif fault == "label":
+        manifest.class_names += ["c2", "c3"]
+        manifest.entries[-1] = (manifest.entries[-1][0], 3)
+    else:
+        # two coordinates per joint: in every sequence, or in the last only
+        first = 0 if fault == "coords" else len(manifest.entries) - 1
+        for i in range(first, len(manifest.entries)):
+            path, label = manifest.entries[i]
+            seq = load_sequence(path)
+            seq.data = seq.data[..., :2].copy()
+            manifest.entries[i] = (str(save_sequence(tmp_path / f"{fault}-{i}.skl", seq)), label)
+    return save_manifest(tmp_path / f"{fault}.manifest", manifest)
+
+
+# Fault -> the refusal, after the manifest (or sequence) path.
+MANIFEST_REFUSALS = {
+    "empty": "manifest lists no sequences",
+    "label": "entry .* has label 3, the model has 2 classes",
+    "coords": "sequences have 2 coordinates, the model takes 3 input channels",
+    "mixed": "sequence has 2 coordinates, .* has 3",
+}
+
+
+@pytest.mark.parametrize("entry", ["train", "evaluate", "ensemble", "export"])
+@pytest.mark.parametrize("fault", sorted(MANIFEST_REFUSALS))
+def test_manifest_the_model_cannot_read_is_refused(smoke_setup, smoke_run, tmp_path,
+                                                   monkeypatch, fault, entry):
+    root, cfg = smoke_setup
+    bad = faulty_manifest(root, tmp_path, fault)
+    if fault in ("empty", "label"):
+        # refused before any sequence file is read
+        monkeypatch.setattr(dyngcn.train, "load_sequence", None)
+    ckpt = smoke_run.checkpoint_path
+    call = {"train": lambda: train(cfg.with_overrides([f"train_manifest={bad}",
+                                                       f"out_dir={tmp_path / 'run'}"])),
+            "evaluate": lambda: evaluate_checkpoint(ckpt, bad),
+            "ensemble": lambda: ensemble_checkpoints([ckpt], bad),
+            "export": lambda: export_topology(ckpt, bad, 1, 0, tmp_path / "t")}[entry]
+    where = r"mixed-\d+\.skl" if fault == "mixed" else rf"{fault}\.manifest"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path))}/{where}: "
+                                         rf"{MANIFEST_REFUSALS[fault]}"):
+        call()
+    assert not (tmp_path / "t.txt").exists() and not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_manifest_declaring_another_layout(smoke_setup, tmp_path, monkeypatch):
+    root, cfg = smoke_setup
+    bad = faulty_manifest(root, tmp_path, "layout")
+    monkeypatch.setattr(dyngcn.train, "load_sequence", None)
+    with pytest.raises(ValueError, match=r"layout\.manifest: manifest declares layout "
+                                         r"'kinect25', model\.layout is 'ntu25'$"):
+        train(cfg.with_overrides([f"train_manifest={bad}", f"out_dir={tmp_path / 'run'}"]))
+
+
 def test_non_finite_loss_aborts(tmp_path):
     spec = SynthSpec(n_classes=2, samples_per_class=4, test_per_class=0,
                      layout="ntu25", frames=20, noise_sigma=0.05, seed=13)
@@ -472,6 +543,17 @@ def test_dataset_near_float32_max_that_does_not_overflow_loads(two_sequences):
     poison(victim, lambda data: data.__setitem__((slice(None), 0, 3, 0), 3e38))
     x, _ = load_dataset(manifest, 8, layout, "joint")
     assert np.isfinite(x).all()
+
+
+def test_dataset_refuses_sequences_without_the_score_channel(two_sequences, tmp_path):
+    manifest, _ = two_sequences
+    ntu = importlib.resources.files("dyngcn") / "layouts" / "ntu25.layout"
+    path = tmp_path / "scored.layout"
+    path.write_text(ntu.read_text() + "score_channel 7\n")
+    first = manifest.resolve(manifest.entries[0][0])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(first))}: sequence has 3 coordinates, "
+                                         rf"layout 'ntu25' puts its score in channel 7$"):
+        load_dataset(manifest, 8, build_layout(str(path)), "joint")
 
 
 def _frozen_static_names(model):

@@ -1,6 +1,7 @@
 """Every name a module imports or defines as module-level private is used
-in that module, and no module reads the ``tensor`` alias of a parameter
-(a parameter is the tensor itself)."""
+in that module, no module reads the ``tensor`` alias of a parameter (a
+parameter is the tensor itself), and no signature restates a model setting's
+default or invents a seed."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,47 @@ def test_unused_names_are_found():
               "_TABLE = {}\n_USED = 1\n\ndef _helper():\n    return _USED\n\n"
               "def public():\n    return dumps\n")
     assert unused_names(source) == [(2, "os"), (3, "_loads"), (4, "_TABLE"), (7, "_helper")]
+
+
+# Model settings whose one home is ModelConfig: builders read them from it.
+SETTINGS = {"alpha_degree", "lambda_static", "topology", "final_relu", "learner_final_relu",
+            "learn_projection"}
+
+
+def defaulted_settings(source):
+    """(line, name) of every parameter named ``rng``, or after a model
+    setting, that has a default; dataclass fields count as parameters, and
+    ModelConfig's settings are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            found += [(arg.lineno, arg.arg) for arg in defaulted
+                      if arg.arg == "rng" or arg.arg in SETTINGS]
+        elif isinstance(node, ast.ClassDef):
+            names = {"rng"} if node.name == "ModelConfig" else SETTINGS | {"rng"}
+            found += [(stmt.lineno, stmt.target.id) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                      and isinstance(stmt.target, ast.Name) and stmt.target.id in names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_defaults_no_model_setting_and_no_seed(path):
+    assert defaulted_settings(path.read_text()) == []
+
+
+def test_defaulted_settings_are_found():
+    source = ("from dataclasses import dataclass\n\n"
+              "def build(spec, config, rng, dtype=None):\n    return spec\n\n"
+              "def learner(kind, final_relu=True, *, rng=None):\n    return kind\n\n"
+              "@dataclass\nclass ModelConfig:\n    topology: str = 'context'\n\n"
+              "@dataclass\nclass Other:\n    alpha_degree: float = 0.001\n"
+              "    lambda_static: float\n\n"
+              "pick = lambda x, topology='none': x\n")
+    assert defaulted_settings(source) == [(6, "final_relu"), (6, "rng"), (15, "alpha_degree"),
+                                          (18, "topology")]

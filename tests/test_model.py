@@ -39,7 +39,7 @@ def chain_layout(n):
 
 
 def identity_conv(channels, dtype=np.float64):
-    conv = Conv2d(channels, channels, dtype=dtype)
+    conv = Conv2d(channels, channels, np.random.default_rng(0), dtype=dtype)
     conv.weight.data[:] = np.eye(channels).reshape(channels, channels, 1, 1)
     return conv
 
@@ -75,12 +75,12 @@ def test_static_branch_matches_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     n, c_in, c_out, t, b = 6, 3, 4, 5, 2
     layout = chain_layout(n)
-    topo = TopologySet.from_layout(layout, dtype=np.float64)
+    topo = TopologySet.from_layout(layout, 0.001, dtype=np.float64)
     for k in range(3):
         topo.mask[k].data[:] = rng.standard_normal((n, n)) * 0.1
     convs = [Conv2d(c_in, c_out, rng=rng, dtype=np.float64) for _ in range(3)]
     x = rng.standard_normal((b, c_in, t, n))
-    out = static_branch(Tensor(x), topo, convs).data
+    out = static_branch(Tensor(x), topo, convs, 1.0).data
     expected = static_oracle(
         x,
         topo.static_topology().data,
@@ -108,7 +108,7 @@ def test_static_branch_identity_configuration():
     topo = TopologySet(np.eye(n)[None], alpha_degree=0.0, dtype=np.float64)
     conv = identity_conv(c)
     x = np.random.default_rng(0).standard_normal((b, c, t, n))
-    out = static_branch(Tensor(x), topo, [conv]).data
+    out = static_branch(Tensor(x), topo, [conv], 1.0).data
     assert np.abs(out - x).max() < 1e-12
 
 
@@ -175,7 +175,7 @@ def test_dynamic_branch_bitwise_matches_per_sample_products(batch, dtype):
 
 def random_static_route(rng, n, c_in, c_out, dtype=np.float64):
     """Chain topology with random masks, plus one random 1x1 map per configuration."""
-    topo = TopologySet.from_layout(chain_layout(n), dtype=dtype)
+    topo = TopologySet.from_layout(chain_layout(n), 0.001, dtype=dtype)
     for k in range(3):
         topo.mask[k].data[:] = rng.standard_normal((n, n)) * 0.1
     return topo, [Conv2d(c_in, c_out, rng=rng, dtype=dtype) for _ in range(3)]
@@ -186,8 +186,7 @@ def test_static_branch_lambda_scales_route():
     n, c_in, c_out = 5, 3, 4
     topo, convs = random_static_route(rng, n, c_in, c_out)
     x = Tensor(rng.standard_normal((2, c_in, 4, n)))
-    unit = static_branch(x, topo, convs).data
-    assert np.array_equal(static_branch(x, topo, convs, 1.0).data, unit)
+    unit = static_branch(x, topo, convs, 1.0).data
     assert np.array_equal(static_branch(x, topo, convs, 0.0).data, np.zeros_like(unit))
     for lam in (0.37, 2.0):
         assert np.allclose(static_branch(x, topo, convs, lam).data, lam * unit, atol=1e-12)
@@ -236,13 +235,13 @@ def test_spatial_routes_batch_invariant_bitwise(route, batch):
 # -- block behavior -----------------------------------------------------
 
 
-def small_block(out_channels=3, frames=6, out_joints=4, stride=1, **overrides):
+def small_block(out_channels=3, frames=6, out_joints=4, stride=1, seed=5, **settings):
+    """A float64 block on a 4-joint chain; ``settings`` are ModelConfig fields."""
     spec = BlockSpec(in_channels=3, out_channels=out_channels, in_frames=frames,
                      in_joints=4, out_joints=out_joints, stride=stride, tc_kernel=3)
-    args = dict(layout=chain_layout(4), topology="context",
-                rng=np.random.default_rng(5), dtype=np.float64)
-    args.update(overrides)
-    return DynamicGConvBlock(spec, **args)
+    config = ModelConfig(layout="chain4", n_classes=2, **settings)
+    return DynamicGConvBlock(spec, chain_layout(4), config, np.random.default_rng(seed),
+                             np.float64)
 
 
 def test_block_zero_weights_reduces_to_relu_shortcut():
@@ -285,9 +284,8 @@ def test_block_static_only_has_no_learner_parameters():
 
 
 def test_block_lambda_zero_ignores_static_parameters():
-    rng = np.random.default_rng(8)
     x = np.random.default_rng(9).standard_normal((2, 3, 6, 4))
-    block = small_block(lambda_static=0.0, rng=rng).eval()
+    block = small_block(lambda_static=0.0, seed=8).eval()
     with no_grad():
         before = block(Tensor(x)).data.copy()
     for conv in block.static_convs:
@@ -304,8 +302,8 @@ def test_block_lambda_folds_into_static_weights():
     # by lambda at lambda = 1 must give the same output
     x = Tensor(np.random.default_rng(22).standard_normal((2, 3, 6, 4)))
     lam = 0.37
-    scaled = small_block(lambda_static=lam, rng=np.random.default_rng(8)).eval()
-    folded = small_block(lambda_static=1.0, rng=np.random.default_rng(8)).eval()
+    scaled = small_block(lambda_static=lam, seed=8).eval()
+    folded = small_block(lambda_static=1.0, seed=8).eval()
     for conv in folded.static_convs:
         conv.weight.data *= lam
     with no_grad():
@@ -326,7 +324,8 @@ def test_ntu_width_block_batch_invariance_eval():
     # ntu-like block 5 on 32 frames: its temporal conv streams a batch of 3
     # through column-buffer chunks of 2 and 1, its strided shortcut in one
     spec = BlockSpec(64, 128, in_frames=32, in_joints=25, out_joints=25, stride=2, tc_kernel=9)
-    block = DynamicGConvBlock(spec, build_layout("ntu25"), rng=np.random.default_rng(8)).eval()
+    block = DynamicGConvBlock(spec, build_layout("ntu25"), ModelConfig("ntu25", 60),
+                              np.random.default_rng(8)).eval()
     x = np.random.default_rng(9).standard_normal((3, 64, 32, 25)).astype(np.float32)
     with no_grad():
         full = block(Tensor(x)).data
@@ -336,7 +335,7 @@ def test_ntu_width_block_batch_invariance_eval():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_gradient_end_to_end(seed):
-    block = small_block(rng=np.random.default_rng(seed)).eval()
+    block = small_block(seed=seed).eval()
     rng = np.random.default_rng(seed + 50)
     x = Tensor(rng.standard_normal((2, 3, 6, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, 3, 6, 4)))

@@ -70,7 +70,9 @@ def test_parse_layout_errors_name_line():
     ("joints 2\ncenter 7\nedge 0 1\nbone 0 1\n", "center joint 7 out of range"),
     ("joints 99999999999\ncenter 0\nedge 0 1\nbone 0 1\n",
      "1 bone pairs for 99999999999 joints, expected 99999999998"),
-], ids=["junk edge", "disconnected", "center", "huge joint count"])
+    ("joints 2\ncenter 0\nedge 0 1\nbone 0 1\nscore_channel -1\n",
+     "score channel -1 is negative"),
+], ids=["junk edge", "disconnected", "center", "huge joint count", "negative score channel"])
 def test_layout_file_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "bad2.layout"
     path.write_text(text)
@@ -181,16 +183,16 @@ def test_normalize_adjacency_finite_with_zero_rows():
 
 def test_normalize_adjacency_rejects_negative():
     with pytest.raises(ValueError, match="nonnegative"):
-        normalize_adjacency(np.array([[0.0, -1.0], [0.0, 0.0]]))
+        normalize_adjacency(np.array([[0.0, -1.0], [0.0, 0.0]]), 0.001)
 
 
 def test_topology_set_masks_start_at_zero():
-    topo = TopologySet.from_layout(chain3())
+    topo = TopologySet.from_layout(chain3(), 0.001)
     assert np.array_equal(topo.static_topology().data, topo.configs)
 
 
 def test_topology_set_mask_is_additive():
-    topo = TopologySet.from_layout(chain3())
+    topo = TopologySet.from_layout(chain3(), 0.001)
     before = topo.static_topology().data[1].copy()
     topo.mask[1].data[0, 2] += 0.25
     after = topo.static_topology().data[1]
@@ -201,7 +203,7 @@ def test_topology_set_mask_is_additive():
 
 
 def test_topology_set_configs_frozen():
-    topo = TopologySet.from_layout(chain3())
+    topo = TopologySet.from_layout(chain3(), 0.001)
     fp = topo.fingerprint()
     with pytest.raises(ValueError):
         topo.configs[0, 0, 0] = 5.0
@@ -211,13 +213,13 @@ def test_topology_set_configs_frozen():
 
 def test_topology_set_fingerprint_is_a_fixed_sha256():
     # a literal digest: the value must not depend on the process
-    assert TopologySet.from_layout(chain3()).fingerprint() == (
+    assert TopologySet.from_layout(chain3(), 0.001).fingerprint() == (
         "e06a51aa5969072dd76011c0f6f821b123a5a1a80c47754f46eb1fa9ced74de6"
     )
 
 
 def test_topology_set_self_loops_only():
-    topo = TopologySet.self_loops_only(4)
+    topo = TopologySet.self_loops_only(4, 0.001)
     assert topo.n_configs == 3 and topo.n_joints == 4
     graphs = topo.static_topology().data
     assert np.allclose(np.diag(graphs[0]), 1.0 / 1.001, atol=1e-6)

@@ -8,9 +8,10 @@ from dyngcn.gradcheck import check_gradient
 VARIANTS = ["context", "context-symmetric", "context-feature", "context-temporal", "nonlocal"]
 
 
-def make_learner(kind, channels=8, frames=6, joints=5, seed=0, dtype=np.float32, **kw):
+def make_learner(kind, channels=8, frames=6, joints=5, seed=0, dtype=np.float32,
+                 final_relu=True):
     rng = np.random.default_rng(seed)
-    return build_topology_learner(kind, channels, frames, joints, rng=rng, dtype=dtype, **kw)
+    return build_topology_learner(kind, channels, frames, joints, final_relu, rng, dtype)
 
 
 def batch(channels=8, frames=6, joints=5, n=3, seed=1, dtype=np.float32):
@@ -73,9 +74,13 @@ def test_nonlocal_rows_sum_to_one():
 
 
 def test_nonlocal_toy_similarity():
-    learner = NonLocalTopology(2, embed_channels=1)
-    learner.embed_query.weight.data[:] = np.array([1.0, 0.0]).reshape(1, 2, 1, 1)
-    learner.embed_key.weight.data[:] = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
+    # embedding row 0 picks one input channel; the other rows are zeroed,
+    # so they add nothing to the similarity
+    learner = NonLocalTopology(2, rng=np.random.default_rng(0))
+    learner.embed_query.weight.data[:] = 0.0
+    learner.embed_key.weight.data[:] = 0.0
+    learner.embed_query.weight.data[0, :, 0, 0] = [1.0, 0.0]
+    learner.embed_key.weight.data[0, :, 0, 0] = [0.0, 1.0]
     x = np.zeros((1, 2, 1, 2), dtype=np.float32)
     x[0, 0, 0, :] = [1.0, 0.0]          # query embedding per joint
     x[0, 1, 0, :] = [0.0, np.log(3.0)]  # key embedding per joint
@@ -85,8 +90,9 @@ def test_nonlocal_toy_similarity():
 
 
 def test_nonlocal_embed_width_default():
-    assert NonLocalTopology(64).embed_channels == 16
-    assert NonLocalTopology(8).embed_channels == 4  # floor at 4
+    rng = np.random.default_rng(0)
+    assert NonLocalTopology(64, rng).embed_channels == 16
+    assert NonLocalTopology(8, rng).embed_channels == 4  # floor at 4
 
 
 @pytest.mark.parametrize("kind", VARIANTS)
