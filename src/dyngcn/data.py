@@ -182,6 +182,11 @@ def format_sequence_text(seq):
 def save_sequence_text(path, seq):
     path = Path(path)
     _check_finite(path, seq)
+    # the text reader takes each of these as one token, cut at a '#'
+    for field, value in (("layout name", seq.layout_name), ("sample id", seq.sample_id)):
+        if value.split() != [value] or "#" in value:
+            raise ValueError(f"{path}: {field} {value!r} is empty or holds whitespace "
+                             "or '#'; nothing written")
     path.write_text(format_sequence_text(seq))
     return path
 

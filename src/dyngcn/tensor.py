@@ -14,11 +14,25 @@ per-sample slices so that every sample sees a GEMM of the same shape
 regardless of batch size.  That keeps eval-mode outputs bitwise identical
 between batched and sample-by-sample execution, which downstream tests
 rely on.
+
+Backward temporaries that never leave their op come from a small pool of
+scratch buffers, one per role: the t x 1 convolution's recomputed columns
+(``conv.cols``), its column gradient (``conv.dcols``) and its per-chunk
+weight-gradient stack (``conv.dw``), and the batch-norm backward's scratch
+(``batch_norm``).  A role's buffer grows to the largest size the role has
+needed and is kept until ``free_scratch()`` (``train`` calls it when a run
+ends), so a train step reuses the previous step's memory instead of
+faulting fresh pages in.  An op overwrites all it takes from the pool, and
+no pooled array escapes: none becomes an op output, a gradient handed to
+``_accumulate`` or a value a closure keeps.  Forwards take nothing from
+the pool.  The pool belongs to the process, so only one backward may run
+at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -179,6 +193,26 @@ def _from_op(data, inputs, backward):
         out._prev = tuple(t for t in inputs if t.requires_grad)
         out._backward = backward
     return out
+
+
+# role -> uint8 buffer; see the module docstring
+_SCRATCH = {}
+
+
+def _scratch(role, shape, dtype):
+    """``role``'s pooled buffer viewed as ``shape`` and ``dtype``.  It holds
+    whatever the role's last user left there."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = _SCRATCH.get(role)
+    if buf is None or buf.size < nbytes:
+        buf = _SCRATCH[role] = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def free_scratch():
+    """Drop the scratch pool's buffers; the next backward allocates them anew."""
+    _SCRATCH.clear()
 
 
 def _accumulate(t, g):
@@ -407,9 +441,11 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
     # in-range rows [lo, hi); the rest stay zero, so padding never exists.
     t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
     taps = []
+    spans = []
     for k in range(kt):
         lo = max(0, -((k - pad_t) // stride_t))
         hi = min(t_out, (t_in - 1 + pad_t - k) // stride_t + 1)
+        spans.append((k, lo, max(lo, hi)))
         if hi > lo:
             src = lo * stride_t + k - pad_t
             taps.append((k, lo, hi, slice(src, src + (hi - lo - 1) * stride_t + 1, stride_t)))
@@ -435,15 +471,26 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         if weight.requires_grad:
             # Recompute the columns rather than keeping them alive through
             # the whole graph; the copy is cheaper than the retained memory.
-            cols = np.zeros((chunk, c_in, kt, t_out, n), dtype=x.data.dtype)
-            dw = np.empty((batch, c_out, c_in * kt), dtype=np.result_type(g, cols))
+            # The pooled buffer is stale, so first zero the rows no tap writes.
+            cols = _scratch("conv.cols", (chunk, c_in, kt, t_out, n), x.data.dtype)
+            for k, lo, hi in spans:
+                cols[:, :, k, :lo] = 0
+                cols[:, :, k, hi:] = 0
+            dw = np.zeros((c_out, c_in * kt), dtype=np.result_type(g, cols))
+            stack = _scratch("conv.dw", (chunk,) + dw.shape, dw.dtype)
             for b0, b1 in chunks:
                 cols_t = columns(cols, b0, b1).transpose(0, 2, 1)
-                np.matmul(g_flat[b0:b1], cols_t, out=dw[b0:b1])
-            _accumulate(weight, dw.sum(axis=0).reshape(weight.data.shape))
+                np.matmul(g_flat[b0:b1], cols_t, out=stack[: b1 - b0])
+                # Added sample by sample in batch order, as .sum(axis=0) of
+                # the whole-batch stack adds them (unless dw has one element,
+                # which numpy sums pairwise).
+                for dw_sample in stack[: b1 - b0]:
+                    dw += dw_sample
+            _accumulate(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             # col2im: each tap adds its in-range rows back, in k order.
-            dcols = np.empty((chunk, c_in * kt, t_out * n), dtype=np.result_type(w_flat, g))
+            dcols = _scratch("conv.dcols", (chunk, c_in * kt, t_out * n),
+                             np.result_type(w_flat, g))
             dx = np.zeros_like(x.data)
             for b0, b1 in chunks:
                 dc = np.matmul(w_flat.T, g_flat[b0:b1], out=dcols[: b1 - b0])
@@ -554,7 +601,8 @@ def batch_norm(
             else:
                 x_norm = x.data - mean.reshape(per_channel)
                 x_norm *= inv_std.reshape(per_channel)
-            scratch = np.multiply(g, x_norm)
+            scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_norm))
+            np.multiply(g, x_norm, out=scratch)
             _accumulate(gamma, scratch.sum(axis=axes))
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes))
@@ -563,7 +611,9 @@ def batch_norm(
                 # inv_std * (dxh - m1 - x_hat * m2), built in dx
                 dx = g * gamma_b
                 m1 = dx.mean(axis=axes, keepdims=True)
-                scratch = np.multiply(dx, x_hat, out=scratch)
+                if scratch is None:
+                    scratch = _scratch("batch_norm", dx.shape, np.result_type(dx, x_hat))
+                np.multiply(dx, x_hat, out=scratch)
                 m2 = scratch.mean(axis=axes, keepdims=True)
                 dx -= m1
                 dx -= np.multiply(x_hat, m2, out=scratch)

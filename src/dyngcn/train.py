@@ -14,7 +14,7 @@ from .data import load_manifest, load_sequence, normalize_coords, resize_sequenc
 from .modality import apply_modality, ensemble_logits
 from .model import build_model
 from .optim import NesterovSGD
-from .tensor import Tensor, no_grad, softmax_cross_entropy
+from .tensor import Tensor, free_scratch, no_grad, softmax_cross_entropy
 
 
 @dataclass
@@ -243,6 +243,8 @@ def train(config):
             optimizer.step()
             loss_sum += value * len(idx)
             correct += int((logits.data.argmax(axis=1) == y_train[idx]).sum())
+            # free this step's graph before the next forward records its own
+            del logits, loss
 
         if eval_data is not None:
             result = evaluate_arrays(model, *eval_data, batch_size=config.batch_size)
@@ -251,6 +253,12 @@ def train(config):
             top1 = top5 = float("nan")
         log.append(EpochRecord(epoch, loss_sum / len(y_train), correct / len(y_train),
                                top1, top5, lr, time.perf_counter() - started))
+    # The run's backward scratch ends with it.  A pool kept for the next run
+    # would sit below that run's graph in the heap, and glibc would then hand
+    # the freed graph back to the kernel after each step, to be faulted in
+    # again on the next.  Buffers allocated in a run's first backward sit
+    # above its graph, and the freed graph stays in the process.
+    free_scratch()
 
     meta = {
         "modality": config.modality,

@@ -243,6 +243,21 @@ def test_save_rejects_non_finite_before_writing(tmp_path, save, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field", ["layout name", "sample id"])
+@pytest.mark.parametrize("value", ["", "x y", "x#y", "#", "x\ty", "x\u2028y"])
+def test_save_text_refuses_a_name_the_reader_cannot_read_back(tmp_path, field, value):
+    data = random_sequence(np.random.default_rng(7)).data
+    names = {"layout name": "test-layout", "sample id": "sample-001", field: value}
+    seq = SkeletonSequence(data, 1, names["layout name"], names["sample id"])
+    path = tmp_path / "a.skt"
+    with pytest.raises(ValueError, match=rf"a\.skt: {field} {re.escape(repr(value))} is empty "
+                                         "or holds whitespace or '#'; nothing written"):
+        save_sequence_text(path, seq)
+    assert not path.exists()
+    # the binary format carries the same name
+    assert load_sequence(save_sequence(tmp_path / "a.skl", seq)).data.tobytes() == data.tobytes()
+
+
 def test_format_text_is_parseable_inverse():
     seq = random_sequence(np.random.default_rng(4), t=2, m=1)
     again = parse_sequence_text(format_sequence_text(seq))

@@ -51,6 +51,14 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def fresh(path):
+    """``path`` with no file there.  Rewriting a file in place is slow on some
+    file systems (ext4 flushes a truncated file when it is closed); writing a
+    new one is not."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def string_end(seq):
     """Byte offset just past the sample id: the end of the header and strings."""
     return 18 + 2 + len(seq.layout_name.encode()) + 2 + len(seq.sample_id.encode())
@@ -66,7 +74,7 @@ def loads_or_names_file(path):
 @FUZZ
 @given(seq=sequences())
 def test_binary_round_trip_is_bit_exact(work, seq):
-    back = load_sequence(save_sequence(work / "rt.skl", seq))
+    back = load_sequence(save_sequence(fresh(work / "rt.skl"), seq))
     assert back.data.tobytes() == seq.data.tobytes()
     assert (back.label, back.layout_name, back.sample_id) == (
         seq.label, seq.layout_name, seq.sample_id)
@@ -75,19 +83,19 @@ def test_binary_round_trip_is_bit_exact(work, seq):
 @FUZZ
 @given(seq=sequences(), data=st.data())
 def test_truncated_binary_loads_or_names_file(work, seq, data):
-    raw = save_sequence(work / "cut.skl", seq).read_bytes()
+    raw = save_sequence(fresh(work / "cut.skl"), seq).read_bytes()
     cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
-    (work / "cut.skl").write_bytes(raw[:cut])
+    fresh(work / "cut.skl").write_bytes(raw[:cut])
     loads_or_names_file(work / "cut.skl")
 
 
 @FUZZ
 @given(seq=sequences(), data=st.data())
 def test_bit_flip_in_header_or_strings_loads_or_names_file(work, seq, data):
-    raw = bytearray(save_sequence(work / "flip.skl", seq).read_bytes())
+    raw = bytearray(save_sequence(fresh(work / "flip.skl"), seq).read_bytes())
     bit = data.draw(st.integers(0, 8 * string_end(seq) - 1), label="bit")
     raw[bit // 8] ^= 1 << (bit % 8)
-    (work / "flip.skl").write_bytes(bytes(raw))
+    fresh(work / "flip.skl").write_bytes(bytes(raw))
     loads_or_names_file(work / "flip.skl")
 
 
@@ -154,11 +162,8 @@ def manifests(draw):
 @FUZZ
 @given(manifest=manifests(), data=st.data())
 def test_corrupted_manifest_loads_or_names_file(work, kind, manifest, data):
-    # new files each time: truncating a file in place is slow on some file systems
-    for name in ("fuzz.manifest", "bad.manifest"):
-        (work / name).unlink(missing_ok=True)
-    text = save_manifest(work / "fuzz.manifest", manifest).read_text()
-    path = work / "bad.manifest"
+    text = save_manifest(fresh(work / "fuzz.manifest"), manifest).read_text()
+    path = fresh(work / "bad.manifest")
     path.write_text(data.draw(corrupted(text, kind), label="text"))
     try:
         load_manifest(path, check_paths=False)
@@ -192,7 +197,7 @@ def test_checkpoint_round_trip_is_bit_exact(work, topology, dtype, seed):
     config = model_preset("toy")
     config.topology = topology
     model = build_model(config, seed=seed, dtype=dtype)
-    back, meta = load_checkpoint(save_checkpoint(work / "rt.ckpt", model, {"seed": seed}))
+    back, meta = load_checkpoint(save_checkpoint(fresh(work / "rt.ckpt"), model, {"seed": seed}))
     assert meta == {"seed": seed}
     want = dict(model.named_parameters())
     got = dict(back.named_parameters())
@@ -209,7 +214,7 @@ def test_checkpoint_round_trip_is_bit_exact(work, topology, dtype, seed):
 def test_truncated_checkpoint_loads_or_names_file(work, stored, data):
     raw = stored[0].read_bytes()
     cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
-    (work / "cut.ckpt").write_bytes(raw[:cut])
+    fresh(work / "cut.ckpt").write_bytes(raw[:cut])
     loads_or_names_file_and_offset(work / "cut.ckpt")
 
 
@@ -222,7 +227,7 @@ def test_bit_flip_in_checkpoint_header_loads_or_names_file(work, stored, region,
     raw = bytearray(path.read_bytes())
     bit = data.draw(st.integers(8 * lo, 8 * hi - 1), label="bit")
     raw[bit // 8] ^= 1 << (bit % 8)
-    (work / "flip.ckpt").write_bytes(bytes(raw))
+    fresh(work / "flip.ckpt").write_bytes(bytes(raw))
     loads_or_names_file_and_offset(work / "flip.ckpt")
 
 

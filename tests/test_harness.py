@@ -4,6 +4,7 @@ import re
 import shutil
 import struct
 import warnings
+import weakref
 from dataclasses import make_dataclass
 
 import numpy as np
@@ -588,6 +589,32 @@ def test_trainable_parameter_without_gradient_is_named(smoke_setup, tmp_path, mo
     with pytest.raises(RuntimeError, match=r"no gradient from the first batch: "
                                            r"blocks\.1\.static_convs\.2\.weight$"):
         train(cfg)
+
+
+def test_train_frees_each_step_graph_and_its_scratch_pool(smoke_setup, tmp_path,
+                                                          monkeypatch):
+    import dyngcn.tensor
+    import dyngcn.train as d_train
+
+    _, cfg = smoke_setup
+    cfg = cfg.with_overrides(["total_epochs=2", f"out_dir={tmp_path / 'run'}"])
+    model = build_model(cfg.model, seed=cfg.seed)
+    forward = model.forward
+    earlier = []   # weak references to the logits of every train-mode forward
+
+    def checked_forward(x):
+        if model.training:
+            assert [ref() for ref in earlier] == [None] * len(earlier)
+        logits = forward(x)
+        if model.training:
+            earlier.append(weakref.ref(logits.data))
+        return logits
+
+    model.forward = checked_forward
+    monkeypatch.setattr(d_train, "build_model", lambda config, seed: model)
+    train(cfg)
+    assert len(earlier) == 6  # 20 samples in batches of 8, two epochs
+    assert dyngcn.tensor._SCRATCH == {}
 
 
 @pytest.fixture(scope="module")

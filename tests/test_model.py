@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dyngcn.tensor as tensor_module
 from dyngcn.layers import Conv2d
 from dyngcn.model import (
     BlockSpec,
@@ -487,6 +488,68 @@ def test_two_block_model_input_gradient(seed):
     err = check_gradient(lambda t: softmax_cross_entropy(model(t), labels), x, eps=1e-6)
     assert np.abs(x.grad).max() > 1e-6
     assert err < 1e-3
+
+
+# -- the backward scratch pool --------------------------------------------
+
+# The acceptance-gate model, trained at batch 16.
+GATE_CONFIG = dict(layout="ntu25", n_classes=5, frames=24, channels=(16, 16, 32, 32),
+                   strides=(1, 1, 2, 1), tc_kernel=5, aggregate_after=(2,),
+                   topology="context")
+
+
+def gate_batch():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((16, 1, 3, 24, 25)).astype(np.float32)
+    return Tensor(x), rng.integers(0, 5, 16)
+
+
+def tape_arrays(root):
+    """Every array the graph behind ``root`` holds: node outputs and the
+    arrays and tensors its closures keep, one tuple or list deep."""
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays.append(node.data)
+        stack.extend(node._prev)
+        for cell in (node._backward.__closure__ or ()) if node._backward else ():
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a name the op binds on another branch only
+                continue
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(item, Tensor):
+                    arrays.append(item.data)
+                elif isinstance(item, np.ndarray):
+                    arrays.append(item)
+    return arrays
+
+
+def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
+    monkeypatch.setattr(tensor_module, "_SCRATCH", {})
+    model = build_model(ModelConfig(**GATE_CONFIG), seed=0)
+    x, labels = gate_batch()
+    loss = softmax_cross_entropy(model(x), labels)
+    loss.backward()
+    pool = tensor_module._SCRATCH
+    assert sorted(pool) == ["batch_norm", "conv.cols", "conv.dcols", "conv.dw"]
+    held = tape_arrays(loss) + [p.grad for p in model.parameters()]
+    assert len(held) > 200
+    for array in held:
+        for role, buf in pool.items():
+            assert not np.shares_memory(array, buf), role
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_no_grad_forward_takes_nothing_from_the_scratch_pool(monkeypatch, training):
+    monkeypatch.setattr(tensor_module, "_SCRATCH", {})
+    model = build_model(ModelConfig(**GATE_CONFIG), seed=0).train(training)
+    with no_grad():
+        model(gate_batch()[0])
+    assert tensor_module._SCRATCH == {}
 
 
 # -- modalities ---------------------------------------------------------

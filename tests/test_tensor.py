@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dyngcn.tensor as tensor_module
 from dyngcn.tensor import (
     _COLS_BUDGET,
     Tensor,
@@ -143,6 +144,30 @@ def test_conv2d_streamed_matches_whole_batch_oracle_bitwise(case):
     want_out, want_dx, want_dw = whole_batch_conv(x, w, stride_t, pad_t, g)
     for got, want in ((out.data, want_out), (xt.grad, want_dx), (wt.grad, want_dw)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stride_t", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
+        monkeypatch, stride_t, dtype):
+    batch, c_in, t_in, n, c_out, kt, pad_t = 7, 6, 12, 5, 4, 5, 2
+    t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
+    # columns of two samples per chunk, so the batch of 7 runs in 4 chunks
+    budget = 2 * c_in * kt * t_out * n * np.dtype(dtype).itemsize
+    monkeypatch.setattr(tensor_module, "_COLS_BUDGET", budget)
+    # stale pool bytes (NaN in either dtype) that the backward must overwrite
+    monkeypatch.setattr(tensor_module, "_SCRATCH", {
+        role: np.full(1 << 16, 0xFF, dtype=np.uint8)
+        for role in ("conv.cols", "conv.dcols", "conv.dw")})
+    rng = np.random.default_rng(40 + stride_t)
+    x = rng.standard_normal((batch, c_in, t_in, n)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
+    g = rng.standard_normal((batch, c_out, t_out, n)).astype(dtype)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t).backward(g)
+    _, want_dx, want_dw = whole_batch_conv(x, w, stride_t, pad_t, g)
+    assert wt.grad.dtype == want_dw.dtype and wt.grad.tobytes() == want_dw.tobytes()
+    assert xt.grad.tobytes() == want_dx.tobytes()
 
 
 def test_batch_norm_training_statistics():
