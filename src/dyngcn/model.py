@@ -14,7 +14,9 @@ channel axis, so the two commute and both routes run through
 aggregations of a sample as a channel stack, and one 1x1 convolution
 maps the stack to the output channels.  The static route passes its K
 graphs with the concatenated weight lambda * [W_0 | ... | W_{K-1}], the
-dynamic route its one learned graph per sample with W'.  Every
+dynamic route its one learned graph per sample with W'.  The static route
+runs first, and the dynamic route's 1x1 convolution adds it into its own
+output as an epilogue, so the route sum keeps no array of its own.  Every
 contraction keeps a per-sample GEMM shape, so eval outputs do not
 depend on the batch size.
 
@@ -34,7 +36,6 @@ import numpy as np
 from .layers import BatchNorm, Conv2d, Linear, Module, Parameter
 from .skeleton import TopologySet, build_layout
 from .tensor import (
-    add,
     concat,
     conv2d,
     matmul,
@@ -160,20 +161,22 @@ class BlockSpec:
         return self.out_joints != self.in_joints
 
 
-def graph_conv(x, graphs, weight):
+def graph_conv(x, graphs, weight, residual=None):
     """Aggregate joint features with each graph, then map the channels.
 
     ``x`` is (B, C, T, N), ``graphs`` is (1, K, N, N) shared or (B, K, N, N)
     per sample, and ``weight`` is the (C_out, K * C, 1, 1) channel map.  One
     broadcast product of the (B, 1, C*T, N) input view with the transposed
     graphs gives a (B, K, C*T, N) result that already is the (B, K*C, T, N)
-    channel stack, and one 1x1 convolution maps it to the output channels.
+    channel stack, and one 1x1 convolution maps it to the output channels
+    and adds ``residual``, if given, in its epilogue.
     """
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
     rows = reshape(x, (batch, 1, channels * frames, n))
     aggregated = matmul(rows, permute(graphs, (0, 1, 3, 2)))
-    return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight)
+    return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight,
+                  residual=residual)
 
 
 def static_branch(x, topo, convs, lambda_static):
@@ -190,15 +193,16 @@ def static_branch(x, topo, convs, lambda_static):
     return graph_conv(x, graphs, weight)
 
 
-def dynamic_branch(x, graph, conv):
-    """Per-sample (B, N, N) graph aggregation followed by its own 1x1 channel map."""
+def dynamic_branch(x, graph, conv, residual=None):
+    """Per-sample (B, N, N) graph aggregation followed by its own 1x1 channel
+    map, whose epilogue adds ``residual`` (the static route), if given."""
     batch, _, _, n = x.data.shape
     if graph.data.shape != (batch, n, n):
         raise ValueError(
             f"graph shape {graph.data.shape} does not match input batch {batch} "
             f"and {n} joints"
         )
-    return graph_conv(x, reshape(graph, (batch, 1, n, n)), conv.weight)
+    return graph_conv(x, reshape(graph, (batch, 1, n, n)), conv.weight, residual)
 
 
 def joint_aggregate(x, projection):
@@ -267,8 +271,8 @@ class DynamicGConvBlock(Module):
         if self.lambda_static != 0.0:
             y = static_branch(x, self.topo, self.static_convs, self.lambda_static)
         if predicted is not None:
-            y_dynamic = dynamic_branch(x, predicted, self.dynamic_conv)
-            y = y_dynamic if y is None else add(y_dynamic, y)
+            # the route sum is the dynamic conv's epilogue
+            y = dynamic_branch(x, predicted, self.dynamic_conv, residual=y)
         y = self.bn_fused(y)
         if self.shortcut_conv is None:
             shortcut = x

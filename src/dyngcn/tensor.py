@@ -15,18 +15,25 @@ regardless of batch size.  That keeps eval-mode outputs bitwise identical
 between batched and sample-by-sample execution, which downstream tests
 rely on.
 
+A closure keeps only what its backward reads and cannot rebuild cheaply.
+Batch norm keeps its input, which the graph holds anyway, and per-channel
+statistics, and rebuilds the normalized input x_hat in backward; the t x 1
+convolution keeps its input and recomputes its columns.  A convolution may
+add a residual into its own output, so the model's route sum needs no
+node of its own.
+
 Backward temporaries that never leave their op come from a small pool of
 scratch buffers, one per role: the t x 1 convolution's recomputed columns
 (``conv.cols``), its column gradient (``conv.dcols``) and its per-chunk
-weight-gradient stack (``conv.dw``), and the batch-norm backward's scratch
-(``batch_norm``).  A role's buffer grows to the largest size the role has
-needed and is kept until ``free_scratch()`` (``train`` calls it when a run
-ends), so a train step reuses the previous step's memory instead of
-faulting fresh pages in.  An op overwrites all it takes from the pool, and
-no pooled array escapes: none becomes an op output, a gradient handed to
-``_accumulate`` or a value a closure keeps.  Forwards take nothing from
-the pool.  The pool belongs to the process, so only one backward may run
-at a time.
+weight-gradient stack (``conv.dw``), and the batch-norm backward's rebuilt
+x_hat (``batch_norm.x_hat``) and its other scratch (``batch_norm``).  A
+role's buffer grows to the largest size the role has needed and is kept
+until ``free_scratch()`` (``train`` calls it when a run ends), so a train
+step reuses the previous step's memory instead of faulting fresh pages
+in.  An op overwrites all it takes from the pool, and no pooled array
+escapes: none becomes an op output, a gradient handed to ``_accumulate``
+or a value a closure keeps.  Forwards take nothing from the pool.  The
+pool belongs to the process, so only one backward may run at a time.
 """
 
 from __future__ import annotations
@@ -390,12 +397,17 @@ def matmul(a, b):
 _COLS_BUDGET = 4 << 20
 
 
-def conv2d(x, weight, stride_t=1, pad_t=0):
+def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
     """2-d convolution over a (time, joint) grid.
 
     ``x`` is (B, C_in, T, N) and ``weight`` is (C_out, C_in, kt, kn) with
     kn fixed at 1; the kernel slides along time only.  Output time length
     is floor((T + 2*pad_t - kt) / stride_t) + 1.
+
+    The epilogue adds ``residual`` (a tensor of the output's shape) in
+    place into the op's own output, so ``conv2d(x, w, residual=r)`` gives
+    the same bits as ``add(conv2d(x, w), r)`` without the extra output;
+    backward passes the output gradient on to ``residual`` unchanged.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be 4-d (B, C, T, N), got shape {x.data.shape}")
@@ -415,6 +427,13 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         raise ValueError(
             f"conv2d kernel length {kt} exceeds padded input length {t_in + 2 * pad_t}"
         )
+    t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
+    if residual is not None and residual.data.shape != (batch, c_out, t_out, n):
+        raise ValueError(
+            f"conv2d residual shape {residual.data.shape} does not match "
+            f"output shape {(batch, c_out, t_out, n)}"
+        )
+    inputs = (x, weight) if residual is None else (x, weight, residual)
 
     if kt == 1 and stride_t == 1 and pad_t == 0:
         # A 1x1 kernel is a channel mixing matrix; keep the per-sample GEMM
@@ -423,8 +442,12 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         data = np.matmul(w2, x.data.reshape(batch, c_in, t_in * n)).reshape(
             batch, c_out, t_in, n
         )
+        if residual is not None:
+            data += residual.data
 
         def backward(g):
+            if residual is not None:
+                _accumulate(residual, g)
             g2 = g.reshape(batch, c_out, t_in * n)
             if weight.requires_grad:
                 x2t = x.data.reshape(batch, c_in, t_in * n).transpose(0, 2, 1)
@@ -434,12 +457,11 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
                 dx = np.matmul(w2.T, g2).reshape(x.data.shape)
                 _accumulate(x, dx)
 
-        return _from_op(data, (x, weight), backward)
+        return _from_op(data, inputs, backward)
 
     # im2col along time, a chunk of samples at a time: column row (c, k, t)
     # holds input time t*stride_t + k - pad_t.  Each tap copies only its
     # in-range rows [lo, hi); the rest stay zero, so padding never exists.
-    t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
     taps = []
     spans = []
     for k in range(kt):
@@ -465,8 +487,12 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
     for b0, b1 in chunks:
         np.matmul(w_flat, columns(cols, b0, b1), out=data[b0:b1])
     data = data.reshape(batch, c_out, t_out, n)
+    if residual is not None:
+        data += residual.data
 
     def backward(g):
+        if residual is not None:
+            _accumulate(residual, g)
         g_flat = g.reshape(batch, c_out, t_out * n)
         if weight.requires_grad:
             # Recompute the columns rather than keeping them alive through
@@ -499,7 +525,7 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
                     dx[b0:b1, :, src] += dc[:, :, k, lo:hi]
             _accumulate(x, dx)
 
-    return _from_op(data, (x, weight), backward)
+    return _from_op(data, inputs, backward)
 
 
 # -- normalization ------------------------------------------------------
@@ -526,9 +552,11 @@ def batch_norm(
     input and, when running buffers are supplied, update them in place
     with ``new = (1 - momentum) * old + momentum * batch``.  In eval mode
     the running buffers are required and the op is the per-channel affine
-    map ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``;
-    its backward recomputes the normalized input only when gamma needs a
-    gradient.
+    map ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``.
+    Neither mode keeps the normalized input x_hat for backward: the op
+    keeps its input ``x`` (which the graph holds anyway) and the per-channel
+    mean and 1/sigma, and backward rebuilds x_hat into pooled scratch, bit
+    for bit, when gamma needs a gradient or, in training mode, ``x`` does.
 
     The epilogue adds ``residual`` (a tensor of the output's shape) and
     then applies a ReLU, both in place on the op's own output buffer, so
@@ -554,7 +582,8 @@ def batch_norm(
     if training:
         # x_hat is centred once and reused for the variance; squaring it
         # into a scratch buffer and summing is bitwise equal to x.var, and
-        # the scratch buffer then becomes the output.
+        # the scratch buffer then becomes the output.  x_hat dies with the
+        # forward: backward rebuilds it from x, which the graph keeps anyway.
         gamma_b = gamma.data.reshape(per_channel)
         mean = x.data.mean(axis=axes, keepdims=True)
         x_hat = x.data - mean
@@ -594,15 +623,15 @@ def batch_norm(
             g = g * (data > 0)
         if residual is not None:
             _accumulate(residual, g)
+        if gamma.requires_grad or (training and x.requires_grad):
+            # the forward's two expressions, so bitwise the x_hat it computed
+            x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
+            np.subtract(x.data, mean.reshape(per_channel), out=x_hat)
+            x_hat *= inv_std.reshape(per_channel)
         scratch = None
         if gamma.requires_grad:
-            if training:
-                x_norm = x_hat
-            else:
-                x_norm = x.data - mean.reshape(per_channel)
-                x_norm *= inv_std.reshape(per_channel)
-            scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_norm))
-            np.multiply(g, x_norm, out=scratch)
+            scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_hat))
+            np.multiply(g, x_hat, out=scratch)
             _accumulate(gamma, scratch.sum(axis=axes))
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes))

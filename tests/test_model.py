@@ -535,12 +535,44 @@ def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
     loss = softmax_cross_entropy(model(x), labels)
     loss.backward()
     pool = tensor_module._SCRATCH
-    assert sorted(pool) == ["batch_norm", "conv.cols", "conv.dcols", "conv.dw"]
+    assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols", "conv.dw"]
     held = tape_arrays(loss) + [p.grad for p in model.parameters()]
     assert len(held) > 200
     for array in held:
         for role, buf in pool.items():
             assert not np.shares_memory(array, buf), role
+
+
+def array_base(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_block_training_graph_keeps_only_node_outputs_at_activation_size():
+    # ntu-like block 2 at B=2: batch norm keeps its input, not x_hat, and the
+    # static route is added in the dynamic conv's epilogue, not by an add
+    spec = BlockSpec(64, 64, in_frames=64, in_joints=25, out_joints=25, stride=1, tc_kernel=9)
+    block = DynamicGConvBlock(spec, build_layout("ntu25"), ModelConfig("ntu25", 60),
+                              np.random.default_rng(8))
+    x = np.random.default_rng(9).standard_normal((2, 64, 64, 25)).astype(np.float32)
+    x = Tensor(x, requires_grad=True)
+    y = block(x)
+    nodes, seen, stack = [], set(), [y]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+    outputs = {id(array_base(node.data)) for node in nodes}
+    strays = [a.shape for a in tape_arrays(y)
+              if a.size >= x.data.size and id(array_base(a)) not in outputs]
+    assert strays == []
+    route_adds = [node.data.shape for node in nodes if node.data.size >= x.data.size
+                  and node._backward is not None
+                  and node._backward.__qualname__ == "add.<locals>.backward"]
+    assert route_adds == []
 
 
 @pytest.mark.parametrize("training", [True, False])

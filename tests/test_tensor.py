@@ -170,6 +170,50 @@ def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
     assert xt.grad.tobytes() == want_dx.tobytes()
 
 
+# (B, C_in, T, N), C_out, kt, stride_t, pad_t; the residual aliases the input
+# where its shape allows
+CONV_RESIDUAL_CASES = {
+    "1x1": ((3, 8, 6, 5), 4, 1, 1, 0),
+    "1x1 residual is the input": ((3, 8, 6, 5), 8, 1, 1, 0),
+    "strided t x 1": ((3, 6, 12, 5), 4, 5, 2, 2),
+    "t x 1 residual is the input": ((3, 6, 12, 5), 6, 5, 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", CONV_RESIDUAL_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_residual_epilogue_matches_add_bitwise(case, dtype):
+    shape, c_out, kt, stride_t, pad_t = CONV_RESIDUAL_CASES[case]
+    aliased = case.endswith("is the input")
+    batch, c_in, t_in, n = shape
+    out_shape = (batch, c_out, (t_in + 2 * pad_t - kt) // stride_t + 1, n)
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
+    r = rng.standard_normal(out_shape).astype(dtype)
+    g = rng.standard_normal(out_shape).astype(dtype)
+    results = []
+    for fused in (True, False):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        rt = xt if aliased else Tensor(r, requires_grad=True)
+        if fused:
+            out = conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t, residual=rt)
+        else:
+            out = add(conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t), rt)
+        out.backward(g)
+        results.append((out.data, xt.grad, wt.grad, rt.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_conv2d_rejects_mismatched_residual():
+    x = Tensor(np.zeros((2, 3, 8, 5)))
+    w = Tensor(np.zeros((4, 3, 3, 1)))
+    with pytest.raises(ValueError, match=r"residual shape \(2, 4, 8, 5\) does not match "
+                                         r"output shape \(2, 4, 4, 5\)"):
+        conv2d(x, w, stride_t=2, pad_t=1, residual=Tensor(np.zeros((2, 4, 8, 5))))
+
+
 def test_batch_norm_training_statistics():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 3, 8, 2)) * 3.0 + 1.5)
@@ -301,6 +345,95 @@ def test_batch_norm_backward_leaves_the_given_gradient_unmodified(relu_on, train
     out.backward(given)
     assert np.array_equal(given, g)
     assert all(t.grad is not None for t in leaves)
+
+
+def batch_norm_keeping_x_hat(x, gamma, beta, running_mean, running_var, training,
+                             relu=False, residual=None, momentum=0.1, eps=1e-5):
+    """The batch-norm op as it was when its closure kept the forward's x_hat
+    (fresh arrays in place of pooled scratch)."""
+    axes, channels = (0, 2, 3), x.data.shape[1]
+    per_channel = (1, channels, 1, 1)
+    if training:
+        gamma_b = gamma.data.reshape(per_channel)
+        mean = x.data.mean(axis=axes, keepdims=True)
+        x_hat = x.data - mean
+        data = np.square(x_hat)
+        var = data.sum(axis=axes) / (x.data.size // channels)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(channels)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat *= inv_std.reshape(per_channel)
+        np.multiply(gamma_b, x_hat, out=data)
+        data += beta.data.reshape(per_channel)
+    else:
+        mean = running_mean.copy()
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        a = gamma.data * inv_std
+        data = x.data * a.reshape(per_channel)
+        data += (beta.data - mean * a).reshape(per_channel)
+    if residual is not None:
+        data += residual.data
+    if relu:
+        np.maximum(data, 0, out=data)
+
+    def backward(g):
+        if relu:
+            g = g * (data > 0)
+        if residual is not None:
+            tensor_module._accumulate(residual, g)
+        if gamma.requires_grad:
+            if training:
+                x_norm = x_hat
+            else:
+                x_norm = x.data - mean.reshape(per_channel)
+                x_norm *= inv_std.reshape(per_channel)
+            tensor_module._accumulate(gamma, (g * x_norm).sum(axis=axes))
+        if beta.requires_grad:
+            tensor_module._accumulate(beta, g.sum(axis=axes))
+        if x.requires_grad:
+            if training:
+                dx = g * gamma_b
+                m1 = dx.mean(axis=axes, keepdims=True)
+                m2 = (dx * x_hat).mean(axis=axes, keepdims=True)
+                dx -= m1
+                dx -= x_hat * m2
+                dx *= inv_std.reshape(per_channel)
+                tensor_module._accumulate(x, dx)
+            else:
+                tensor_module._accumulate(x, g * a.reshape(per_channel))
+
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return tensor_module._from_op(data, inputs, backward)
+
+
+@pytest.mark.parametrize("epilogue", ["none", "relu", "relu+residual"])
+@pytest.mark.parametrize("frozen", ["nothing", "gamma", "x"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_rebuilding_x_hat_matches_keeping_it_bitwise(
+        monkeypatch, epilogue, frozen, dtype, training):
+    # stale pool bytes (NaN in either dtype) that the backward must overwrite
+    monkeypatch.setattr(tensor_module, "_SCRATCH", {
+        role: np.full(1 << 16, 0xFF, dtype=np.uint8)
+        for role in ("batch_norm", "batch_norm.x_hat")})
+    x, residual, gamma, beta, (rm, rv), g = _bn_case((4, 6, 9, 5), dtype, seed=2)
+    results = []
+    for op in (batch_norm, batch_norm_keeping_x_hat):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta, residual)]
+        xt, gt, bt, rt = leaves
+        if frozen != "nothing":
+            {"gamma": gt, "x": xt}[frozen].requires_grad = False
+        stats = dict(running_mean=rm.copy(), running_var=rv.copy(), training=training)
+        out = op(xt, gt, bt, relu=epilogue != "none",
+                 residual=rt if epilogue == "relu+residual" else None, **stats)
+        out.backward(g)
+        results.append([out.data, stats["running_mean"], stats["running_var"]]
+                       + [t.grad for t in leaves if t.grad is not None])
+    assert len(results[0]) == len(results[1])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_batch_norm_rejects_mismatched_residual():
