@@ -504,17 +504,24 @@ def gate_batch():
     return Tensor(x), rng.integers(0, 5, 16)
 
 
+def graph_nodes(root):
+    """Every tensor of the graph behind ``root``, ``root`` included."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+    return nodes
+
+
 def tape_arrays(root):
     """Every array the graph behind ``root`` holds: node outputs and the
     arrays and tensors its closures keep, one tuple or list deep."""
-    arrays, seen, stack = [], set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    arrays = []
+    for node in graph_nodes(root):
         arrays.append(node.data)
-        stack.extend(node._prev)
         for cell in (node._backward.__closure__ or ()) if node._backward else ():
             try:
                 value = cell.cell_contents
@@ -535,7 +542,8 @@ def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
     loss = softmax_cross_entropy(model(x), labels)
     loss.backward()
     pool = tensor_module._SCRATCH
-    assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols", "conv.dw"]
+    assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols",
+                            "conv.dw"]
     held = tape_arrays(loss) + [p.grad for p in model.parameters()]
     assert len(held) > 200
     for array in held:
@@ -558,13 +566,7 @@ def test_block_training_graph_keeps_only_node_outputs_at_activation_size():
     x = np.random.default_rng(9).standard_normal((2, 64, 64, 25)).astype(np.float32)
     x = Tensor(x, requires_grad=True)
     y = block(x)
-    nodes, seen, stack = [], set(), [y]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._prev)
+    nodes = graph_nodes(y)
     outputs = {id(array_base(node.data)) for node in nodes}
     strays = [a.shape for a in tape_arrays(y)
               if a.size >= x.data.size and id(array_base(a)) not in outputs]
