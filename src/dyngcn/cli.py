@@ -4,25 +4,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import MODEL_PRESETS, RUN_PRESETS, RunConfig, model_preset, run_preset
 from .data import SynthSpec, synth_generate
 from .export import DEFAULT_THRESHOLD, export_topology
 from .flops import count_model_flops, overhead_report
-from .train import ensemble_checkpoints, evaluate_checkpoint, train
+from .train import EVAL_BATCH_SIZE, ensemble_checkpoints, evaluate_checkpoint, train
 
 
 def _cmd_synth(args):
-    spec = SynthSpec(
-        n_classes=args.classes,
-        samples_per_class=args.train_per_class,
-        test_per_class=args.test_per_class,
-        layout=args.layout,
-        frames=args.frames,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
+    # each flag's dest is its SynthSpec field; a flag not given keeps the field's default
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)
+                        if getattr(args, f.name, None) is not None})
     train_manifest, test_manifest = synth_generate(args.out, spec)
     out = Path(args.out)
     print(f"wrote {len(train_manifest)} train / {len(test_manifest)} test sequences")
@@ -121,13 +116,13 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic skeleton dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--train-per-class", type=int, default=40)
-    p.add_argument("--test-per-class", type=int, default=20)
-    p.add_argument("--layout", default="ntu25")
-    p.add_argument("--frames", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", dest="n_classes", type=int)
+    p.add_argument("--train-per-class", dest="samples_per_class", type=int)
+    p.add_argument("--test-per-class", type=int)
+    p.add_argument("--layout")
+    p.add_argument("--frames", type=int)
+    p.add_argument("--noise", dest="noise_sigma", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model")
@@ -146,13 +141,13 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=EVAL_BATCH_SIZE)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ensemble", help="sum logits across checkpoints")
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=EVAL_BATCH_SIZE)
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("flops", help="closed-form cost report")

@@ -106,7 +106,8 @@ class RunConfig:
         self.milestones = tuple(int(m) for m in self.milestones)
         refuse_non_finite(self)
         if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}, expected one of {MODALITIES}")
+            raise ValueError(f"unknown modality {self.modality!r}, "
+                             f"expected one of {tuple(MODALITIES)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.total_epochs < 1:

@@ -73,10 +73,6 @@ class SkeletonSequence:
         return self.data.shape[0]
 
     @property
-    def persons(self):
-        return self.data.shape[1]
-
-    @property
     def joints(self):
         return self.data.shape[2]
 

@@ -77,11 +77,10 @@ def format_dot(matrix, layout, threshold=DEFAULT_THRESHOLD, class_name=""):
 
 
 def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
-                    out_prefix, threshold=DEFAULT_THRESHOLD, batch_size=16):
+                    out_prefix, threshold=DEFAULT_THRESHOLD):
     """Write <prefix>.txt and <prefix>.dot; returns (matrix, txt, dot)."""
     model, meta, x, labels = load_checkpoint_inputs(checkpoint_path, manifest_path)
-    matrix = class_average_adjacency(model, x, labels, class_id, layer_index,
-                                     batch_size=batch_size)
+    matrix = class_average_adjacency(model, x, labels, class_id, layer_index)
     block = model.blocks[layer_index - 1]
     graph_layout = model.layout if block.spec.in_joints == model.layout.n_joints else None
     names = meta.get("class_names", [])

@@ -11,8 +11,11 @@ import numpy as np
 
 from .tensor import Tensor
 
+# central-difference step
+EPS = 1e-5
 
-def finite_difference_grad(f, x, eps=1e-5):
+
+def finite_difference_grad(f, x, eps=EPS):
     """Central-difference gradient of ``f`` with respect to tensor ``x``.
 
     ``f`` must be a deterministic function of ``x.data`` returning a
@@ -58,7 +61,7 @@ def relative_error(a, b):
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
-def check_gradient(f, x, eps=1e-5):
+def check_gradient(f, x, eps=EPS):
     """Backprop gradient vs central differences; returns the relative error.
 
     ``f`` is evaluated once with autodiff to populate ``x.grad`` (existing

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MODALITIES = ("joint", "bone", "joint_motion", "bone_motion")
-
 
 def derive_bone(coords, layout):
     """Bone vectors per layout bone pair; (..., C, T, N) in and out."""
@@ -36,16 +34,19 @@ def derive_motion(coords):
     return motion
 
 
+# Modality name -> transform of (coords, layout).
+MODALITIES = {
+    "joint": lambda coords, layout: np.asarray(coords),
+    "bone": derive_bone,
+    "joint_motion": lambda coords, layout: derive_motion(coords),
+    "bone_motion": lambda coords, layout: derive_motion(derive_bone(coords, layout)),
+}
+
+
 def apply_modality(coords, modality, layout):
-    if modality == "joint":
-        return np.asarray(coords)
-    if modality == "bone":
-        return derive_bone(coords, layout)
-    if modality == "joint_motion":
-        return derive_motion(coords)
-    if modality == "bone_motion":
-        return derive_motion(derive_bone(coords, layout))
-    raise ValueError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
+    if modality not in MODALITIES:
+        raise ValueError(f"unknown modality {modality!r}, expected one of {tuple(MODALITIES)}")
+    return MODALITIES[modality](coords, layout)
 
 
 def ensemble_logits(logit_arrays):

@@ -84,10 +84,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -147,44 +143,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), neg(self))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self.dtype))
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return permute(self, axes)
 
 
 def _wrap(value, dtype):
@@ -534,23 +497,13 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def batch_norm(
-    x,
-    gamma,
-    beta,
-    running_mean=None,
-    running_var=None,
-    training=True,
-    momentum=BN_MOMENTUM,
-    eps=BN_EPS,
-    relu=False,
-    residual=None,
-):
+def batch_norm(x, gamma, beta, running_mean=None, running_var=None, training=True,
+               relu=False, residual=None):
     """Per-channel batch normalization for (B, C, T, N) tensors.
 
     In training mode the batch statistics (biased variance) normalize the
     input and, when running buffers are supplied, update them in place
-    with ``new = (1 - momentum) * old + momentum * batch``.  In eval mode
+    with ``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``.  In eval mode
     the running buffers are required and the op is the per-channel affine
     map ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``.
     Neither mode keeps the normalized input x_hat for backward: the op
@@ -590,12 +543,12 @@ def batch_norm(
         data = np.square(x_hat)
         var = data.sum(axis=axes) / (x.data.size // channels)
         if running_mean is not None:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean.reshape(channels)
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean.reshape(channels)
         if running_var is not None:
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std.reshape(per_channel)
         np.multiply(gamma_b, x_hat, out=data)
         data += beta.data.reshape(per_channel)
@@ -604,7 +557,7 @@ def batch_norm(
             raise RuntimeError("batch_norm in eval mode needs running statistics")
         # copies: a later training forward updates the buffers in place
         mean = running_mean.copy()
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         a = gamma.data * inv_std
         data = x.data * a.reshape(per_channel)
         data += (beta.data - mean * a).reshape(per_channel)

@@ -16,6 +16,9 @@ from .model import build_model
 from .optim import NesterovSGD
 from .tensor import Tensor, free_scratch, no_grad, softmax_cross_entropy
 
+# Batch size of eval-mode forwards outside training (eval, ensemble).
+EVAL_BATCH_SIZE = 64
+
 
 @dataclass
 class EpochRecord:
@@ -58,20 +61,34 @@ class MetricsLog:
         return path
 
     @classmethod
-    def parse(cls, text):
+    def parse(cls, text, source="<metrics>"):
+        """Read the text form back; an error names ``source`` and the line."""
+        names = cls.HEADER[1:].split()
         log = cls()
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            epoch, loss, acc, top1, top5, lr = line.split()
-            log.append(EpochRecord(int(epoch), float(loss), float(acc),
-                                   float(top1), float(top5), float(lr)))
+            where = f"{source}: line {lineno}"
+            tokens = line.split()
+            if len(tokens) != len(names):
+                raise ValueError(f"{where}: expected {len(names)} fields "
+                                 f"({' '.join(names)}), got {len(tokens)}")
+            values = []
+            for name, token in zip(names, tokens):
+                try:
+                    values.append(int(token) if name == "epoch" else float(token))
+                except ValueError:
+                    raise ValueError(f"{where}: bad {name} {token!r}") from None
+            try:
+                log.append(EpochRecord(*values))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         return log
 
     @classmethod
     def load(cls, path):
-        return cls.parse(Path(path).read_text())
+        return cls.parse(Path(path).read_text(), source=str(path))
 
 
 @dataclass
@@ -109,6 +126,9 @@ def load_dataset(manifest, frames, layout, modality):
     for rel, label in manifest.entries:
         path = manifest.resolve(rel)
         seq = load_sequence(path)
+        if seq.layout_name and seq.layout_name != layout.name:
+            raise ValueError(f"{path}: sequence declares layout {seq.layout_name!r}, "
+                             f"expected {layout.name!r}")
         if seq.joints != layout.n_joints:
             raise ValueError(
                 f"{rel}: sequence has {seq.joints} joints, layout "
@@ -143,7 +163,7 @@ def _batch_slices(count, batch_size):
             for start in range(0, count, batch_size)]
 
 
-def collect_logits(model, x, batch_size=64):
+def collect_logits(model, x, batch_size=EVAL_BATCH_SIZE):
     model.eval()
     chunks = []
     with no_grad():
@@ -164,7 +184,7 @@ def accuracy_from_logits(logits, labels, n_classes):
     return EvalResult(top1, top5, confusion, len(labels))
 
 
-def evaluate_arrays(model, x, labels, batch_size=64):
+def evaluate_arrays(model, x, labels, batch_size=EVAL_BATCH_SIZE):
     logits = collect_logits(model, x, batch_size)
     return accuracy_from_logits(logits, labels, model.config.n_classes)
 
@@ -283,12 +303,12 @@ def load_checkpoint_inputs(checkpoint_path, manifest_path):
     return model, meta, x, labels
 
 
-def evaluate_checkpoint(checkpoint_path, manifest_path, batch_size=64):
+def evaluate_checkpoint(checkpoint_path, manifest_path, batch_size=EVAL_BATCH_SIZE):
     model, _, x, y = load_checkpoint_inputs(checkpoint_path, manifest_path)
     return evaluate_arrays(model, x, y, batch_size=batch_size)
 
 
-def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=64):
+def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=EVAL_BATCH_SIZE):
     """Sum pre-softmax logits across streams; returns (per-stream, fused)."""
     per_stream = []
     stream_logits = []

@@ -262,7 +262,7 @@ def run_configs(draw):
     milestones = sorted(draw(st.lists(st.integers(-5, total_epochs - 1), max_size=3)))
     return RunConfig(
         model=model, train_manifest=draw(config_strings), test_manifest=draw(config_strings),
-        out_dir=draw(config_strings), modality=draw(st.sampled_from(MODALITIES)),
+        out_dir=draw(config_strings), modality=draw(st.sampled_from(tuple(MODALITIES))),
         lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)), momentum=draw(floats),
         nesterov=draw(st.booleans()), weight_decay=draw(floats), batch_size=draw(sizes),
         total_epochs=total_epochs, milestones=tuple(milestones), decay=draw(floats),

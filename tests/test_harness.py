@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import dyngcn.train
+from dyngcn import cli
 from dyngcn.checkpoint import load_checkpoint, read_checkpoint_header, save_checkpoint
 from dyngcn.config import RunConfig, _key_parsers, model_preset, run_preset
 from dyngcn.data import (
     SynthSpec,
+    format_sequence_text,
     load_manifest,
     load_sequence,
     save_manifest,
@@ -22,6 +24,7 @@ from dyngcn.data import (
     synth_generate,
 )
 from dyngcn.export import export_topology
+from dyngcn.flops import count_model_flops
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.skeleton import build_layout
 from dyngcn.train import (
@@ -182,6 +185,23 @@ def test_metrics_log_requires_increasing_epochs():
     log.append(EpochRecord(3, 1.0, 0.5, 0.5, 1.0, 0.1))
     with pytest.raises(ValueError, match="advance"):
         log.append(EpochRecord(3, 1.0, 0.5, 0.5, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("1 1.5 0.4\n", 2, "expected 6 fields (epoch train_loss train_acc top1 top5 lr), got 3"),
+    ("1 1.5 0.4 0.5 0.9 0.1 7\n", 2, "expected 6 fields"),
+    ("1 1.5 0.4 0.5 high 0.1\n", 2, "bad top5 'high'"),
+    ("1.0 1.5 0.4 0.5 0.9 0.1\n", 2, "bad epoch '1.0'"),
+    ("2 1.5 0.4 0.5 0.9 0.1\n\n2 1.1 0.6 0.7 1.0 0.1\n", 4, "epoch 2 does not advance past 2"),
+], ids=["too-few-fields", "too-many-fields", "bad-float", "bad-epoch", "epoch-repeats"])
+def test_metrics_log_errors_name_file_and_line(tmp_path, body, line, message):
+    path = tmp_path / "metrics.txt"
+    path.write_text(MetricsLog.HEADER + "\n" + body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "
+                                         rf"{re.escape(message)}"):
+        MetricsLog.load(path)
+    with pytest.raises(ValueError, match=rf"^<metrics>: line {line}: "):
+        MetricsLog.parse(path.read_text())
 
 
 # -- checkpoints --------------------------------------------------------
@@ -351,6 +371,28 @@ def test_identical_seed_runs_identical_metrics(smoke_setup, smoke_run, tmp_path)
     _, cfg = smoke_setup
     rerun = train(cfg.with_overrides([f"out_dir={tmp_path / 'rerun'}"]))
     assert rerun.metrics_path.read_bytes() == smoke_run.metrics_path.read_bytes()
+
+
+def test_run_config_written_by_train_reads_back_and_drives_flops(smoke_setup, smoke_run,
+                                                                 capsys):
+    _, cfg = smoke_setup
+    path = smoke_run.checkpoint_path.parent / "run.cfg"
+    assert RunConfig.load(path) == cfg
+    assert cli.main(["flops", "--config", str(path), "--with-cen"]) == 0
+    assert capsys.readouterr().out == count_model_flops(cfg.model).as_text() + "\n\n"
+
+
+def test_run_config_bad_line_names_file_and_line(smoke_run, tmp_path, capsys):
+    lines = (smoke_run.checkpoint_path.parent / "run.cfg").read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("lr="))
+    lines[lineno - 1] = "lr=fast"
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"{re.escape(str(path))}: line {lineno}: bad value 'fast' for lr: "
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        RunConfig.load(path)
+    assert cli.main(["flops", "--config", str(path)]) == 2
+    assert re.match(rf"error: {message}", capsys.readouterr().err)
 
 
 def test_top5_never_below_top1(smoke_setup, smoke_run):
@@ -555,6 +597,28 @@ def test_dataset_refuses_sequences_without_the_score_channel(two_sequences, tmp_
     with pytest.raises(ValueError, match=rf"^{re.escape(str(first))}: sequence has 3 coordinates, "
                                          rf"layout 'ntu25' puts its score in channel 7$"):
         load_dataset(manifest, 8, build_layout(str(path)), "joint")
+
+
+def test_dataset_refuses_a_sequence_declaring_another_layout(two_sequences):
+    manifest, victim = two_sequences
+    seq = load_sequence(victim)
+    seq.layout_name = "openpose18"      # same joint count as ntu25: only the name tells
+    save_sequence(victim, seq)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(victim))}: sequence declares "
+                                         rf"layout 'openpose18', expected 'ntu25'$"):
+        load_dataset(manifest, 8, build_layout("ntu25"), "joint")
+
+
+def test_dataset_loads_a_text_sequence_without_a_layout_line(two_sequences):
+    manifest, victim = two_sequences
+    layout = build_layout("ntu25")
+    want, _ = load_dataset(manifest, 8, layout, "joint")
+    text = format_sequence_text(load_sequence(victim))
+    victim.write_text("".join(line for line in text.splitlines(keepends=True)
+                              if not line.startswith("layout ")))
+    assert load_sequence(victim).layout_name == ""
+    got, _ = load_dataset(manifest, 8, layout, "joint")
+    assert np.array_equal(got, want)
 
 
 def _frozen_static_names(model):

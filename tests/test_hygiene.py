@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parents[1] / "src" / "dyngcn").glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "dyngcn").glob("*.py"))
 
 
 def unused_names(source):

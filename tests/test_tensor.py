@@ -305,12 +305,13 @@ def _reference_batch_norm(x, gamma, beta, g):
 
 @pytest.mark.parametrize("shape", BN_SHAPES + [(3, 5, 7, 2)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batch_norm_training_matches_unfused_reference_bitwise(shape, dtype):
+def test_batch_norm_training_matches_unfused_reference_bitwise(monkeypatch, shape, dtype):
     x, _, gamma, beta, _, g = _bn_case(shape, dtype, seed=1)
     # momentum 1 makes the running buffers the batch statistics themselves
+    monkeypatch.setattr(tensor_module, "BN_MOMENTUM", 1.0)
     rm, rv = np.zeros(shape[1], dtype), np.ones(shape[1], dtype)
     leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-    out = batch_norm(*leaves, running_mean=rm, running_var=rv, momentum=1.0)
+    out = batch_norm(*leaves, running_mean=rm, running_var=rv)
     out.backward(g)
     got = (out.data, rm, rv) + tuple(t.grad for t in leaves)
     for a, b in zip(got, _reference_batch_norm(x, gamma, beta, g)):
