@@ -45,8 +45,6 @@ def _load_run_config(args):
 
 def _cmd_train(args):
     config = _load_run_config(args)
-    if not config.train_manifest:
-        raise ValueError("no training manifest; pass --train-manifest or set it in the config")
     result = train(config)
     last = result.log.records[-1]
     print(f"trained {last.epoch} epochs; final train loss {last.train_loss:.4f}, "

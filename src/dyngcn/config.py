@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .modality import MODALITIES
+from .modality import refuse_unknown_modality
 from .model import ModelConfig, refuse_non_finite
 
 
@@ -105,9 +105,7 @@ class RunConfig:
     def __post_init__(self):
         self.milestones = tuple(int(m) for m in self.milestones)
         refuse_non_finite(self)
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}, "
-                             f"expected one of {tuple(MODALITIES)}")
+        refuse_unknown_modality(self.modality)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.total_epochs < 1:

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import refuse_non_finite
+
 MAGIC = b"SKSQ"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHIHHH")
@@ -389,7 +391,7 @@ def save_manifest(path, manifest):
     return path
 
 
-def load_manifest(path, check_paths=True):
+def load_manifest(path):
     path = Path(path)
     layout_name = ""
     split = ""
@@ -432,13 +434,7 @@ def load_manifest(path, check_paths=True):
                              f"({len(class_names)} names)")
     names = [class_names[i][1] for i in range(len(class_names))]
     entries = [(rel, label) for _, rel, label in entries]
-    manifest = DatasetManifest(entries, names, layout_name, split, root=path.parent)
-    if check_paths:
-        for rel, _ in manifest.entries:
-            target = manifest.resolve(rel)
-            if not target.exists():
-                raise FileNotFoundError(f"{path}: listed file missing: {target}")
-    return manifest
+    return DatasetManifest(entries, names, layout_name, split, root=path.parent)
 
 
 # -- synthetic motion ---------------------------------------------------
@@ -456,6 +452,7 @@ class SynthSpec:
     amplitude: float = 0.5
 
     def __post_init__(self):
+        refuse_non_finite(self)
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
         if self.samples_per_class < 1 or self.test_per_class < 0:

@@ -81,8 +81,6 @@ def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
     """Write <prefix>.txt and <prefix>.dot; returns (matrix, txt, dot)."""
     model, meta, x, labels = load_checkpoint_inputs(checkpoint_path, manifest_path)
     matrix = class_average_adjacency(model, x, labels, class_id, layer_index)
-    block = model.blocks[layer_index - 1]
-    graph_layout = model.layout if block.spec.in_joints == model.layout.n_joints else None
     names = meta.get("class_names", [])
     class_name = names[class_id] if class_id < len(names) else f"class {class_id}"
     out_prefix = Path(out_prefix)
@@ -90,5 +88,5 @@ def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
     txt_path = out_prefix.with_suffix(".txt")
     dot_path = out_prefix.with_suffix(".dot")
     txt_path.write_text(format_matrix(matrix))
-    dot_path.write_text(format_dot(matrix, graph_layout, threshold, class_name))
+    dot_path.write_text(format_dot(matrix, model.layout, threshold, class_name))
     return matrix, txt_path, dot_path

@@ -43,9 +43,13 @@ MODALITIES = {
 }
 
 
+def refuse_unknown_modality(name):
+    if not isinstance(name, str) or name not in MODALITIES:
+        raise ValueError(f"unknown modality {name!r}, expected one of {tuple(MODALITIES)}")
+
+
 def apply_modality(coords, modality, layout):
-    if modality not in MODALITIES:
-        raise ValueError(f"unknown modality {modality!r}, expected one of {tuple(MODALITIES)}")
+    refuse_unknown_modality(modality)
     return MODALITIES[modality](coords, layout)
 
 

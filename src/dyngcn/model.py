@@ -106,6 +106,9 @@ class ModelConfig:
         if self.topology not in LEARNERS:
             raise ValueError(f"topology {self.topology!r} is unknown, expected one of "
                              f"{', '.join(LEARNERS)}")
+        if self.alpha_degree <= 0:
+            # the centripetal graph always has an all-zero row at the center joint
+            raise ValueError("alpha_degree must be positive")
         if self.topology == "none" and self.lambda_static == 0.0:
             raise ValueError("lambda_static=0 with topology 'none' leaves no active branch")
 
@@ -183,10 +186,6 @@ def static_branch(x, topo, convs, lambda_static):
     """``lambda_static`` times the sum over configurations k of conv_k(graph_k x),
     as one ``graph_conv`` over all K graphs with the concatenated,
     lambda-scaled weights."""
-    if len(convs) != topo.n_configs:
-        raise ValueError(
-            f"{len(convs)} channel maps for {topo.n_configs} configurations"
-        )
     n = x.data.shape[-1]
     graphs = reshape(topo.static_topology(), (1, topo.n_configs, n, n))
     weight = scale(concat([conv.weight for conv in convs], axis=1), lambda_static)

@@ -15,7 +15,6 @@ and a graph product aggregates features of j into position i.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.resources
 from collections import deque
 from dataclasses import dataclass
@@ -257,7 +256,3 @@ class TopologySet(Module):
         (K, N, N) tensor; graph k is ``static_topology().data[k]``."""
         masks = concat(self.mask, axis=0)   # (K * N, N)
         return add(Tensor(self.configs), reshape(masks, self.configs.shape))
-
-    def fingerprint(self):
-        """Stable digest of the frozen configs (masks excluded): SHA-256 hex."""
-        return hashlib.sha256(self.configs.tobytes()).hexdigest()

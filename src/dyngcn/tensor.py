@@ -18,9 +18,9 @@ rely on.
 A closure keeps only what its backward reads and cannot rebuild cheaply.
 Batch norm keeps its input, which the graph holds anyway, and per-channel
 statistics, and rebuilds the normalized input x_hat in backward; the t x 1
-convolution keeps its input and recomputes its columns.  A convolution may
-add a residual into its own output, so the model's route sum needs no
-node of its own.
+convolution keeps its input and recomputes its columns.  ``_epilogue`` adds
+a residual and applies a ReLU in place on a convolution's or batch norm's
+own output, so the route sum and the residual add need no node of their own.
 
 Backward temporaries that never leave their op come from a small pool of
 scratch buffers, one per role: the t x 1 convolution's recomputed columns
@@ -54,10 +54,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled.pop()
-
-
-def grad_enabled():
-    return _grad_enabled[-1]
 
 
 def _as_float_array(data):
@@ -141,7 +137,7 @@ class Tensor:
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
+        return add(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -150,15 +146,9 @@ class Tensor:
         return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
-def _wrap(value, dtype):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
 def _from_op(data, inputs, backward):
     out = Tensor(data)
-    if grad_enabled() and any(t.requires_grad for t in inputs):
+    if _grad_enabled[-1] and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._prev = tuple(t for t in inputs if t.requires_grad)
         out._backward = backward
@@ -188,6 +178,30 @@ def free_scratch():
 def _accumulate(t, g):
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
+
+
+def _epilogue(data, inputs, residual=None, relu=False):
+    """Add ``residual`` into an op's own output ``data``, then apply a ReLU,
+    both in place: the bits of ``relu(add(op, residual))`` without their two
+    outputs.  Returns the node's inputs and a backward for the op's backward
+    to call first (so the node's closure stays the op's own), which masks
+    ``g`` with that ReLU, passes it on to ``residual`` unchanged and
+    returns it."""
+    if residual is not None:
+        data += residual.data
+    if relu:
+        # np.maximum keeps NaN, as the relu op does
+        np.maximum(data, 0, out=data)
+
+    def backward(g):
+        if relu:
+            # out > 0 exactly where the pre-activation is > 0, as in relu
+            g = g * (data > 0)
+        if residual is not None:
+            _accumulate(residual, g)
+        return g
+
+    return (inputs if residual is None else inputs + (residual,)), backward
 
 
 def _unbroadcast(g, shape):
@@ -367,10 +381,8 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
     kn fixed at 1; the kernel slides along time only.  Output time length
     is floor((T + 2*pad_t - kt) / stride_t) + 1.
 
-    The epilogue adds ``residual`` (a tensor of the output's shape) in
-    place into the op's own output, so ``conv2d(x, w, residual=r)`` gives
-    the same bits as ``add(conv2d(x, w), r)`` without the extra output;
-    backward passes the output gradient on to ``residual`` unchanged.
+    ``residual``, if given, is added in place by ``_epilogue``, so
+    ``conv2d(x, w, residual=r)`` gives the bits of ``add(conv2d(x, w), r)``.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be 4-d (B, C, T, N), got shape {x.data.shape}")
@@ -396,7 +408,6 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
             f"conv2d residual shape {residual.data.shape} does not match "
             f"output shape {(batch, c_out, t_out, n)}"
         )
-    inputs = (x, weight) if residual is None else (x, weight, residual)
 
     if kt == 1 and stride_t == 1 and pad_t == 0:
         # A 1x1 kernel is a channel mixing matrix; keep the per-sample GEMM
@@ -405,13 +416,10 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
         data = np.matmul(w2, x.data.reshape(batch, c_in, t_in * n)).reshape(
             batch, c_out, t_in, n
         )
-        if residual is not None:
-            data += residual.data
+        inputs, epilogue = _epilogue(data, (x, weight), residual)
 
         def backward(g):
-            if residual is not None:
-                _accumulate(residual, g)
-            g2 = g.reshape(batch, c_out, t_in * n)
+            g2 = epilogue(g).reshape(batch, c_out, t_in * n)
             if weight.requires_grad:
                 x2t = x.data.reshape(batch, c_in, t_in * n).transpose(0, 2, 1)
                 dw = np.matmul(g2, x2t).sum(axis=0).reshape(weight.data.shape)
@@ -450,12 +458,10 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
     for b0, b1 in chunks:
         np.matmul(w_flat, columns(cols, b0, b1), out=data[b0:b1])
     data = data.reshape(batch, c_out, t_out, n)
-    if residual is not None:
-        data += residual.data
+    inputs, epilogue = _epilogue(data, (x, weight), residual)
 
     def backward(g):
-        if residual is not None:
-            _accumulate(residual, g)
+        g = epilogue(g)
         g_flat = g.reshape(batch, c_out, t_out * n)
         if weight.requires_grad:
             # Recompute the columns rather than keeping them alive through
@@ -511,10 +517,9 @@ def batch_norm(x, gamma, beta, running_mean=None, running_var=None, training=Tru
     mean and 1/sigma, and backward rebuilds x_hat into pooled scratch, bit
     for bit, when gamma needs a gradient or, in training mode, ``x`` does.
 
-    The epilogue adds ``residual`` (a tensor of the output's shape) and
-    then applies a ReLU, both in place on the op's own output buffer, so
-    ``batch_norm(x, ..., relu=True, residual=r)`` gives the same bits as
-    ``relu(add(batch_norm(x, ...), r))`` without the two extra outputs.
+    ``residual`` and ``relu`` are ``_epilogue``'s, so
+    ``batch_norm(x, ..., relu=True, residual=r)`` gives the bits of
+    ``relu(add(batch_norm(x, ...), r))``.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm expects a 4-d tensor, got shape {x.data.shape}")
@@ -561,21 +566,13 @@ def batch_norm(x, gamma, beta, running_mean=None, running_var=None, training=Tru
         a = gamma.data * inv_std
         data = x.data * a.reshape(per_channel)
         data += (beta.data - mean * a).reshape(per_channel)
-    if residual is not None:
-        data += residual.data
-    if relu:
-        # np.maximum keeps NaN, as the relu op does
-        np.maximum(data, 0, out=data)
+    inputs, epilogue = _epilogue(data, (x, gamma, beta), residual, relu)
 
     def backward(g):
         # Neither g nor any array handed to _accumulate is written to: g
         # may be the caller's array, and an accumulated gradient may be
         # held as some tensor's .grad.
-        if relu:
-            # out > 0 exactly where the pre-activation is > 0, as in relu
-            g = g * (data > 0)
-        if residual is not None:
-            _accumulate(residual, g)
+        g = epilogue(g)
         if gamma.requires_grad or (training and x.requires_grad):
             # the forward's two expressions, so bitwise the x_hat it computed
             x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
@@ -604,7 +601,6 @@ def batch_norm(x, gamma, beta, running_mean=None, running_var=None, training=Tru
             else:
                 _accumulate(x, g * a.reshape(per_channel))
 
-    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return _from_op(data, inputs, backward)
 
 

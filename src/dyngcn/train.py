@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import HEADER_OFFSET, load_checkpoint, save_checkpoint
 from .data import load_manifest, load_sequence, normalize_coords, resize_sequence
-from .modality import apply_modality, ensemble_logits
+from .modality import apply_modality, ensemble_logits, refuse_unknown_modality
 from .model import build_model
 from .optim import NesterovSGD
 from .tensor import Tensor, free_scratch, no_grad, softmax_cross_entropy
@@ -105,7 +105,6 @@ class TrainResult:
     log: MetricsLog
     checkpoint_path: Path
     metrics_path: Path
-    class_names: list = field(default_factory=list)
 
 
 @contextmanager
@@ -131,7 +130,7 @@ def load_dataset(manifest, frames, layout, modality):
                              f"expected {layout.name!r}")
         if seq.joints != layout.n_joints:
             raise ValueError(
-                f"{rel}: sequence has {seq.joints} joints, layout "
+                f"{path}: sequence has {seq.joints} joints, layout "
                 f"{layout.name!r} defines {layout.n_joints}"
             )
         if layout.score_channel is not None and seq.coords <= layout.score_channel:
@@ -164,6 +163,8 @@ def _batch_slices(count, batch_size):
 
 
 def collect_logits(model, x, batch_size=EVAL_BATCH_SIZE):
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     model.eval()
     chunks = []
     with no_grad():
@@ -193,13 +194,17 @@ def load_model_inputs(model, manifest_path, modality, built_on):
     """Read a manifest's sequences as ``model`` takes them: its layout and
     frame count; returns (manifest, (S, M, C, T, N) float32, (S,) labels).
 
-    Before any sequence file is read, it refuses a declared layout other
-    than the model's, an empty manifest and a label the model has no class
-    for; after, coordinates that are not the model's input channels.
+    Before any sequence file is read, it refuses a listed file that does
+    not exist, a declared layout other than the model's, an empty manifest
+    and a label the model has no class for; after, coordinates that are not
+    the model's input channels.
     ``built_on`` says what holds the model's layout, as in "checkpoint
     c.ckpt was trained on".
     """
     manifest = load_manifest(manifest_path)
+    for target in (manifest.resolve(rel) for rel, _ in manifest.entries):
+        if not target.exists():
+            raise FileNotFoundError(f"{manifest_path}: listed file missing: {target}")
     layout, config = model.layout, model.config
     if manifest.layout_name and manifest.layout_name != layout.name:
         raise ValueError(f"{manifest_path}: manifest declares layout "
@@ -219,6 +224,8 @@ def load_model_inputs(model, manifest_path, modality, built_on):
 
 def train(config):
     """Run the configured schedule; writes checkpoint + metrics, returns both."""
+    if not config.train_manifest:
+        raise ValueError("no training manifest; pass --train-manifest or set it in the config")
     model = build_model(config.model, seed=config.seed)
     train_manifest, x_train, y_train = load_model_inputs(
         model, config.train_manifest, config.modality, "model.layout is")
@@ -290,15 +297,20 @@ def train(config):
     checkpoint_path = save_checkpoint(out_dir / "model.ckpt", model, meta)
     metrics_path = log.save(out_dir / "metrics.txt")
     config.save(out_dir / "run.cfg")
-    return TrainResult(model, log, checkpoint_path, metrics_path,
-                       list(train_manifest.class_names))
+    return TrainResult(model, log, checkpoint_path, metrics_path)
 
 
 def load_checkpoint_inputs(checkpoint_path, manifest_path):
     """Load a checkpoint and a manifest's data as the checkpoint reads it:
     its layout, frame count and modality; returns (model, meta, x, labels)."""
     model, meta = load_checkpoint(checkpoint_path)
-    _, x, labels = load_model_inputs(model, manifest_path, meta.get("modality", "joint"),
+    modality = meta.get("modality", "joint")
+    try:
+        refuse_unknown_modality(modality)
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint_path}: header at byte offset {HEADER_OFFSET}: "
+                         f"{exc}") from None
+    _, x, labels = load_model_inputs(model, manifest_path, modality,
                                      f"checkpoint {checkpoint_path} was trained on")
     return model, meta, x, labels
 

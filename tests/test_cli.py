@@ -5,6 +5,7 @@ import pytest
 
 from dyngcn import cli
 from dyngcn.checkpoint import load_checkpoint
+from dyngcn.config import run_preset
 from dyngcn.data import load_manifest
 from dyngcn.export import class_average_adjacency, export_topology, format_dot
 from dyngcn.model import build_model
@@ -44,6 +45,30 @@ def test_synth_reports_paths(tmp_path, capsys):
     assert (tmp_path / "d" / "train.manifest").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_a_non_finite_noise(tmp_path, capsys, value):
+    code = cli.main(["synth", "--out", str(tmp_path / "d"), "--noise", value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: noise_sigma={value} must be finite\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_from_a_config_file(workspace, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    run_preset("smoke").with_overrides([f"out_dir={tmp_path / 'run'}",
+                                        "total_epochs=1"]).save(config)
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == ("error: no training manifest; pass --train-manifest "
+                                       "or set it in the config\n")
+    code = cli.main(["train", "--config", str(config),
+                     "--train-manifest", str(workspace / "data" / "train.manifest")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("trained 1 epochs; final train loss ")
+    assert "test top1" not in out
+    assert (tmp_path / "run" / "model.ckpt").exists()
+
+
 def test_train_then_eval(workspace, capsys):
     code = cli.main([
         "eval", "--checkpoint", str(workspace / "run" / "model.ckpt"),
@@ -65,6 +90,17 @@ def test_ensemble_command(workspace, capsys):
     assert code == 0
     assert out.count("stream ") == 2
     assert "ensemble: top1" in out
+
+
+@pytest.mark.parametrize("command", ["eval", "ensemble"])
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_eval_batch_size_below_one_is_refused(workspace, capsys, command, batch_size):
+    checkpoint = str(workspace / "run" / "model.ckpt")
+    code = cli.main([command, "--checkpoint" if command == "eval" else "--checkpoints",
+                     checkpoint, "--manifest", str(workspace / "data" / "test.manifest"),
+                     "--batch-size", batch_size])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: batch_size must be at least 1, got {batch_size}\n"
 
 
 def test_flops_toy_hand_summed(capsys):

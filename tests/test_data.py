@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+import dyngcn.train
+from dyngcn.config import model_preset
 from dyngcn.data import (
     DatasetManifest,
     SkeletonSequence,
@@ -19,7 +21,9 @@ from dyngcn.data import (
     save_sequence_text,
     synth_generate,
 )
+from dyngcn.model import build_model
 from dyngcn.skeleton import build_layout
+from dyngcn.train import load_model_inputs
 
 
 def random_sequence(rng, t=6, m=2, n=4, d=3, label=1):
@@ -181,12 +185,23 @@ def test_text_missing_frame_block():
     ("shape 2 1 3 0", "line 6: coordinate count must be positive, got 0"),
     ("label -1", "line 5: label must be nonnegative, got -1"),
     ("label x", "line 5: bad label 'x'"),
+    ("shape 2 1 x 3", "line 6: bad shape entries ['2', '1', 'x', '3']"),
+    ("frame 0 a", "line 7: bad frame indices ['0', 'a']"),
 ])
 def test_text_shape_and_label_errors_are_located(line, message):
     key = line.split()[0]
     old = next(row for row in GOLDEN_TEXT.splitlines() if row.startswith(key))
     with pytest.raises(ValueError, match=rf"^golden\.skt: {re.escape(message)}$"):
         parse_sequence_text(GOLDEN_TEXT.replace(old, line), path="golden.skt")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("frame 1 0\n", "frame 0 0\n", "line 11: duplicate frame 0 person 0"),
+    ("label 2\n", "", "missing label"),
+], ids=["duplicate-frame", "no-label"])
+def test_text_block_and_header_errors_are_located(old, new, message):
+    with pytest.raises(ValueError, match=rf"^golden\.skt: {re.escape(message)}$"):
+        parse_sequence_text(GOLDEN_TEXT.replace(old, new), path="golden.skt")
 
 
 def test_text_missing_frame_blocks_are_counted_not_listed():
@@ -377,7 +392,7 @@ def test_manifest_bad_class_table_names_line(tmp_path, classes, line, problem):
     path = tmp_path / "m.manifest"
     path.write_text("\n".join(header) + "\n")
     with pytest.raises(ValueError, match=rf"m\.manifest: line {line}: {problem}"):
-        load_manifest(path, check_paths=False)
+        load_manifest(path)
 
 
 def test_manifest_class_lines_in_any_order(tmp_path):
@@ -401,7 +416,7 @@ def test_manifest_class_line_with_wrong_token_count_names_line(tmp_path, line):
     path.write_text(f"# layout l\n# class 0 walk\n{line}\nb.skl\t1\n")
     with pytest.raises(ValueError, match=r"m\.manifest: line 3: class line takes an index "
                                          r"and one name"):
-        load_manifest(path, check_paths=False)
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("label", ["1", "-1"])
@@ -410,13 +425,28 @@ def test_manifest_label_outside_class_table_names_line(tmp_path, label):
     path.write_text(f"# layout l\n# class 0 walk\na.skl\t0\nb.skl\t{label}\n")
     with pytest.raises(ValueError, match=rf"m\.manifest: line 4: label {label} outside "
                                          rf"the class table \(1 names\)"):
-        load_manifest(path, check_paths=False)
+        load_manifest(path)
 
 
-def test_manifest_missing_file(tmp_path):
-    (tmp_path / "m.manifest").write_text("# layout l\n# split t\n# class 0 a\ngone.skl\t0\n")
-    with pytest.raises(FileNotFoundError, match="gone.skl"):
-        load_manifest(tmp_path / "m.manifest")
+def test_manifest_bad_label_names_line(tmp_path):
+    path = tmp_path / "m.manifest"
+    path.write_text("# layout l\n# class 0 walk\na.skl\t0\nb.skl\tx\n")
+    with pytest.raises(ValueError, match=r"m\.manifest: line 4: bad label 'x'$"):
+        load_manifest(path)
+
+
+def test_manifest_missing_file(tmp_path, monkeypatch):
+    # load_manifest only parses; the reader of a manifest for a model refuses
+    # the missing file, before any sequence file is read
+    (tmp_path / "here.skl").write_bytes(b"")
+    (tmp_path / "m.manifest").write_text(
+        "# layout ntu25\n# split t\n# class 0 a\nhere.skl\t0\ngone.skl\t0\n")
+    assert len(load_manifest(tmp_path / "m.manifest")) == 2
+    monkeypatch.setattr(dyngcn.train, "load_sequence", None)
+    model = build_model(model_preset("toy"))
+    with pytest.raises(FileNotFoundError, match=rf"^{re.escape(str(tmp_path))}/m\.manifest: "
+                                                rf"listed file missing: .*/gone\.skl$"):
+        load_model_inputs(model, tmp_path / "m.manifest", "joint", "model.layout is")
 
 
 # -- synthetic generator ------------------------------------------------
@@ -482,6 +512,10 @@ def test_synth_validation():
         SynthSpec(n_classes=1)
     with pytest.raises(ValueError, match="noise_sigma"):
         SynthSpec(noise_sigma=-0.1)
+    for name in ("noise_sigma", "amplitude"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=rf"^{name}={value!r} must be finite$"):
+                SynthSpec(**{name: value})
 
 
 def motion_energy(data):

@@ -166,7 +166,7 @@ def test_corrupted_manifest_loads_or_names_file(work, kind, manifest, data):
     path = fresh(work / "bad.manifest")
     path.write_text(data.draw(corrupted(text, kind), label="text"))
     try:
-        load_manifest(path, check_paths=False)
+        load_manifest(path)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}: "), str(exc)
 
@@ -256,7 +256,8 @@ def run_configs(draw):
         aggregate_rate=draw(st.floats(0.0, 1.0, exclude_min=True)),
         aggregate_after=tuple(draw(st.lists(st.integers(1, blocks), max_size=3))),
         topology=topology, learner_final_relu=draw(st.booleans()),
-        learn_projection=draw(st.booleans()), alpha_degree=draw(floats),
+        learn_projection=draw(st.booleans()),
+        alpha_degree=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
     )
     total_epochs = draw(sizes)
     milestones = sorted(draw(st.lists(st.integers(-5, total_epochs - 1), max_size=3)))

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import math
 import re
 import shutil
 import struct
@@ -155,6 +156,7 @@ def test_values_that_read_back_are_kept():
     ("model.topology=graph", "model.topology 'graph' is unknown"),
     ("modality=depth", "unknown modality 'depth'"),
     ("model.channels=", "model.channels schedule (0) and strides schedule"),
+    ("model.alpha_degree=0", "model.alpha_degree must be positive"),
 ])
 def test_validation_errors_name_their_source(line, message):
     text = f"model.layout=ntu25\nmodel.n_classes=2\n{line}\n"
@@ -318,6 +320,25 @@ def test_checkpoint_header_missing_key_names_offset(tmp_path, key):
     rewrite_header(path, drop)
     with pytest.raises(ValueError,
                        match=rf"m\.ckpt: header at byte offset 14: '{key}' is missing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_array_shape_mismatch_names_array_and_offset(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+    entry = next(e for e in read_checkpoint_header(path)[0]["arrays"] if len(e["shape"]) == 1)
+
+    def add_axis(header):
+        # the same element count, so only the shape is wrong
+        for e in header["arrays"]:
+            if e["name"] == entry["name"]:
+                e["shape"] = e["shape"] + [1]
+        return json.dumps(header).encode()
+
+    rewrite_header(path, add_axis)
+    size = entry["shape"][0]
+    with pytest.raises(ValueError, match=rf"m\.ckpt: header at byte offset 14: array "
+                                         rf"'{entry['name']}' has shape \({size}, 1\), "
+                                         rf"model expects \({size},\)$"):
         load_checkpoint(path)
 
 
@@ -505,6 +526,41 @@ def test_manifest_the_model_cannot_read_is_refused(smoke_setup, smoke_run, tmp_p
     assert not (tmp_path / "t.txt").exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("modality", ["hologram", ["joint"]])
+@pytest.mark.parametrize("entry", ["evaluate", "ensemble", "export"])
+def test_checkpoint_with_an_unknown_modality_is_refused_before_any_sequence_is_read(
+        smoke_setup, smoke_run, tmp_path, monkeypatch, entry, modality):
+    root, _ = smoke_setup
+    model, _ = load_checkpoint(smoke_run.checkpoint_path)
+    ckpt = save_checkpoint(tmp_path / "holo.ckpt", model, {"modality": modality})
+    manifest = root / "data" / "test.manifest"
+    monkeypatch.setattr(dyngcn.train, "load_sequence", None)
+    call = {"evaluate": lambda: evaluate_checkpoint(ckpt, manifest),
+            "ensemble": lambda: ensemble_checkpoints([ckpt], manifest),
+            "export": lambda: export_topology(ckpt, manifest, 1, 0, tmp_path / "t")}[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(ckpt))}: header at byte offset 14: "
+                                         rf"unknown modality {re.escape(repr(modality))}, "
+                                         rf"expected one of "):
+        call()
+    assert not (tmp_path / "t.txt").exists()
+
+
+def test_train_refuses_an_empty_train_manifest(smoke_setup, tmp_path):
+    _, cfg = smoke_setup
+    with pytest.raises(ValueError, match="^no training manifest; pass --train-manifest"):
+        train(cfg.with_overrides(["train_manifest=", f"out_dir={tmp_path / 'run'}"]))
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_without_a_test_manifest_logs_nan_accuracy(smoke_setup, tmp_path):
+    _, cfg = smoke_setup
+    result = train(cfg.with_overrides(["test_manifest=", "total_epochs=1",
+                                       f"out_dir={tmp_path / 'run'}"]))
+    assert result.metrics_path.read_text().splitlines()[1].split()[3:5] == ["nan", "nan"]
+    (record,) = MetricsLog.load(result.metrics_path).records
+    assert math.isnan(record.top1) and math.isnan(record.top5)
+
+
 def test_train_refuses_a_manifest_declaring_another_layout(smoke_setup, tmp_path, monkeypatch):
     root, cfg = smoke_setup
     bad = faulty_manifest(root, tmp_path, "layout")
@@ -619,6 +675,20 @@ def test_dataset_loads_a_text_sequence_without_a_layout_line(two_sequences):
     assert load_sequence(victim).layout_name == ""
     got, _ = load_dataset(manifest, 8, layout, "joint")
     assert np.array_equal(got, want)
+
+
+def test_dataset_joint_count_refusal_names_the_resolved_file(two_sequences):
+    # an openpose18 text sequence with no layout line, so only its joint
+    # count tells it from ntu25
+    manifest, victim = two_sequences
+    seq = load_sequence(victim)
+    seq.data = seq.data[:, :, :18].copy()
+    seq.layout_name = "openpose18"
+    victim.write_text("".join(line for line in format_sequence_text(seq).splitlines(keepends=True)
+                              if not line.startswith("layout ")))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(victim))}: sequence has 18 joints, "
+                                         rf"layout 'ntu25' defines 25$"):
+        load_dataset(manifest, 8, build_layout("ntu25"), "joint")
 
 
 def _frozen_static_names(model):

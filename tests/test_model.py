@@ -393,6 +393,9 @@ def test_model_config_validation():
     for sizes in ({"channels": (8, 0), "strides": (1, 1)}, {"frames": 0}, {"in_channels": 0}):
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(layout="ntu25", n_classes=5, **sizes)
+    for alpha in (0.0, -0.5):
+        with pytest.raises(ValueError, match="^alpha_degree must be positive$"):
+            ModelConfig(layout="ntu25", n_classes=5, alpha_degree=alpha)
 
 
 def test_model_config_round_trip():
@@ -438,6 +441,18 @@ def test_model_rejects_wrong_frames():
     model = build_model(tiny_config(), seed=0)
     with pytest.raises(ValueError, match="T=12"):
         model(Tensor(np.zeros((1, 3, 10, 25))))
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((3, 12, 25), r"model expects \(B, C, T, N\) or \(B, M, C, T, N\), got \(3, 12, 25\)"),
+    ((1, 2, 2, 3, 12, 25), r"model expects .*, got \(1, 2, 2, 3, 12, 25\)"),
+    ((1, 2, 12, 25), r"model built for C=3, N=25, got input \(1, 2, 12, 25\)"),
+    ((1, 2, 3, 12, 18), r"model built for C=3, N=25, got input \(2, 3, 12, 18\)"),
+], ids=["rank-3", "rank-6", "channels", "joints"])
+def test_model_rejects_input_of_the_wrong_shape(shape, message):
+    model = build_model(tiny_config(), seed=0)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        model.input_stage(Tensor(np.zeros(shape)))
 
 
 def test_identical_samples_identical_logits():
