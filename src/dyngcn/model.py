@@ -41,6 +41,7 @@ from .tensor import (
     matmul,
     mean_pool_global,
     permute,
+    recompute,
     reshape,
     scale,
 )
@@ -173,7 +174,17 @@ def graph_conv(x, graphs, weight, residual=None):
     graphs gives a (B, K, C*T, N) result that already is the (B, K*C, T, N)
     channel stack, and one 1x1 convolution maps it to the output channels
     and adds ``residual``, if given, in its epilogue.
+
+    The stack is K times the size of ``x``, and both products are cheap to
+    repeat, so the pair runs under ``recompute``: the graph keeps the
+    inputs and the output, and backward rebuilds the stack.
     """
+    inputs = (x, graphs, weight) if residual is None else (x, graphs, weight, residual)
+    return recompute(_aggregate_and_map, *inputs)
+
+
+def _aggregate_and_map(x, graphs, weight, residual=None):
+    """``graph_conv``'s products, recorded op by op."""
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
     rows = reshape(x, (batch, 1, channels * frames, n))

@@ -455,6 +455,26 @@ def test_ensemble_class_count_mismatch(smoke_setup, smoke_run, tmp_path):
                              root / "data" / "test.manifest")
 
 
+@pytest.mark.parametrize("entry", ["evaluate", "ensemble"])
+def test_bad_eval_batch_size_is_refused_before_any_sequence_is_read(smoke_setup, smoke_run,
+                                                                    monkeypatch, entry):
+    root, _ = smoke_setup
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load_sequence(path)
+
+    monkeypatch.setattr(dyngcn.train, "load_sequence", counted)
+    manifest = root / "data" / "test.manifest"
+    with pytest.raises(ValueError, match="^batch_size must be at least 1, got 0$"):
+        if entry == "evaluate":
+            evaluate_checkpoint(smoke_run.checkpoint_path, manifest, batch_size=0)
+        else:
+            ensemble_checkpoints([smoke_run.checkpoint_path], manifest, batch_size=0)
+    assert reads == []
+
+
 @pytest.mark.parametrize("entry", ["evaluate", "ensemble", "export"])
 def test_manifest_declaring_another_layout_is_refused(smoke_setup, smoke_run, tmp_path, entry):
     root, _ = smoke_setup

@@ -7,6 +7,7 @@ from dyngcn.model import (
     BlockSpec,
     DynamicGConvBlock,
     ModelConfig,
+    _aggregate_and_map,
     build_model,
     dynamic_branch,
     graph_conv,
@@ -172,6 +173,48 @@ def test_dynamic_branch_bitwise_matches_per_sample_products(batch, dtype):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+GRAPH_CONV_CASES = {
+    # graphs shape, whether a residual is added in the epilogue
+    "shared graphs": ((1, 3), False),
+    "shared graphs + residual": ((1, 3), True),
+    "per-sample graph": ((4, 1), False),
+    "per-sample graph + residual": ((4, 1), True),
+}
+
+
+@pytest.mark.parametrize("case", GRAPH_CONV_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_graph_conv_recompute_matches_recorded_products_bitwise(monkeypatch, case, dtype):
+    # stale pool bytes (NaN in either dtype) that no backward may read
+    monkeypatch.setattr(tensor_module, "_SCRATCH", {
+        role: np.full(1 << 16, 0xFF, dtype=np.uint8)
+        for role in ("conv.cols", "conv.dcols", "conv.dw", "batch_norm", "batch_norm.x_hat")})
+    (graph_batch, k), with_residual = GRAPH_CONV_CASES[case]
+    batch, c_in, c_out, t, n = 4, 6, 5, 7, 25
+    rng = np.random.default_rng(sum(map(ord, case)))
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in (
+        (batch, c_in, t, n), (graph_batch, k, n, n), (c_out, k * c_in, 1, 1),
+        (batch, c_out, t, n))]
+    if not with_residual:
+        arrays.pop()
+    g = rng.standard_normal((batch, c_out, t, n)).astype(dtype)
+    results = []
+    for route in (graph_conv, _aggregate_and_map):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = route(*inputs)
+        if route is graph_conv:
+            # one node whose closure keeps the inputs, not the products
+            assert {id(node) for node in graph_nodes(out)} == {id(out)} | set(map(id, inputs))
+        out.backward(g)
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with no_grad():
+        out = graph_conv(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert out._backward is None and out._prev == () and not out.requires_grad
+    assert out.data.tobytes() == results[0][0].tobytes()
 
 
 def random_static_route(rng, n, c_in, c_out, dtype=np.float64):
@@ -572,15 +615,20 @@ def array_base(array):
     return array
 
 
-def test_block_training_graph_keeps_only_node_outputs_at_activation_size():
-    # ntu-like block 2 at B=2: batch norm keeps its input, not x_hat, and the
-    # static route is added in the dynamic conv's epilogue, not by an add
+def ntu_width_training_block():
+    """ntu-like block 2 at B=2 in training mode: the block, its input, its output."""
     spec = BlockSpec(64, 64, in_frames=64, in_joints=25, out_joints=25, stride=1, tc_kernel=9)
     block = DynamicGConvBlock(spec, build_layout("ntu25"), ModelConfig("ntu25", 60),
                               np.random.default_rng(8))
     x = np.random.default_rng(9).standard_normal((2, 64, 64, 25)).astype(np.float32)
     x = Tensor(x, requires_grad=True)
-    y = block(x)
+    return block, x, block(x)
+
+
+def test_block_training_graph_keeps_only_node_outputs_at_activation_size():
+    # batch norm keeps its input, not x_hat, and the static route is added
+    # in the dynamic conv's epilogue, not by an add
+    _, x, y = ntu_width_training_block()
     nodes = graph_nodes(y)
     outputs = {id(array_base(node.data)) for node in nodes}
     strays = [a.shape for a in tape_arrays(y)
@@ -590,6 +638,14 @@ def test_block_training_graph_keeps_only_node_outputs_at_activation_size():
                   and node._backward is not None
                   and node._backward.__qualname__ == "add.<locals>.backward"]
     assert route_adds == []
+
+
+def test_block_training_graph_keeps_no_graph_aggregation_stack():
+    # graph_conv's (B, K*C, T, N) stack is rebuilt in backward, not kept
+    block, x, y = ntu_width_training_block()
+    k = block.topo.n_configs
+    stacks = [a.shape for a in tape_arrays(y) if a.size >= k * x.data.size]
+    assert stacks == []
 
 
 @pytest.mark.parametrize("training", [True, False])
