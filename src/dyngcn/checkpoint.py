@@ -5,8 +5,9 @@ Layout on disk:
   magic ``DGCK`` | u16 version | u64 header length | UTF-8 JSON header
   | concatenated little-endian array buffers
 
-The JSON header holds the model config, free-form metadata (modality,
-epoch, class names), and an ordered array table (name, shape, dtype).
+The JSON header holds the model config, metadata (a modality and class
+names, which ``load_checkpoint`` checks, and free-form keys such as the
+epoch), and an ordered array table (name, shape, dtype) of one dtype.
 Buffers are written raw, so a save/load round trip is bit-exact.
 """
 
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .modality import refuse_unknown_modality
 from .model import ModelConfig, build_model
 
 MAGIC = b"DGCK"
@@ -27,6 +29,10 @@ _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 # The JSON header starts after the magic, the u16 version and the u64 length.
 HEADER_OFFSET = len(MAGIC) + struct.calcsize("<HQ")
+
+
+def _bad_header(path, message):
+    return ValueError(f"{path}: header at byte offset {HEADER_OFFSET}: {message}")
 
 
 def _model_arrays(model):
@@ -63,6 +69,8 @@ def save_checkpoint(path, model, meta=None):
 
 
 def read_checkpoint_header(path):
+    """``load_checkpoint``'s header step; returns (header, raw bytes, the
+    byte offset where the arrays start)."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
@@ -82,46 +90,61 @@ def read_checkpoint_header(path):
             f"the header ends at byte offset {start + header_len}"
         )
 
-    def bad_header(message):
-        return ValueError(f"{path}: header at byte offset {start}: {message}")
-
     try:
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise bad_header(f"not UTF-8 JSON ({exc})") from None
+        raise _bad_header(path, f"not UTF-8 JSON ({exc})") from None
     if not isinstance(header, dict):
-        raise bad_header(f"expected a JSON object, got {type(header).__name__}")
+        raise _bad_header(path, f"expected a JSON object, got {type(header).__name__}")
     for key, kind in (("config", dict), ("meta", dict), ("arrays", list)):
         if not isinstance(header.get(key), kind):
             what = "array" if kind is list else "object"
-            raise bad_header(f"{key!r} is missing or not a JSON {what}")
+            raise _bad_header(path, f"{key!r} is missing or not a JSON {what}")
     json_version = header.get("version")
     if type(json_version) is not int or json_version != version:
-        raise bad_header(f"'version' is {json_version!r}, the fixed header says {version}")
+        raise _bad_header(path, f"'version' is {json_version!r}, the fixed header says {version}")
+    names = set()
     for entry in header["arrays"]:
         if not (isinstance(entry, dict) and {"name", "shape", "dtype"} <= entry.keys()
-                and isinstance(entry["shape"], list)
+                and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
                 and all(isinstance(d, int) and d >= 0 for d in entry["shape"])):
-            raise bad_header(f"array entry {entry!r} needs a name, a shape of sizes and a dtype")
+            raise _bad_header(path, f"array entry {entry!r} needs a name, a shape of sizes "
+                                    f"and a dtype")
         if entry["dtype"] not in _DTYPES:
-            raise bad_header(
-                f"array {entry['name']!r} has unsupported dtype {entry['dtype']!r}, "
-                f"expected one of {sorted(_DTYPES)}"
-            )
+            raise _bad_header(path, f"array {entry['name']!r} has unsupported dtype "
+                                    f"{entry['dtype']!r}, expected one of {sorted(_DTYPES)}")
+        if entry["name"] in names:
+            raise _bad_header(path, f"array {entry['name']!r} is listed twice")
+        names.add(entry["name"])
+    meta = header["meta"]
+    meta.setdefault("modality", "joint")
+    try:
+        refuse_unknown_modality(meta["modality"])
+    except ValueError as exc:
+        raise _bad_header(path, str(exc)) from None
+    class_names = meta.get("class_names", [])
+    if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)):
+        raise _bad_header(path, f"'class_names' is {class_names!r}, expected a list of strings")
     return header, raw, start + header_len
 
 
 def load_checkpoint(path):
-    """Rebuild the model a checkpoint describes; returns (model, meta)."""
+    """Rebuild the model a checkpoint describes; returns (model, meta).
+
+    The one gate between a checkpoint file and its readers: it refuses,
+    naming the file and the header's byte offset, an array table that lists
+    a name twice or mixes dtypes, an unknown modality and a ``class_names``
+    that is not a list of strings, and fills in the ``"joint"`` modality.
+    """
     header, raw, offset = read_checkpoint_header(path)
     dtypes = {entry["dtype"] for entry in header["arrays"]}
+    if len(dtypes) > 1:
+        raise _bad_header(path, f"the arrays mix dtypes {sorted(dtypes)}, a model has one")
     dtype = np.float64 if dtypes == {"float64"} else np.float32
     try:
         model = build_model(ModelConfig.from_dict(header["config"]), seed=0, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{path}: header at byte offset {HEADER_OFFSET}: bad config ({exc})"
-        ) from None
+        raise _bad_header(path, f"bad config ({exc})") from None
 
     stored = {}
     for entry in header["arrays"]:
@@ -146,17 +169,12 @@ def load_checkpoint(path):
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
-        raise ValueError(
-            f"{path}: header at byte offset {HEADER_OFFSET}: array set does not match "
-            f"the configured model "
-            f"(missing {missing[:3]}, unexpected {extra[:3]})"
-        )
+        raise _bad_header(path, f"array set does not match the configured model "
+                                f"(missing {missing[:3]}, unexpected {extra[:3]})")
     for name, target in expected.items():
         value = stored[name]
         if target.shape != value.shape:
-            raise ValueError(
-                f"{path}: header at byte offset {HEADER_OFFSET}: array {name!r} has shape "
-                f"{value.shape}, model expects {target.shape}"
-            )
+            raise _bad_header(path, f"array {name!r} has shape {value.shape}, "
+                                    f"model expects {target.shape}")
         target[...] = value
     return model, header["meta"]

@@ -14,18 +14,19 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import Tensor, no_grad
-from .train import load_checkpoint_inputs
+from .train import EVAL_BATCH_SIZE, load_checkpoint_inputs
 
 DEFAULT_THRESHOLD = 0.4
 
 
-def class_average_adjacency(model, x, labels, class_id, layer_index, batch_size=16):
+def class_average_adjacency(model, x, labels, class_id, layer_index):
     """Average the block's predicted adjacency over one class.
 
     ``layer_index`` is the 1-based block position.  ``x`` is the usual
     (S, M, C, T, N) array; only each sample's first person contributes.
-    Only the input stage and the blocks before the chosen one run; its
-    learner then predicts the matrices directly.
+    Only the input stage and the blocks before the chosen one run, in
+    batches of ``EVAL_BATCH_SIZE``; its learner then predicts the matrices
+    directly.
     """
     n_blocks = len(model.blocks)
     if not 1 <= layer_index <= n_blocks:
@@ -38,8 +39,8 @@ def class_average_adjacency(model, x, labels, class_id, layer_index, batch_size=
         raise ValueError(f"no samples with class {class_id}")
     model.eval()
     total = None
-    for start in range(0, chosen.size, batch_size):
-        idx = chosen[start : start + batch_size]
+    for start in range(0, chosen.size, EVAL_BATCH_SIZE):
+        idx = chosen[start : start + EVAL_BATCH_SIZE]
         with no_grad():
             h, batch, persons = model.input_stage(Tensor(x[idx]))
             for earlier in model.blocks[: layer_index - 1]:

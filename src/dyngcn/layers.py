@@ -118,16 +118,8 @@ class BatchNorm(Module):
         return ("running_mean", "running_var")
 
     def forward(self, x, residual=None):
-        return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            running_mean=self.running_mean,
-            running_var=self.running_var,
-            training=self.training,
-            relu=self.relu,
-            residual=residual,
-        )
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                          training=self.training, relu=self.relu, residual=residual)
 
 
 class Linear(Module):

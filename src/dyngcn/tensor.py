@@ -7,7 +7,9 @@ accumulates gradients into every tensor that has ``requires_grad`` set.
 
 The op set is intentionally small: what a graph-convolutional sequence
 classifier needs and nothing more.  Convolutions cover the two kernel
-shapes used by the model (1x1 and t x 1 over a (time, joint) grid).
+shapes used by the model (1x1 and t x 1 over a (time, joint) grid).  An op
+takes only what some caller passes: batch norm always gets its running
+buffers, and the reductions always drop the reduced axes.
 
 All batched contractions are routed through ``numpy.matmul`` on stacked
 per-sample slices so that every sample sees a GEMM of the same shape
@@ -128,11 +130,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tensor_sum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tensor_mean(self, axis=axis)
 
 
 def _backprop(root, g):
@@ -358,30 +360,23 @@ def _normalize_axis(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def _expand_reduced(g, shape, axes, keepdims):
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
-
-
-def tensor_sum(x, axis=None, keepdims=False):
+def tensor_sum(x, axis=None):
     axes = _normalize_axis(axis, x.data.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
+    data = x.data.sum(axis=axes)
 
     def backward(g):
-        _accumulate(x, _expand_reduced(g, x.data.shape, axes, keepdims).copy())
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape).copy())
 
     return _from_op(data, (x,), backward)
 
 
-def tensor_mean(x, axis=None, keepdims=False):
+def tensor_mean(x, axis=None):
     axes = _normalize_axis(axis, x.data.ndim)
     count = int(np.prod([x.data.shape[a] for a in axes])) if axes else 1
-    data = x.data.mean(axis=axes, keepdims=keepdims)
+    data = x.data.mean(axis=axes)
 
     def backward(g):
-        _accumulate(x, _expand_reduced(g, x.data.shape, axes, keepdims) / count)
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape) / count)
 
     return _from_op(data, (x,), backward)
 
@@ -551,15 +546,16 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def batch_norm(x, gamma, beta, running_mean=None, running_var=None, training=True,
+def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
                relu=False, residual=None):
     """Per-channel batch normalization for (B, C, T, N) tensors.
 
-    In training mode the batch statistics (biased variance) normalize the
-    input and, when running buffers are supplied, update them in place
-    with ``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``.  In eval mode
-    the running buffers are required and the op is the per-channel affine
-    map ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``.
+    ``running_mean`` and ``running_var`` are the (C,) running buffers that
+    ``layers.BatchNorm`` owns.  In training mode the batch statistics
+    (biased variance) normalize the input and update the buffers in place
+    with ``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``.  In eval
+    mode the op reads the buffers and is the per-channel affine map
+    ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``.
     Neither mode keeps the normalized input x_hat for backward: the op
     keeps its input ``x`` (which the graph holds anyway) and the per-channel
     mean and 1/sigma, and backward rebuilds x_hat into pooled scratch, bit
@@ -595,19 +591,15 @@ def batch_norm(x, gamma, beta, running_mean=None, running_var=None, training=Tru
         x_hat = x.data - mean
         data = np.square(x_hat)
         var = data.sum(axis=axes) / (x.data.size // channels)
-        if running_mean is not None:
-            running_mean *= 1.0 - BN_MOMENTUM
-            running_mean += BN_MOMENTUM * mean.reshape(channels)
-        if running_var is not None:
-            running_var *= 1.0 - BN_MOMENTUM
-            running_var += BN_MOMENTUM * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(channels)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std.reshape(per_channel)
         np.multiply(gamma_b, x_hat, out=data)
         data += beta.data.reshape(per_channel)
     else:
-        if running_mean is None or running_var is None:
-            raise RuntimeError("batch_norm in eval mode needs running statistics")
         # copies: a later training forward updates the buffers in place
         mean = running_mean.copy()
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import HEADER_OFFSET, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_manifest, load_sequence, normalize_coords, resize_sequence
-from .modality import apply_modality, ensemble_logits, refuse_unknown_modality
+from .modality import apply_modality, ensemble_logits
 from .model import build_model
 from .optim import NesterovSGD
 from .tensor import Tensor, free_scratch, no_grad, softmax_cross_entropy
 
-# Batch size of eval-mode forwards outside training (eval, ensemble).
+# Batch size of eval-mode forwards outside training (eval, ensemble, export).
 EVAL_BATCH_SIZE = 64
 
 
@@ -308,13 +308,7 @@ def load_checkpoint_inputs(checkpoint_path, manifest_path):
     """Load a checkpoint and a manifest's data as the checkpoint reads it:
     its layout, frame count and modality; returns (model, meta, x, labels)."""
     model, meta = load_checkpoint(checkpoint_path)
-    modality = meta.get("modality", "joint")
-    try:
-        refuse_unknown_modality(modality)
-    except ValueError as exc:
-        raise ValueError(f"{checkpoint_path}: header at byte offset {HEADER_OFFSET}: "
-                         f"{exc}") from None
-    _, x, labels = load_model_inputs(model, manifest_path, modality,
+    _, x, labels = load_model_inputs(model, manifest_path, meta["modality"],
                                      f"checkpoint {checkpoint_path} was trained on")
     return model, meta, x, labels
 

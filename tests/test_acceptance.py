@@ -112,7 +112,8 @@ def _op_cases(rng):
                    lambda t: mul(conv2d(t, conv_w, stride_t=2, pad_t=1),
                                  conv_out_w).sum()),
         "batch_norm_train": (x_bn,
-                             lambda t: mul(batch_norm(t, bn_g, bn_b, training=True),
+                             lambda t: mul(batch_norm(t, bn_g, bn_b, np.zeros(4), np.ones(4),
+                                                      training=True),
                                            bn_w).sum()),
         "batch_norm_eval": (x_bn,
                             lambda t: mul(

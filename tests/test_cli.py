@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyngcn import cli
+from dyngcn import cli, export
 from dyngcn.checkpoint import load_checkpoint
 from dyngcn.config import run_preset
 from dyngcn.data import load_manifest
@@ -228,15 +228,32 @@ def full_forward_oracle(model, x, labels, class_id, layer_index, batch_size):
 
 
 @pytest.mark.parametrize("layer", [1, 2])
-def test_class_average_adjacency_matches_full_forward(workspace, layer):
+def test_class_average_adjacency_matches_full_forward(workspace, monkeypatch, layer):
+    """The average is the same bits whatever the export's batch size, and
+    they are the learner's output inside one complete forward."""
     model, _ = load_checkpoint(workspace / "run" / "model.ckpt")
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((5, 2, 3, model.config.frames, 25)).astype(np.float32)
-    labels = np.array([0, 1, 0, 0, 1])
-    got = class_average_adjacency(model, x, labels, 0, layer, batch_size=2)
-    want = full_forward_oracle(model, x, labels, 0, layer, batch_size=2)
-    assert got.shape == ((25, 25) if layer == 1 else (15, 15))
-    assert np.array_equal(got, want)
+    x = rng.standard_normal((7, 2, 3, model.config.frames, 25)).astype(np.float32)
+    labels = np.array([0, 1, 0, 0, 1, 0, 0])
+    batches = []
+    input_stage = model.input_stage
+
+    def counted(t):
+        batches.append(len(t.data))
+        return input_stage(t)
+
+    monkeypatch.setattr(model, "input_stage", counted)
+    got = []
+    for batch_size in (1, 2, 64):
+        monkeypatch.setattr(export, "EVAL_BATCH_SIZE", batch_size)
+        got.append(class_average_adjacency(model, x, labels, 0, layer))
+    monkeypatch.undo()
+    # the five class-0 samples, in batches of 1, 2 and 64
+    assert batches == [1] * 5 + [2, 2, 1] + [5]
+    want = full_forward_oracle(model, x, labels, 0, layer, batch_size=len(x))
+    assert want.shape == ((25, 25) if layer == 1 else (15, 15))
+    for matrix in got:
+        assert matrix.dtype == want.dtype and matrix.tobytes() == want.tobytes()
 
 
 def test_export_without_learner_raises(workspace):

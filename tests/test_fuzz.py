@@ -2,7 +2,9 @@
 checkpoints, run configs and layouts): round trips and corrupted input."""
 
 import importlib.resources
+import json
 import re
+import struct
 import warnings
 from dataclasses import fields, replace
 
@@ -198,7 +200,7 @@ def test_checkpoint_round_trip_is_bit_exact(work, topology, dtype, seed):
     config.topology = topology
     model = build_model(config, seed=seed, dtype=dtype)
     back, meta = load_checkpoint(save_checkpoint(fresh(work / "rt.ckpt"), model, {"seed": seed}))
-    assert meta == {"seed": seed}
+    assert meta == {"seed": seed, "modality": "joint"}
     want = dict(model.named_parameters())
     got = dict(back.named_parameters())
     assert list(got) == list(want)
@@ -229,6 +231,32 @@ def test_bit_flip_in_checkpoint_header_loads_or_names_file(work, stored, region,
     raw[bit // 8] ^= 1 << (bit % 8)
     fresh(work / "flip.ckpt").write_bytes(bytes(raw))
     loads_or_names_file_and_offset(work / "flip.ckpt")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | names,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(names, inner, max_size=3),
+    max_leaves=6)
+ABSENT = object()
+
+
+@FUZZ
+@given(modality=st.just(ABSENT) | st.sampled_from(sorted(MODALITIES)) | json_values,
+       class_names=st.just(ABSENT) | st.lists(names, max_size=3) | json_values)
+def test_checkpoint_meta_loads_or_names_file_and_header(work, stored, modality, class_names):
+    header, raw, offset = read_checkpoint_header(stored[0])
+    meta = {"modality": modality, "class_names": class_names}
+    header["meta"] = {key: value for key, value in meta.items() if value is not ABSENT}
+    body = json.dumps(header).encode()
+    path = fresh(work / "meta.ckpt")
+    path.write_bytes(raw[:4] + struct.pack("<HQ", 1, len(body)) + body + raw[offset:])
+    try:
+        _, meta = load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: header at byte offset {HEADER_OFFSET}: "), str(exc)
+    else:
+        assert meta["modality"] in MODALITIES
+        assert all(isinstance(name, str) for name in meta.get("class_names", []))
 
 
 # -- run configs ----------------------------------------------------------

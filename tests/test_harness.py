@@ -352,6 +352,46 @@ def test_checkpoint_config_rejected_by_the_model_names_offset(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_listing_an_array_twice_is_refused(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+    header, raw, offset = read_checkpoint_header(path)
+    first = header["arrays"][0]
+    first_bytes = raw[offset : offset + 4 * math.prod(first["shape"])]
+
+    def list_first_again(header):
+        header["arrays"].append(dict(first))
+        return json.dumps(header).encode()
+
+    rewrite_header(path, list_first_again)
+    path.write_bytes(path.read_bytes() + first_bytes)
+    with pytest.raises(ValueError, match=rf"m\.ckpt: header at byte offset 14: "
+                                         rf"array '{first['name']}' is listed twice$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_mixing_dtypes_is_refused(tmp_path):
+    model = build_model(tiny_model_config(), seed=1)
+    _, param = next(iter(model.named_parameters()))
+    param.data = param.data.astype(np.float64)
+    path = save_checkpoint(tmp_path / "m.ckpt", model)
+    with pytest.raises(ValueError, match=r"m\.ckpt: header at byte offset 14: the arrays mix "
+                                         r"dtypes \['float32', 'float64'\], a model has one$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_array_name_must_be_a_string(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
+
+    def name_as_list(header):
+        header["arrays"][0]["name"] = [header["arrays"][0]["name"]]
+        return json.dumps(header).encode()
+
+    rewrite_header(path, name_as_list)
+    with pytest.raises(ValueError, match=r"m\.ckpt: header at byte offset 14: array entry "
+                                         r".* needs a name, a shape of sizes and a dtype$"):
+        load_checkpoint(path)
+
+
 # -- training harness ---------------------------------------------------
 
 
@@ -562,6 +602,20 @@ def test_checkpoint_with_an_unknown_modality_is_refused_before_any_sequence_is_r
                                          rf"unknown modality {re.escape(repr(modality))}, "
                                          rf"expected one of "):
         call()
+    assert not (tmp_path / "t.txt").exists()
+
+
+@pytest.mark.parametrize("class_names", [{"0": "c0"}, 3, None, "c0", ["c0", 1]],
+                         ids=["object", "number", "null", "string", "non-string-item"])
+def test_export_refuses_a_checkpoint_whose_class_names_is_not_a_list_of_strings(
+        smoke_setup, smoke_run, tmp_path, class_names):
+    root, _ = smoke_setup
+    model, meta = load_checkpoint(smoke_run.checkpoint_path)
+    ckpt = save_checkpoint(tmp_path / "names.ckpt", model, {**meta, "class_names": class_names})
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(ckpt))}: header at byte offset 14: "
+                                         rf"'class_names' is {re.escape(repr(class_names))}, "
+                                         rf"expected a list of strings$"):
+        export_topology(ckpt, root / "data" / "test.manifest", 1, 0, tmp_path / "t")
     assert not (tmp_path / "t.txt").exists()
 
 

@@ -1,7 +1,8 @@
 """Every name a module imports or defines as module-level private is used
 in that module, no module reads the ``tensor`` alias of a parameter (a
-parameter is the tensor itself), and no signature restates a model setting's
-default or invents a seed."""
+parameter is the tensor itself), no signature restates a model setting's
+default or invents a seed, and a defaulted ``batch_size`` defaults to
+``EVAL_BATCH_SIZE``."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,14 @@ SETTINGS = {"alpha_degree", "lambda_static", "topology", "final_relu", "learner_
             "learn_projection"}
 
 
+def defaulted_parameters(args):
+    """(parameter, default) of every parameter of a signature that has a default."""
+    positional = args.posonlyargs + args.args
+    return list(zip(positional[len(positional) - len(args.defaults):], args.defaults)) + [
+        (arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None]
+
+
 def defaulted_settings(source):
     """(line, name) of every parameter named ``rng``, or after a model
     setting, that has a default; dataclass fields count as parameters, and
@@ -82,12 +91,7 @@ def defaulted_settings(source):
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):] + [
-                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                if default is not None]
-            found += [(arg.lineno, arg.arg) for arg in defaulted
+            found += [(arg.lineno, arg.arg) for arg, _ in defaulted_parameters(node.args)
                       if arg.arg == "rng" or arg.arg in SETTINGS]
         elif isinstance(node, ast.ClassDef):
             names = {"rng"} if node.name == "ModelConfig" else SETTINGS | {"rng"}
@@ -112,3 +116,33 @@ def test_defaulted_settings_are_found():
               "pick = lambda x, topology='none': x\n")
     assert defaulted_settings(source) == [(6, "final_relu"), (6, "rng"), (15, "alpha_degree"),
                                           (18, "topology")]
+
+
+def stray_batch_defaults(source):
+    """(line, function) of every function parameter ``batch_size`` whose
+    default is not the name ``EVAL_BATCH_SIZE``; dataclass fields (the
+    training batch size) are not parameters here."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += [(arg.lineno, getattr(node, "name", "<lambda>"))
+                      for arg, default in defaulted_parameters(node.args)
+                      if arg.arg == "batch_size"
+                      and not (isinstance(default, ast.Name) and default.id == "EVAL_BATCH_SIZE")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_defaults_every_eval_batch_size_to_one_constant(path):
+    assert stray_batch_defaults(path.read_text()) == []
+
+
+def test_stray_batch_defaults_are_found():
+    source = ("EVAL_BATCH_SIZE = 64\n\n"
+              "def collect(x, batch_size=EVAL_BATCH_SIZE):\n    return x\n\n"
+              "def export(x, batch_size=16):\n    return x\n\n"
+              "def slices(count, batch_size):\n    return count\n\n"
+              "def pick(x, *, batch_size=train.EVAL_BATCH_SIZE):\n    return x\n\n"
+              "class RunConfig:\n    batch_size: int = 64\n\n"
+              "chunk = lambda x, batch_size=8: x\n")
+    assert stray_batch_defaults(source) == [(6, "export"), (12, "pick"), (18, "<lambda>")]
