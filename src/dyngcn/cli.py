@@ -177,7 +177,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, TypeError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, TypeError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

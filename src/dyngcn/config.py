@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .data import read_utf8
 from .modality import refuse_unknown_modality
 from .model import ModelConfig, refuse_non_finite
 
@@ -157,8 +158,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        path = Path(path)
-        return cls.from_text(path.read_text(), source=str(path))
+        return cls.from_text(read_utf8(path), source=str(path))
 
     def with_overrides(self, assignments):
         """Apply ``key=value`` strings, e.g. from repeated --set flags."""

@@ -391,13 +391,24 @@ def save_manifest(path, manifest):
     return path
 
 
+def read_utf8(path):
+    """The text of ``path``, decoded as UTF-8.  Text that is not UTF-8
+    raises a ValueError naming the file and the offset of the first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte offset {exc.start}: byte 0x{raw[exc.start]:02x} "
+                         f"is not UTF-8 text") from None
+
+
 def load_manifest(path):
     path = Path(path)
     layout_name = ""
     split = ""
     class_names = {}
     entries = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -36,12 +36,16 @@ import numpy as np
 from .layers import BatchNorm, Conv2d, Linear, Module, Parameter
 from .skeleton import TopologySet, build_layout
 from .tensor import (
+    _accumulate,
+    _from_op,
+    _scratch,
+    _unbroadcast,
     concat,
     conv2d,
     matmul,
     mean_pool_global,
+    no_grad,
     permute,
-    recompute,
     reshape,
     scale,
 )
@@ -175,22 +179,50 @@ def graph_conv(x, graphs, weight, residual=None):
     channel stack, and one 1x1 convolution maps it to the output channels
     and adds ``residual``, if given, in its epilogue.
 
-    The stack is K times the size of ``x``, and both products are cheap to
-    repeat, so the pair runs under ``recompute``: the graph keeps the
-    inputs and the output, and backward rebuilds the stack.
+    The stack is K times the size of ``x``, so the products run under
+    ``no_grad`` and one node keeps only the inputs.  Backward rebuilds the
+    stack with the forward's product into pooled scratch
+    (``graph_conv.stack``) for the weight gradient, then runs the products'
+    backward expressions, so each gradient has the bits of the recorded ops.
     """
-    inputs = (x, graphs, weight) if residual is None else (x, graphs, weight, residual)
-    return recompute(_aggregate_and_map, *inputs)
-
-
-def _aggregate_and_map(x, graphs, weight, residual=None):
-    """``graph_conv``'s products, recorded op by op."""
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
-    rows = reshape(x, (batch, 1, channels * frames, n))
-    aggregated = matmul(rows, permute(graphs, (0, 1, 3, 2)))
-    return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight,
-                  residual=residual)
+    c_out = weight.data.shape[0]
+    with no_grad():
+        rows = reshape(x, (batch, 1, channels * frames, n))
+        stack = matmul(rows, permute(graphs, (0, 1, 3, 2)))
+        data = conv2d(reshape(stack, (batch, k * channels, frames, n)), weight,
+                      residual=residual).data
+    inputs = (x, graphs, weight) if residual is None else (x, graphs, weight, residual)
+
+    def backward(g):
+        # the products the recorded 1x1 conv2d, matmul, permute and reshape
+        # backward run, in their order and on the same operands
+        if residual is not None:
+            _accumulate(residual, g)
+        rows = x.data.reshape(batch, 1, channels * frames, n)
+        g2 = g.reshape(batch, c_out, frames * n)
+        if weight.requires_grad:
+            stack = _scratch("graph_conv.stack", (batch, k, channels * frames, n),
+                             np.result_type(x.data, graphs.data))
+            np.matmul(rows, graphs.data.transpose(0, 1, 3, 2), out=stack)
+            stack_t = stack.reshape(batch, k * channels, frames * n).transpose(0, 2, 1)
+            _accumulate(weight, np.matmul(g2, stack_t).sum(axis=0).reshape(weight.data.shape))
+        # dW has read the stack, so its gradient may take the same buffer
+        w2 = weight.data.reshape(c_out, k * channels)
+        dstack = _scratch("graph_conv.stack", (batch, k * channels, frames * n),
+                          np.result_type(w2, g2))
+        np.matmul(w2.T, g2, out=dstack)
+        dstack = dstack.reshape(batch, k, channels * frames, n)
+        if x.requires_grad:
+            dx = _unbroadcast(np.matmul(dstack, graphs.data), rows.shape)
+            _accumulate(x, dx.reshape(x.data.shape))
+        if graphs.requires_grad:
+            dgraphs = _unbroadcast(np.matmul(np.swapaxes(rows, -1, -2), dstack),
+                                   graphs.data.shape)
+            _accumulate(graphs, dgraphs.transpose(0, 1, 3, 2))
+
+    return _from_op(data, inputs, backward)
 
 
 def static_branch(x, topo, convs, lambda_static):

@@ -23,25 +23,21 @@ statistics, and rebuilds the normalized input x_hat in backward; the t x 1
 convolution keeps its input and recomputes its columns.  ``_epilogue`` adds
 a residual and applies a ReLU in place on a convolution's or batch norm's
 own output, so the route sum and the residual add need no node of their own.
-``recompute`` goes one step further for a whole pure function: its node
-keeps only the function's inputs and output, and backward reruns the
-function to rebuild the inner graph, whose intermediate outputs (the graph
-aggregation stack of ``model.graph_conv``) are therefore never kept.
 
 Backward temporaries that never leave their op come from a small pool of
 scratch buffers, one per role: the t x 1 convolution's recomputed columns
 (``conv.cols``), its column gradient (``conv.dcols``) and its per-chunk
 weight-gradient stack (``conv.dw``), and the batch-norm backward's rebuilt
-x_hat (``batch_norm.x_hat``) and its other scratch (``batch_norm``).  A
-role's buffer grows to the largest size the role has needed and is kept
-until ``free_scratch()`` (``train`` calls it when a run ends), so a train
-step reuses the previous step's memory instead of faulting fresh pages
-in.  An op overwrites all it takes from the pool, and no pooled array
-escapes: none becomes an op output, a gradient handed to ``_accumulate``
-or a value a closure keeps.  Forwards take nothing from the pool.  The
-pool belongs to the process, so only one backward may run at a time;
-``recompute``'s inner walk is part of the outer one, since no op holds a
-pooled buffer across another op's closure.
+x_hat (``batch_norm.x_hat``) and its other scratch (``batch_norm``), and
+``model.graph_conv``'s rebuilt aggregation stack, which its gradient then
+overwrites (``graph_conv.stack``).  A role's buffer grows to the largest
+size the role has needed and is kept until ``free_scratch()`` (``train``
+calls it when a run ends), so a train step reuses the previous step's
+memory instead of faulting fresh pages in.  An op overwrites all it takes
+from the pool, and no pooled array escapes: none becomes an op output, a
+gradient handed to ``_accumulate`` or a value a closure keeps.  Forwards
+take nothing from the pool.  The pool belongs to the process, so only one
+backward may run at a time.
 """
 
 from __future__ import annotations
@@ -55,17 +51,13 @@ _grad_enabled = [True]
 
 
 @contextlib.contextmanager
-def _recording(enabled):
-    _grad_enabled.append(enabled)
+def no_grad():
+    """Disable graph recording inside the context (eval-time forwards)."""
+    _grad_enabled.append(False)
     try:
         yield
     finally:
         _grad_enabled.pop()
-
-
-def no_grad():
-    """Disable graph recording inside the context (eval-time forwards)."""
-    return _recording(False)
 
 
 def _as_float_array(data):
@@ -123,7 +115,27 @@ class Tensor:
                 raise ValueError(
                     f"gradient shape {gradient.shape} does not match tensor shape {self.data.shape}"
                 )
-        _backprop(self, gradient)
+        topo = []
+        seen = set()
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for parent in node._prev:
+                if id(parent) not in seen:
+                    stack.append((parent, False))
+
+        self.grad = gradient if self.grad is None else self.grad + gradient
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -135,33 +147,6 @@ class Tensor:
 
     def mean(self, axis=None):
         return tensor_mean(self, axis=axis)
-
-
-def _backprop(root, g):
-    """Pass ``g`` into ``root.grad`` and walk the graph behind ``root`` in
-    reverse topological order, freeing each op output's gradient once its
-    closure has passed it on.  ``recompute`` walks its inner graph with it."""
-    topo = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._prev:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-
-    root.grad = g if root.grad is None else root.grad + g
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
 
 
 def _from_op(data, inputs, backward):
@@ -230,38 +215,6 @@ def _unbroadcast(g, shape):
         if size == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def recompute(fn, *inputs):
-    """``fn(*inputs)``, with the graph inside ``fn`` rebuilt in backward
-    instead of kept (gradient checkpointing).
-
-    Under ``no_grad``, or when no input needs a gradient, this is just
-    ``fn(*inputs)``.  Otherwise ``fn`` runs under ``no_grad`` and the node
-    keeps only its inputs and its output.  Backward reruns ``fn`` with
-    recording on, on fresh leaves that share the inputs' data, walks that
-    inner graph from ``g`` and passes each leaf's gradient on to its input.
-
-    ``fn`` must be pure: a function of its tensor inputs alone that
-    changes no state, so the rerun repeats the forward's ops on the same
-    operands and gives the gradients bit for bit.  Batch norm in training
-    mode updates its running statistics and does not qualify.
-    """
-    if not (_grad_enabled[-1] and any(t.requires_grad for t in inputs)):
-        return fn(*inputs)
-    with no_grad():
-        data = fn(*inputs).data
-
-    def backward(g):
-        leaves = tuple(Tensor(t.data, requires_grad=t.requires_grad) for t in inputs)
-        with _recording(True):
-            out = fn(*leaves)
-        _backprop(out, g)
-        for t, leaf in zip(inputs, leaves):
-            if leaf.grad is not None:
-                _accumulate(t, leaf.grad)
-
-    return _from_op(data, inputs, backward)
 
 
 # -- elementwise and structural ops -------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import load_manifest, load_sequence, normalize_coords, resize_sequence
+from .data import load_manifest, load_sequence, normalize_coords, read_utf8, resize_sequence
 from .modality import apply_modality, ensemble_logits
 from .model import build_model
 from .optim import NesterovSGD
@@ -88,7 +88,7 @@ class MetricsLog:
 
     @classmethod
     def load(cls, path):
-        return cls.parse(Path(path).read_text(), source=str(path))
+        return cls.parse(read_utf8(path), source=str(path))
 
 
 @dataclass

@@ -140,6 +140,33 @@ def test_error_line_and_exit_code(workspace, capsys):
     assert captured.err.startswith("error: ")
 
 
+def os_error_argv(workspace, tmp_path, case):
+    """argv for a command whose path is a directory where a file is wanted,
+    or a file where a directory is wanted; and that path."""
+    data = workspace / "data"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    if case == "eval --checkpoint <dir>":
+        return ["eval", "--checkpoint", str(tmp_path), "--manifest",
+                str(data / "test.manifest")], tmp_path
+    if case == "train --train-manifest <dir>":
+        return ["train", "--preset", "smoke", "--train-manifest", str(tmp_path),
+                "--out-dir", str(tmp_path / "run")], tmp_path
+    if case == "train --out-dir <file>":
+        return ["train", "--preset", "smoke", "--train-manifest", str(data / "train.manifest"),
+                "--out-dir", str(a_file)], a_file
+    return ["synth", "--out", str(a_file)], a_file
+
+
+@pytest.mark.parametrize("case", ["eval --checkpoint <dir>", "train --train-manifest <dir>",
+                                  "train --out-dir <file>", "synth --out <file>"])
+def test_os_error_exits_2_naming_the_path(workspace, tmp_path, capsys, case):
+    argv, path = os_error_argv(workspace, tmp_path, case)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 # -- topology export ----------------------------------------------------
 
 

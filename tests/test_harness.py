@@ -206,6 +206,21 @@ def test_metrics_log_errors_name_file_and_line(tmp_path, body, line, message):
         MetricsLog.parse(path.read_text())
 
 
+@pytest.mark.parametrize("kind", ["manifest", "run config", "metrics log"])
+def test_text_file_that_is_not_utf8_names_file_and_byte_offset(tmp_path, capsys, kind):
+    # "é" is two bytes, so the bad byte's offset is 8 in bytes but 6 in characters
+    path = tmp_path / "file.txt"
+    path.write_bytes("# \u00e9t\u00e9\n".encode() + b"\xff\n")
+    load = {"manifest": load_manifest, "run config": RunConfig.load,
+            "metrics log": MetricsLog.load}[kind]
+    message = f"{path}: byte offset 8: byte 0xff is not UTF-8 text"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        load(path)
+    if kind == "run config":
+        assert cli.main(["flops", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- checkpoints --------------------------------------------------------
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+import dyngcn.model as model_module
 import dyngcn.tensor as tensor_module
 from dyngcn.layers import Conv2d
 from dyngcn.model import (
     BlockSpec,
     DynamicGConvBlock,
     ModelConfig,
-    _aggregate_and_map,
     build_model,
     dynamic_branch,
     graph_conv,
@@ -184,13 +184,24 @@ GRAPH_CONV_CASES = {
 }
 
 
+def recorded_graph_conv(x, graphs, weight, residual=None):
+    """``graph_conv``'s products, recorded op by op."""
+    batch, channels, frames, n = x.data.shape
+    k = graphs.data.shape[1]
+    rows = reshape(x, (batch, 1, channels * frames, n))
+    aggregated = matmul(rows, permute(graphs, (0, 1, 3, 2)))
+    return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight,
+                  residual=residual)
+
+
 @pytest.mark.parametrize("case", GRAPH_CONV_CASES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_graph_conv_recompute_matches_recorded_products_bitwise(monkeypatch, case, dtype):
+def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dtype):
     # stale pool bytes (NaN in either dtype) that no backward may read
     monkeypatch.setattr(tensor_module, "_SCRATCH", {
         role: np.full(1 << 16, 0xFF, dtype=np.uint8)
-        for role in ("conv.cols", "conv.dcols", "conv.dw", "batch_norm", "batch_norm.x_hat")})
+        for role in ("conv.cols", "conv.dcols", "conv.dw", "batch_norm", "batch_norm.x_hat",
+                     "graph_conv.stack")})
     (graph_batch, k), with_residual = GRAPH_CONV_CASES[case]
     batch, c_in, c_out, t, n = 4, 6, 5, 7, 25
     rng = np.random.default_rng(sum(map(ord, case)))
@@ -201,7 +212,7 @@ def test_graph_conv_recompute_matches_recorded_products_bitwise(monkeypatch, cas
         arrays.pop()
     g = rng.standard_normal((batch, c_out, t, n)).astype(dtype)
     results = []
-    for route in (graph_conv, _aggregate_and_map):
+    for route in (graph_conv, recorded_graph_conv):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         out = route(*inputs)
         if route is graph_conv:
@@ -601,12 +612,30 @@ def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
     loss.backward()
     pool = tensor_module._SCRATCH
     assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols",
-                            "conv.dw"]
+                            "conv.dw", "graph_conv.stack"]
     held = tape_arrays(loss) + [p.grad for p in model.parameters()]
     assert len(held) > 200
     for array in held:
         for role, buf in pool.items():
             assert not np.shares_memory(array, buf), role
+
+
+def test_train_step_backward_calls_no_contraction_op(monkeypatch):
+    # graph_conv's backward rebuilds only its stack, with numpy, and reruns
+    # neither the graph product nor the 1x1 conv
+    model = build_model(ModelConfig(**GATE_CONFIG), seed=0)
+    x, labels = gate_batch()
+    loss = softmax_cross_entropy(model(x), labels)
+    calls = []
+    for name in ("matmul", "conv2d"):
+        def counted(*args, original=getattr(model_module, name), name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, name, counted)
+    loss.backward()
+    assert calls == []
+    assert all(p.grad is not None for p in model.parameters() if p.requires_grad)
 
 
 def array_base(array):

@@ -37,8 +37,8 @@ def test_perfbench_installs_on_the_source_tree_and_restores(monkeypatch, train_p
 
 
 def test_traced_train_step_matches_the_cost_model_with_one_backward(monkeypatch):
-    # A traced train step counts each contraction of the forward once, even
-    # where backward reruns it, and backward runs through one Tensor.backward.
+    # A traced train step counts each contraction of the forward once, and
+    # backward runs through one Tensor.backward.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from bench_trace import Patches, Tracer
 
