@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import read_utf8
 from .modality import refuse_unknown_modality
 from .model import ModelConfig, refuse_non_finite
+from .skeleton import read_utf8
 
 
 def _parse_bool(text):

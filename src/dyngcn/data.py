@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import refuse_non_finite
+from .skeleton import build_layout, decode_utf8, read_utf8
 
 MAGIC = b"SKSQ"
 FORMAT_VERSION = 1
@@ -308,10 +309,7 @@ def load_sequence(path):
     raw = path.read_bytes()
     if raw[:4] == MAGIC:
         return _parse_binary(raw, path)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: neither binary magic nor readable text") from None
+    text = decode_utf8(raw, f"{path}: neither binary magic nor readable text")
     return parse_sequence_text(text, path=str(path))
 
 
@@ -389,17 +387,6 @@ def save_manifest(path, manifest):
         lines.append(f"{rel}\t{label}")
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def read_utf8(path):
-    """The text of ``path``, decoded as UTF-8.  Text that is not UTF-8
-    raises a ValueError naming the file and the offset of the first bad byte."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: byte offset {exc.start}: byte 0x{raw[exc.start]:02x} "
-                         f"is not UTF-8 text") from None
 
 
 def load_manifest(path):
@@ -520,8 +507,6 @@ def synth_generate(out_dir, spec):
     seed derived as (seed, split, class, index), making every file
     reproducible in isolation.
     """
-    from .skeleton import build_layout
-
     out_dir = Path(out_dir)
     layout = build_layout(spec.layout)
     master = np.random.default_rng(spec.seed)

@@ -15,8 +15,8 @@ aggregations of a sample as a channel stack, and one 1x1 convolution
 maps the stack to the output channels.  The static route passes its K
 graphs with the concatenated weight lambda * [W_0 | ... | W_{K-1}], the
 dynamic route its one learned graph per sample with W'.  The static route
-runs first, and the dynamic route's 1x1 convolution adds it into its own
-output as an epilogue, so the route sum keeps no array of its own.  Every
+runs first, and the dynamic route's ``graph_conv`` adds it in place into
+its own output, so the route sum keeps no array of its own.  Every
 contraction keeps a per-sample GEMM shape, so eval outputs do not
 depend on the batch size.
 
@@ -176,8 +176,8 @@ def graph_conv(x, graphs, weight, residual=None):
     per sample, and ``weight`` is the (C_out, K * C, 1, 1) channel map.  One
     broadcast product of the (B, 1, C*T, N) input view with the transposed
     graphs gives a (B, K, C*T, N) result that already is the (B, K*C, T, N)
-    channel stack, and one 1x1 convolution maps it to the output channels
-    and adds ``residual``, if given, in its epilogue.
+    channel stack, and one 1x1 convolution maps it to the output channels;
+    ``residual``, if given, is added in place into that fresh output.
 
     The stack is K times the size of ``x``, so the products run under
     ``no_grad`` and one node keeps only the inputs.  Backward rebuilds the
@@ -191,8 +191,9 @@ def graph_conv(x, graphs, weight, residual=None):
     with no_grad():
         rows = reshape(x, (batch, 1, channels * frames, n))
         stack = matmul(rows, permute(graphs, (0, 1, 3, 2)))
-        data = conv2d(reshape(stack, (batch, k * channels, frames, n)), weight,
-                      residual=residual).data
+        data = conv2d(reshape(stack, (batch, k * channels, frames, n)), weight).data
+    if residual is not None:
+        data += residual.data
     inputs = (x, graphs, weight) if residual is None else (x, graphs, weight, residual)
 
     def backward(g):
@@ -237,7 +238,7 @@ def static_branch(x, topo, convs, lambda_static):
 
 def dynamic_branch(x, graph, conv, residual=None):
     """Per-sample (B, N, N) graph aggregation followed by its own 1x1 channel
-    map, whose epilogue adds ``residual`` (the static route), if given."""
+    map, to whose output ``graph_conv`` adds ``residual`` (the static route)."""
     batch, _, _, n = x.data.shape
     if graph.data.shape != (batch, n, n):
         raise ValueError(
@@ -313,7 +314,7 @@ class DynamicGConvBlock(Module):
         if self.lambda_static != 0.0:
             y = static_branch(x, self.topo, self.static_convs, self.lambda_static)
         if predicted is not None:
-            # the route sum is the dynamic conv's epilogue
+            # the dynamic route's graph_conv adds the static route in place
             y = dynamic_branch(x, predicted, self.dynamic_conv, residual=y)
         y = self.bn_fused(y)
         if self.shortcut_conv is None:

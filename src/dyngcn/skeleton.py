@@ -149,6 +149,23 @@ def parse_layout(text, name="layout"):
 BUILTIN_LAYOUTS = ("ntu25", "openpose18")
 
 
+def decode_utf8(raw, source):
+    """``raw`` decoded as UTF-8.  Bytes that are not UTF-8 raise a ValueError
+    that starts with ``source`` and gives the offset and value of the first
+    bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: byte offset {exc.start}: byte 0x{raw[exc.start]:02x} "
+                         f"is not UTF-8 text") from None
+
+
+def read_utf8(path):
+    """The text of ``path``, decoded as UTF-8 by ``decode_utf8``; an error
+    names the file."""
+    return decode_utf8(Path(path).read_bytes(), path)
+
+
 def build_layout(name_or_path):
     """Load a built-in layout by name, or any layout file by path."""
     if name_or_path in BUILTIN_LAYOUTS:
@@ -156,8 +173,9 @@ def build_layout(name_or_path):
         return parse_layout(resource.read_text(), name=name_or_path)
     path = Path(name_or_path)
     if path.is_file():
+        text = read_utf8(path)
         try:
-            return parse_layout(path.read_text(), name=path.stem)
+            return parse_layout(text, name=path.stem)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     raise ValueError(

@@ -9,7 +9,8 @@ The op set is intentionally small: what a graph-convolutional sequence
 classifier needs and nothing more.  Convolutions cover the two kernel
 shapes used by the model (1x1 and t x 1 over a (time, joint) grid).  An op
 takes only what some caller passes: batch norm always gets its running
-buffers, and the reductions always drop the reduced axes.
+buffers, the reductions always drop the reduced axes, and the row
+normalization's guard is the module constant ``L2_EPS``.
 
 All batched contractions are routed through ``numpy.matmul`` on stacked
 per-sample slices so that every sample sees a GEMM of the same shape
@@ -20,9 +21,9 @@ rely on.
 A closure keeps only what its backward reads and cannot rebuild cheaply.
 Batch norm keeps its input, which the graph holds anyway, and per-channel
 statistics, and rebuilds the normalized input x_hat in backward; the t x 1
-convolution keeps its input and recomputes its columns.  ``_epilogue`` adds
-a residual and applies a ReLU in place on a convolution's or batch norm's
-own output, so the route sum and the residual add need no node of their own.
+convolution keeps its input and recomputes its columns.  Batch norm adds a
+residual and applies a ReLU in place on its own output, so a block's
+residual add and its ReLUs need no node of their own.
 
 Backward temporaries that never leave their op come from a small pool of
 scratch buffers, one per role: the t x 1 convolution's recomputed columns
@@ -181,30 +182,6 @@ def free_scratch():
 def _accumulate(t, g):
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
-
-
-def _epilogue(data, inputs, residual=None, relu=False):
-    """Add ``residual`` into an op's own output ``data``, then apply a ReLU,
-    both in place: the bits of ``relu(add(op, residual))`` without their two
-    outputs.  Returns the node's inputs and a backward for the op's backward
-    to call first (so the node's closure stays the op's own), which masks
-    ``g`` with that ReLU, passes it on to ``residual`` unchanged and
-    returns it."""
-    if residual is not None:
-        data += residual.data
-    if relu:
-        # np.maximum keeps NaN, as the relu op does
-        np.maximum(data, 0, out=data)
-
-    def backward(g):
-        if relu:
-            # out > 0 exactly where the pre-activation is > 0, as in relu
-            g = g * (data > 0)
-        if residual is not None:
-            _accumulate(residual, g)
-        return g
-
-    return (inputs if residual is None else inputs + (residual,)), backward
 
 
 def _unbroadcast(g, shape):
@@ -370,15 +347,12 @@ def matmul(a, b):
 _COLS_BUDGET = 4 << 20
 
 
-def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
+def conv2d(x, weight, stride_t=1, pad_t=0):
     """2-d convolution over a (time, joint) grid.
 
     ``x`` is (B, C_in, T, N) and ``weight`` is (C_out, C_in, kt, kn) with
     kn fixed at 1; the kernel slides along time only.  Output time length
     is floor((T + 2*pad_t - kt) / stride_t) + 1.
-
-    ``residual``, if given, is added in place by ``_epilogue``, so
-    ``conv2d(x, w, residual=r)`` gives the bits of ``add(conv2d(x, w), r)``.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be 4-d (B, C, T, N), got shape {x.data.shape}")
@@ -399,11 +373,6 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
             f"conv2d kernel length {kt} exceeds padded input length {t_in + 2 * pad_t}"
         )
     t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
-    if residual is not None and residual.data.shape != (batch, c_out, t_out, n):
-        raise ValueError(
-            f"conv2d residual shape {residual.data.shape} does not match "
-            f"output shape {(batch, c_out, t_out, n)}"
-        )
 
     if kt == 1 and stride_t == 1 and pad_t == 0:
         # A 1x1 kernel is a channel mixing matrix; keep the per-sample GEMM
@@ -412,10 +381,9 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
         data = np.matmul(w2, x.data.reshape(batch, c_in, t_in * n)).reshape(
             batch, c_out, t_in, n
         )
-        inputs, epilogue = _epilogue(data, (x, weight), residual)
 
         def backward(g):
-            g2 = epilogue(g).reshape(batch, c_out, t_in * n)
+            g2 = g.reshape(batch, c_out, t_in * n)
             if weight.requires_grad:
                 x2t = x.data.reshape(batch, c_in, t_in * n).transpose(0, 2, 1)
                 dw = np.matmul(g2, x2t).sum(axis=0).reshape(weight.data.shape)
@@ -424,7 +392,7 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
                 dx = np.matmul(w2.T, g2).reshape(x.data.shape)
                 _accumulate(x, dx)
 
-        return _from_op(data, inputs, backward)
+        return _from_op(data, (x, weight), backward)
 
     # im2col along time, a chunk of samples at a time: column row (c, k, t)
     # holds input time t*stride_t + k - pad_t.  Each tap copies only its
@@ -454,10 +422,8 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
     for b0, b1 in chunks:
         np.matmul(w_flat, columns(cols, b0, b1), out=data[b0:b1])
     data = data.reshape(batch, c_out, t_out, n)
-    inputs, epilogue = _epilogue(data, (x, weight), residual)
 
     def backward(g):
-        g = epilogue(g)
         g_flat = g.reshape(batch, c_out, t_out * n)
         if weight.requires_grad:
             # Recompute the columns rather than keeping them alive through
@@ -490,13 +456,14 @@ def conv2d(x, weight, stride_t=1, pad_t=0, residual=None):
                     dx[b0:b1, :, src] += dc[:, :, k, lo:hi]
             _accumulate(x, dx)
 
-    return _from_op(data, inputs, backward)
+    return _from_op(data, (x, weight), backward)
 
 
 # -- normalization ------------------------------------------------------
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+L2_EPS = 1e-6
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
@@ -514,9 +481,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
     mean and 1/sigma, and backward rebuilds x_hat into pooled scratch, bit
     for bit, when gamma needs a gradient or, in training mode, ``x`` does.
 
-    ``residual`` and ``relu`` are ``_epilogue``'s, so
-    ``batch_norm(x, ..., relu=True, residual=r)`` gives the bits of
-    ``relu(add(batch_norm(x, ...), r))``.
+    ``residual``, if given, is added and ``relu`` applied in place on the
+    op's own output, so ``batch_norm(x, ..., relu=True, residual=r)`` gives
+    the bits of ``relu(add(batch_norm(x, ...), r))`` without their outputs.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm expects a 4-d tensor, got shape {x.data.shape}")
@@ -559,13 +526,22 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
         a = gamma.data * inv_std
         data = x.data * a.reshape(per_channel)
         data += (beta.data - mean * a).reshape(per_channel)
-    inputs, epilogue = _epilogue(data, (x, gamma, beta), residual, relu)
+    if residual is not None:
+        data += residual.data
+    if relu:
+        # np.maximum keeps NaN, as the relu op does
+        np.maximum(data, 0, out=data)
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
 
     def backward(g):
         # Neither g nor any array handed to _accumulate is written to: g
         # may be the caller's array, and an accumulated gradient may be
         # held as some tensor's .grad.
-        g = epilogue(g)
+        if relu:
+            # out > 0 exactly where the pre-activation is > 0, as in relu
+            g = g * (data > 0)
+        if residual is not None:
+            _accumulate(residual, g)
         if gamma.requires_grad or (training and x.requires_grad):
             # the forward's two expressions, so bitwise the x_hat it computed
             x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
@@ -609,20 +585,20 @@ def softmax(x, axis=-1):
     return _from_op(data, (x,), backward)
 
 
-def l2_row_normalize(x, eps=1e-6):
+def l2_row_normalize(x):
     """Scale the last axis of ``x`` to unit L2 norm.
 
-    Rows with norm at most ``eps`` are divided by ``eps`` instead, so an
-    all-zero row passes through as zeros.
+    Rows with norm at most ``L2_EPS`` are divided by ``L2_EPS`` instead, so
+    an all-zero row passes through as zeros.
     """
     norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    safe = np.maximum(norms, eps)
+    safe = np.maximum(norms, L2_EPS)
     data = x.data / safe
-    guarded = norms <= eps
+    guarded = norms <= L2_EPS
 
     def backward(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
-        grad = np.where(guarded, g / eps, (g - data * dot) / safe)
+        grad = np.where(guarded, g / L2_EPS, (g - data * dot) / safe)
         _accumulate(x, grad)
 
     return _from_op(data, (x,), backward)

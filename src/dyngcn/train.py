@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import load_manifest, load_sequence, normalize_coords, read_utf8, resize_sequence
+from .data import load_manifest, load_sequence, normalize_coords, resize_sequence
 from .modality import apply_modality, ensemble_logits
 from .model import build_model
 from .optim import NesterovSGD
+from .skeleton import read_utf8
 from .tensor import Tensor, free_scratch, no_grad, softmax_cross_entropy
 
 # Batch size of eval-mode forwards outside training (eval, ensemble, export).
@@ -194,16 +195,18 @@ def evaluate_arrays(model, x, labels, batch_size=EVAL_BATCH_SIZE):
     return accuracy_from_logits(logits, labels, model.config.n_classes)
 
 
-def load_model_inputs(model, manifest_path, modality, built_on):
+def load_model_inputs(model, manifest_path, modality, built_on, classes):
     """Read a manifest's sequences as ``model`` takes them: its layout and
     frame count; returns (manifest, (S, M, C, T, N) float32, (S,) labels).
 
     Before any sequence file is read, it refuses a listed file that does
-    not exist, a declared layout other than the model's, an empty manifest
-    and a label the model has no class for; after, coordinates that are not
-    the model's input channels.
+    not exist, a declared layout other than the model's, an empty manifest,
+    a label the model has no class for and a class table other than the
+    model's; after, coordinates that are not the model's input channels.
     ``built_on`` says what holds the model's layout, as in "checkpoint
-    c.ckpt was trained on".
+    c.ckpt was trained on".  ``classes`` is the model's class names and what
+    holds them, as in (names, "train manifest t.manifest declares"), or None
+    where nothing records them.
     """
     manifest = load_manifest(manifest_path)
     for target in (manifest.resolve(rel) for rel, _ in manifest.entries):
@@ -219,6 +222,9 @@ def load_model_inputs(model, manifest_path, modality, built_on):
         if label >= config.n_classes:
             raise ValueError(f"{manifest_path}: entry {rel!r} has label {label}, "
                              f"the model has {config.n_classes} classes")
+    if classes is not None and manifest.class_names != classes[0]:
+        raise ValueError(f"{manifest_path}: manifest declares classes "
+                         f"{manifest.class_names}, {classes[1]} {classes[0]}")
     x, labels = load_dataset(manifest, config.frames, layout, modality)
     if x.shape[2] != config.in_channels:
         raise ValueError(f"{manifest_path}: sequences have {x.shape[2]} coordinates, "
@@ -232,11 +238,13 @@ def train(config):
         raise ValueError("no training manifest; pass --train-manifest or set it in the config")
     model = build_model(config.model, seed=config.seed)
     train_manifest, x_train, y_train = load_model_inputs(
-        model, config.train_manifest, config.modality, "model.layout is")
+        model, config.train_manifest, config.modality, "model.layout is", None)
     eval_data = None
     if config.test_manifest:
+        classes = (train_manifest.class_names,
+                   f"train manifest {config.train_manifest} declares")
         eval_data = load_model_inputs(
-            model, config.test_manifest, config.modality, "model.layout is")[1:]
+            model, config.test_manifest, config.modality, "model.layout is", classes)[1:]
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -308,8 +316,9 @@ def load_checkpoint_inputs(checkpoint_path, manifest_path):
     """Load a checkpoint and a manifest's data as the checkpoint reads it:
     its layout, frame count and modality; returns (model, meta, x, labels)."""
     model, meta = load_checkpoint(checkpoint_path)
-    _, x, labels = load_model_inputs(model, manifest_path, meta["modality"],
-                                     f"checkpoint {checkpoint_path} was trained on")
+    built_on = f"checkpoint {checkpoint_path} was trained on"
+    classes = (meta["class_names"], built_on) if "class_names" in meta else None
+    _, x, labels = load_model_inputs(model, manifest_path, meta["modality"], built_on, classes)
     return model, meta, x, labels
 
 

@@ -119,8 +119,11 @@ def test_binary_string_not_utf8_reports_offset(tmp_path, what, field):
 
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "junk.skl"
-    path.write_bytes(b"\xff\xfe\x00\x01" + b"\x00" * 30)
-    with pytest.raises(ValueError, match="neither binary magic nor readable text"):
+    # ASCII up to the 0xff at byte offset 5
+    path.write_bytes(b"sksq\x01\xff\xfe\x00" + b"\x00" * 30)
+    message = (f"{path}: neither binary magic nor readable text: "
+               f"byte offset 5: byte 0xff is not UTF-8 text")
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         load_sequence(path)
 
 
@@ -446,7 +449,7 @@ def test_manifest_missing_file(tmp_path, monkeypatch):
     model = build_model(model_preset("toy"))
     with pytest.raises(FileNotFoundError, match=rf"^{re.escape(str(tmp_path))}/m\.manifest: "
                                                 rf"listed file missing: .*/gone\.skl$"):
-        load_model_inputs(model, tmp_path / "m.manifest", "joint", "model.layout is")
+        load_model_inputs(model, tmp_path / "m.manifest", "joint", "model.layout is", None)
 
 
 # -- synthetic generator ------------------------------------------------

@@ -206,13 +206,13 @@ def test_metrics_log_errors_name_file_and_line(tmp_path, body, line, message):
         MetricsLog.parse(path.read_text())
 
 
-@pytest.mark.parametrize("kind", ["manifest", "run config", "metrics log"])
+@pytest.mark.parametrize("kind", ["manifest", "run config", "metrics log", "layout"])
 def test_text_file_that_is_not_utf8_names_file_and_byte_offset(tmp_path, capsys, kind):
     # "é" is two bytes, so the bad byte's offset is 8 in bytes but 6 in characters
     path = tmp_path / "file.txt"
     path.write_bytes("# \u00e9t\u00e9\n".encode() + b"\xff\n")
     load = {"manifest": load_manifest, "run config": RunConfig.load,
-            "metrics log": MetricsLog.load}[kind]
+            "metrics log": MetricsLog.load, "layout": build_layout}[kind]
     message = f"{path}: byte offset 8: byte 0xff is not UTF-8 text"
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         load(path)
@@ -548,6 +548,42 @@ def test_manifest_declaring_another_layout_is_refused(smoke_setup, smoke_run, tm
     assert not (tmp_path / "t.txt").exists()
 
 
+@pytest.mark.parametrize("entry", ["train", "evaluate", "ensemble", "export"])
+def test_manifest_with_another_class_table_is_refused(smoke_setup, smoke_run, tmp_path,
+                                                       monkeypatch, entry):
+    root, cfg = smoke_setup
+    other = faulty_manifest(root, tmp_path, "classes")
+    ckpt = smoke_run.checkpoint_path
+    if entry == "train":
+        # the train manifest's sequences are read before the test manifest
+        source = rf"train manifest .*train\.manifest declares"
+        call = lambda: train(cfg.with_overrides([f"test_manifest={other}",
+                                                 f"out_dir={tmp_path / 'run'}"]))
+    else:
+        monkeypatch.setattr(dyngcn.train, "load_sequence", None)
+        source = rf"checkpoint {re.escape(str(ckpt))} was trained on"
+        call = {"evaluate": lambda: evaluate_checkpoint(ckpt, other),
+                "ensemble": lambda: ensemble_checkpoints([ckpt], other),
+                "export": lambda: export_topology(ckpt, other, 1, 0, tmp_path / "t")}[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(other))}: manifest declares classes "
+                                         rf"\['pattern1', 'pattern0'\], {source} "
+                                         rf"\['pattern0', 'pattern1'\]$"):
+        call()
+    assert not (tmp_path / "t.txt").exists() and not (tmp_path / "run").exists()
+
+
+def test_checkpoint_without_class_names_reads_any_class_table(smoke_setup, smoke_run, tmp_path):
+    root, _ = smoke_setup
+    other = faulty_manifest(root, tmp_path, "classes")
+    model, meta = load_checkpoint(smoke_run.checkpoint_path)
+    del meta["class_names"]
+    ckpt = save_checkpoint(tmp_path / "nameless.ckpt", model, meta)
+    got = evaluate_checkpoint(ckpt, other)
+    want = evaluate_checkpoint(smoke_run.checkpoint_path, root / "data" / "test.manifest")
+    assert (got.top1, got.top5) == (want.top1, want.top5)
+    assert (got.confusion == want.confusion).all()
+
+
 def faulty_manifest(root, tmp_path, fault):
     """The smoke test manifest, with absolute entry paths and one fault."""
     manifest = load_manifest(root / "data" / "test.manifest")
@@ -556,6 +592,8 @@ def faulty_manifest(root, tmp_path, fault):
         manifest.layout_name = "kinect25"
     elif fault == "empty":
         manifest.entries = []
+    elif fault == "classes":
+        manifest.class_names.reverse()
     elif fault == "label":
         manifest.class_names += ["c2", "c3"]
         manifest.entries[-1] = (manifest.entries[-1][0], 3)

@@ -1,8 +1,8 @@
 """Every name a module imports or defines as module-level private is used
 in that module, no module reads the ``tensor`` alias of a parameter (a
 parameter is the tensor itself), no signature restates a model setting's
-default or invents a seed, and a defaulted ``batch_size`` defaults to
-``EVAL_BATCH_SIZE``."""
+default or invents a seed, a defaulted ``batch_size`` defaults to
+``EVAL_BATCH_SIZE``, and an op takes only what some caller passes."""
 
 import ast
 from pathlib import Path
@@ -146,3 +146,48 @@ def test_stray_batch_defaults_are_found():
               "class RunConfig:\n    batch_size: int = 64\n\n"
               "chunk = lambda x, batch_size=8: x\n")
     assert stray_batch_defaults(source) == [(6, "export"), (12, "pick"), (18, "<lambda>")]
+
+
+def unset_defaults(op_source, sources):
+    """(line, "function.parameter") of every defaulted parameter of a public
+    module-level function of ``op_source`` that no call in ``sources`` sets,
+    by keyword or by position; a call with ``*args`` or ``**kwargs`` sets
+    what it could reach.  A call is matched by the function's name alone."""
+    defaults = []
+    for node in ast.parse(op_source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            positional = node.args.posonlyargs + node.args.args
+            defaults += [(arg.lineno, node.name, arg.arg,
+                          positional.index(arg) if arg in positional else None)
+                         for arg, _ in defaulted_parameters(node.args)]
+    calls = []
+    for source in sources:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                calls.append((name, float("inf") if starred else len(call.args),
+                              {kw.arg for kw in call.keywords}))
+    return sorted((line, f"{function}.{parameter}")
+                  for line, function, parameter, index in defaults
+                  if not any(name == function and (parameter in keywords or None in keywords
+                                                   or (index is not None and index < count))
+                             for name, count, keywords in calls))
+
+
+def test_every_op_default_is_set_by_some_call():
+    ops = next(path for path in SOURCES if path.name == "tensor.py")
+    assert unset_defaults(ops.read_text(), [path.read_text() for path in SOURCES]) == []
+
+
+def test_unset_defaults_are_found():
+    ops = ("def _helper(x, eps=1.0):\n    return x\n\n"
+           "def scale(x, factor=2.0, *, out=None):\n    return x\n\n"
+           "def pad(x, left=0, right=0):\n    return x\n\n"
+           "def norm(x, eps=1e-6, axis=-1):\n    return x\n\n"
+           "def mean(x, axis=None):\n    return x\n\n"
+           "class T:\n    def sum(self, axis=None):\n        return self\n")
+    callers = ("from .ops import mean, norm, pad, scale\n\n"
+               "y = pad(x, 1)\nz = scale(x, factor=3.0)\nw = ops.norm(x, *args)\n"
+               "v = mean(x, **options)\n")
+    assert unset_defaults(ops, [callers]) == [(4, "scale.out"), (7, "pad.right")]

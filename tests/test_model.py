@@ -19,6 +19,7 @@ from dyngcn.modality import apply_modality, derive_bone, derive_motion, ensemble
 from dyngcn.skeleton import SkeletonLayout, TopologySet, build_layout
 from dyngcn.tensor import (
     Tensor,
+    add,
     conv2d,
     matmul,
     mul,
@@ -176,22 +177,23 @@ def test_dynamic_branch_bitwise_matches_per_sample_products(batch, dtype):
 
 
 GRAPH_CONV_CASES = {
-    # graphs shape, whether a residual is added in the epilogue
-    "shared graphs": ((1, 3), False),
-    "shared graphs + residual": ((1, 3), True),
-    "per-sample graph": ((4, 1), False),
-    "per-sample graph + residual": ((4, 1), True),
+    # graphs shape, residual: none, its own tensor, or the input x itself
+    "shared graphs": ((1, 3), None),
+    "shared graphs + residual": ((1, 3), "own"),
+    "per-sample graph": ((4, 1), None),
+    "per-sample graph + residual": ((4, 1), "own"),
+    "per-sample graph + residual is the input": ((4, 1), "input"),
 }
 
 
 def recorded_graph_conv(x, graphs, weight, residual=None):
-    """``graph_conv``'s products, recorded op by op."""
+    """``graph_conv``'s products and route sum, recorded op by op."""
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
     rows = reshape(x, (batch, 1, channels * frames, n))
     aggregated = matmul(rows, permute(graphs, (0, 1, 3, 2)))
-    return conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight,
-                  residual=residual)
+    out = conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight)
+    return out if residual is None else add(out, residual)
 
 
 @pytest.mark.parametrize("case", GRAPH_CONV_CASES)
@@ -202,18 +204,25 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
         role: np.full(1 << 16, 0xFF, dtype=np.uint8)
         for role in ("conv.cols", "conv.dcols", "conv.dw", "batch_norm", "batch_norm.x_hat",
                      "graph_conv.stack")})
-    (graph_batch, k), with_residual = GRAPH_CONV_CASES[case]
-    batch, c_in, c_out, t, n = 4, 6, 5, 7, 25
+    (graph_batch, k), residual = GRAPH_CONV_CASES[case]
+    batch, c_in, t, n = 4, 6, 7, 25
+    c_out = c_in if residual == "input" else 5
     rng = np.random.default_rng(sum(map(ord, case)))
     arrays = [rng.standard_normal(shape).astype(dtype) for shape in (
         (batch, c_in, t, n), (graph_batch, k, n, n), (c_out, k * c_in, 1, 1),
         (batch, c_out, t, n))]
-    if not with_residual:
+    if residual != "own":
         arrays.pop()
     g = rng.standard_normal((batch, c_out, t, n)).astype(dtype)
+
+    def leaves():
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        # the input passed again as the residual is the same tensor
+        return inputs + inputs[:1] if residual == "input" else inputs
+
     results = []
     for route in (graph_conv, recorded_graph_conv):
-        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        inputs = leaves()
         out = route(*inputs)
         if route is graph_conv:
             # one node whose closure keeps the inputs, not the products
@@ -223,7 +232,7 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with no_grad():
-        out = graph_conv(*[Tensor(a, requires_grad=True) for a in arrays])
+        out = graph_conv(*leaves())
     assert out._backward is None and out._prev == () and not out.requires_grad
     assert out.data.tobytes() == results[0][0].tobytes()
 

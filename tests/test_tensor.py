@@ -170,50 +170,6 @@ def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
     assert xt.grad.tobytes() == want_dx.tobytes()
 
 
-# (B, C_in, T, N), C_out, kt, stride_t, pad_t; the residual aliases the input
-# where its shape allows
-CONV_RESIDUAL_CASES = {
-    "1x1": ((3, 8, 6, 5), 4, 1, 1, 0),
-    "1x1 residual is the input": ((3, 8, 6, 5), 8, 1, 1, 0),
-    "strided t x 1": ((3, 6, 12, 5), 4, 5, 2, 2),
-    "t x 1 residual is the input": ((3, 6, 12, 5), 6, 5, 1, 2),
-}
-
-
-@pytest.mark.parametrize("case", CONV_RESIDUAL_CASES)
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv2d_residual_epilogue_matches_add_bitwise(case, dtype):
-    shape, c_out, kt, stride_t, pad_t = CONV_RESIDUAL_CASES[case]
-    aliased = case.endswith("is the input")
-    batch, c_in, t_in, n = shape
-    out_shape = (batch, c_out, (t_in + 2 * pad_t - kt) // stride_t + 1, n)
-    rng = np.random.default_rng(sum(map(ord, case)))
-    x = rng.standard_normal(shape).astype(dtype)
-    w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
-    r = rng.standard_normal(out_shape).astype(dtype)
-    g = rng.standard_normal(out_shape).astype(dtype)
-    results = []
-    for fused in (True, False):
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        rt = xt if aliased else Tensor(r, requires_grad=True)
-        if fused:
-            out = conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t, residual=rt)
-        else:
-            out = add(conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t), rt)
-        out.backward(g)
-        results.append((out.data, xt.grad, wt.grad, rt.grad))
-    for got, want in zip(*results):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_conv2d_rejects_mismatched_residual():
-    x = Tensor(np.zeros((2, 3, 8, 5)))
-    w = Tensor(np.zeros((4, 3, 3, 1)))
-    with pytest.raises(ValueError, match=r"residual shape \(2, 4, 8, 5\) does not match "
-                                         r"output shape \(2, 4, 4, 5\)"):
-        conv2d(x, w, stride_t=2, pad_t=1, residual=Tensor(np.zeros((2, 4, 8, 5))))
-
-
 def test_batch_norm_training_statistics():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 3, 8, 2)) * 3.0 + 1.5)
