@@ -6,8 +6,9 @@ Layout on disk:
   | concatenated little-endian array buffers
 
 The JSON header holds the model config, metadata (a modality and class
-names, which ``load_checkpoint`` checks, and free-form keys such as the
-epoch), and an ordered array table (name, shape, dtype) of one dtype.
+names, which ``save_checkpoint`` and ``load_checkpoint`` check, and
+free-form keys such as the epoch), and an ordered array table (name,
+shape, dtype) of one dtype.
 Buffers are written raw, so a save/load round trip is bit-exact.
 """
 
@@ -42,8 +43,23 @@ def _model_arrays(model):
         yield name, buf
 
 
+def _refuse_bad_meta(meta):
+    """Raise unless ``meta`` names a known modality (none given reads as
+    ``"joint"``) and its ``class_names``, if given, is a list of strings;
+    the writer and the reader both ask."""
+    refuse_unknown_modality(meta.get("modality", "joint"))
+    class_names = meta.get("class_names", [])
+    if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)):
+        raise ValueError(f"'class_names' is {class_names!r}, expected a list of strings")
+
+
 def save_checkpoint(path, model, meta=None):
     path = Path(path)
+    meta = dict(meta or {})
+    try:
+        _refuse_bad_meta(meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; nothing written") from None
     table = []
     buffers = []
     for name, arr in _model_arrays(model):
@@ -55,7 +71,7 @@ def save_checkpoint(path, model, meta=None):
     header = {
         "version": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "meta": dict(meta or {}),
+        "meta": meta,
         "arrays": table,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -116,15 +132,11 @@ def read_checkpoint_header(path):
         if entry["name"] in names:
             raise _bad_header(path, f"array {entry['name']!r} is listed twice")
         names.add(entry["name"])
-    meta = header["meta"]
-    meta.setdefault("modality", "joint")
     try:
-        refuse_unknown_modality(meta["modality"])
+        _refuse_bad_meta(header["meta"])
     except ValueError as exc:
         raise _bad_header(path, str(exc)) from None
-    class_names = meta.get("class_names", [])
-    if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)):
-        raise _bad_header(path, f"'class_names' is {class_names!r}, expected a list of strings")
+    header["meta"].setdefault("modality", "joint")
     return header, raw, start + header_len
 
 

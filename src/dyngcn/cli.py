@@ -166,7 +166,8 @@ def build_parser():
     p.add_argument("--layer", type=int, required=True, help="1-based block index")
     p.add_argument("--class-id", type=int, required=True)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--out", required=True, help="output path prefix")
+    p.add_argument("--out", required=True,
+                   help="output path prefix; writes <prefix>.txt and <prefix>.dot")
     p.set_defaults(func=_cmd_export_topology)
 
     return parser

@@ -373,11 +373,22 @@ class DatasetManifest:
 
 
 def save_manifest(path, manifest):
+    """Write ``manifest`` as ``load_manifest`` reads it; refuses, before
+    writing anything, what would not read back as it is."""
     path = Path(path)
     for i, name in enumerate(manifest.class_names):
         if name.split() != [name]:
             raise ValueError(f"{path}: class {i} name {name!r} is empty or holds whitespace; "
                              "nothing written")
+    for field, value in (("layout name", manifest.layout_name), ("split", manifest.split)):
+        if value and value.split() != [value]:
+            raise ValueError(f"{path}: {field} {value!r} holds whitespace; nothing written")
+    for i, (rel, _) in enumerate(manifest.entries):
+        # the reader strips each line, skips it after a '#' and cuts it at its tab
+        rel = str(rel)
+        if rel.splitlines() != [rel] or rel != rel.lstrip() or rel[0] == "#" or "\t" in rel:
+            raise ValueError(f"{path}: entry {i} path {rel!r} is empty, starts with whitespace "
+                             "or '#', or holds a tab or a line break; nothing written")
     lines = ["# skeleton dataset manifest",
              f"# layout {manifest.layout_name}",
              f"# split {manifest.split}"]

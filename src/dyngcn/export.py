@@ -62,7 +62,8 @@ def format_dot(matrix, layout, threshold=DEFAULT_THRESHOLD, class_name=""):
     n = matrix.shape[0]
     lines = ["digraph topology {"]
     if class_name:
-        lines.append(f'  label="{class_name}";')
+        escaped = class_name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  label="{escaped}";')
     lines.append("  node [shape=circle];")
     for i in range(n):
         lines.append(f"  j{i};")
@@ -86,8 +87,9 @@ def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
     class_name = names[class_id] if class_id < len(names) else f"class {class_id}"
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    txt_path = out_prefix.with_suffix(".txt")
-    dot_path = out_prefix.with_suffix(".dot")
+    # appended, not swapped in: a dotted prefix such as topo.layer2 keeps its name
+    txt_path = out_prefix.with_name(out_prefix.name + ".txt")
+    dot_path = out_prefix.with_name(out_prefix.name + ".dot")
     txt_path.write_text(format_matrix(matrix))
     dot_path.write_text(format_dot(matrix, model.layout, threshold, class_name))
     return matrix, txt_path, dot_path

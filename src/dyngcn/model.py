@@ -38,8 +38,8 @@ from .skeleton import TopologySet, build_layout
 from .tensor import (
     _accumulate,
     _from_op,
+    _matmul_grads,
     _scratch,
-    _unbroadcast,
     concat,
     conv2d,
     matmul,
@@ -182,8 +182,9 @@ def graph_conv(x, graphs, weight, residual=None):
     The stack is K times the size of ``x``, so the products run under
     ``no_grad`` and one node keeps only the inputs.  Backward rebuilds the
     stack with the forward's product into pooled scratch
-    (``graph_conv.stack``) for the weight gradient, then runs the products'
-    backward expressions, so each gradient has the bits of the recorded ops.
+    (``graph_conv.stack``), and ``_matmul_grads`` gives each product's two
+    gradients, as it does in the recorded ops' backward, so each gradient
+    has the bits of the recorded ops.
     """
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
@@ -197,31 +198,26 @@ def graph_conv(x, graphs, weight, residual=None):
     inputs = (x, graphs, weight) if residual is None else (x, graphs, weight, residual)
 
     def backward(g):
-        # the products the recorded 1x1 conv2d, matmul, permute and reshape
-        # backward run, in their order and on the same operands
+        # the gradients the recorded 1x1 conv2d, matmul, permute and reshape
+        # backward give, from the same products on the same operands
         if residual is not None:
             _accumulate(residual, g)
         rows = x.data.reshape(batch, 1, channels * frames, n)
+        graphs_t = graphs.data.transpose(0, 1, 3, 2)
+        stack = _scratch("graph_conv.stack", (batch, k, channels * frames, n),
+                         np.result_type(x.data, graphs.data))
+        np.matmul(rows, graphs_t, out=stack)
+        stack = stack.reshape(batch, k * channels, frames * n)
         g2 = g.reshape(batch, c_out, frames * n)
-        if weight.requires_grad:
-            stack = _scratch("graph_conv.stack", (batch, k, channels * frames, n),
-                             np.result_type(x.data, graphs.data))
-            np.matmul(rows, graphs.data.transpose(0, 1, 3, 2), out=stack)
-            stack_t = stack.reshape(batch, k * channels, frames * n).transpose(0, 2, 1)
-            _accumulate(weight, np.matmul(g2, stack_t).sum(axis=0).reshape(weight.data.shape))
-        # dW has read the stack, so its gradient may take the same buffer
         w2 = weight.data.reshape(c_out, k * channels)
-        dstack = _scratch("graph_conv.stack", (batch, k * channels, frames * n),
-                          np.result_type(w2, g2))
-        np.matmul(w2.T, g2, out=dstack)
-        dstack = dstack.reshape(batch, k, channels * frames, n)
-        if x.requires_grad:
-            dx = _unbroadcast(np.matmul(dstack, graphs.data), rows.shape)
-            _accumulate(x, dx.reshape(x.data.shape))
-        if graphs.requires_grad:
-            dgraphs = _unbroadcast(np.matmul(np.swapaxes(rows, -1, -2), dstack),
-                                   graphs.data.shape)
-            _accumulate(graphs, dgraphs.transpose(0, 1, 3, 2))
+        # dW reads the stack before dstack takes over its buffer
+        dstack = _scratch("graph_conv.stack", stack.shape, np.result_type(w2, g2))
+        dw, dstack = _matmul_grads(g2, w2, stack, dstack)
+        _accumulate(weight, dw.reshape(weight.data.shape))
+        drows, dgraphs_t = _matmul_grads(dstack.reshape(batch, k, channels * frames, n),
+                                         rows, graphs_t)
+        _accumulate(x, drows.reshape(x.data.shape))
+        _accumulate(graphs, dgraphs_t.transpose(0, 1, 3, 2))
 
     return _from_op(data, inputs, backward)
 

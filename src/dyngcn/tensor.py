@@ -18,6 +18,12 @@ regardless of batch size.  That keeps eval-mode outputs bitwise identical
 between batched and sample-by-sample execution, which downstream tests
 rely on.
 
+One gradient rule holds for every op: its backward computes the gradient
+of each of its inputs and hands it to ``_accumulate``, which keeps it only
+for a tensor with ``requires_grad``; no backward asks which inputs want
+one.  A product's two gradients always come from ``_matmul_grads``, for
+``matmul``, the 1x1 convolution and ``model.graph_conv`` alike.
+
 A closure keeps only what its backward reads and cannot rebuild cheaply.
 Batch norm keeps its input, which the graph holds anyway, and per-channel
 statistics, and rebuilds the normalized input x_hat in backward; the t x 1
@@ -194,6 +200,16 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _matmul_grads(g, a, b, db_out=None):
+    """Gradients of the broadcast product ``a @ b`` for its output gradient
+    ``g``: ``g @ b^T`` summed back to ``a``'s shape, then ``a^T @ g``
+    summed back to ``b``'s, the latter written into ``db_out`` if given.
+    ``db_out`` may be ``b`` itself, which the first product has read."""
+    da = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+    db = np.matmul(np.swapaxes(a, -1, -2), g, out=db_out)
+    return da, _unbroadcast(db, b.shape)
+
+
 # -- elementwise and structural ops -------------------------------------
 
 
@@ -334,10 +350,9 @@ def matmul(a, b):
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        _accumulate(a, _unbroadcast(np.matmul(g, bt), a.data.shape))
-        _accumulate(b, _unbroadcast(np.matmul(at, g), b.data.shape))
+        da, db = _matmul_grads(g, a.data, b.data)
+        _accumulate(a, da)
+        _accumulate(b, db)
 
     return _from_op(data, (a, b), backward)
 
@@ -378,19 +393,13 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         # A 1x1 kernel is a channel mixing matrix; keep the per-sample GEMM
         # shape independent of the batch size.
         w2 = weight.data.reshape(c_out, c_in)
-        data = np.matmul(w2, x.data.reshape(batch, c_in, t_in * n)).reshape(
-            batch, c_out, t_in, n
-        )
+        x2 = x.data.reshape(batch, c_in, t_in * n)
+        data = np.matmul(w2, x2).reshape(batch, c_out, t_in, n)
 
         def backward(g):
-            g2 = g.reshape(batch, c_out, t_in * n)
-            if weight.requires_grad:
-                x2t = x.data.reshape(batch, c_in, t_in * n).transpose(0, 2, 1)
-                dw = np.matmul(g2, x2t).sum(axis=0).reshape(weight.data.shape)
-                _accumulate(weight, dw)
-            if x.requires_grad:
-                dx = np.matmul(w2.T, g2).reshape(x.data.shape)
-                _accumulate(x, dx)
+            dw, dx = _matmul_grads(g.reshape(batch, c_out, t_in * n), w2, x2)
+            _accumulate(weight, dw.reshape(weight.data.shape))
+            _accumulate(x, dx.reshape(x.data.shape))
 
         return _from_op(data, (x, weight), backward)
 
@@ -425,36 +434,34 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
 
     def backward(g):
         g_flat = g.reshape(batch, c_out, t_out * n)
-        if weight.requires_grad:
-            # Recompute the columns rather than keeping them alive through
-            # the whole graph; the copy is cheaper than the retained memory.
-            # The pooled buffer is stale, so first zero the rows no tap writes.
-            cols = _scratch("conv.cols", (chunk, c_in, kt, t_out, n), x.data.dtype)
-            for k, lo, hi in spans:
-                cols[:, :, k, :lo] = 0
-                cols[:, :, k, hi:] = 0
-            dw = np.zeros((c_out, c_in * kt), dtype=np.result_type(g, cols))
-            stack = _scratch("conv.dw", (chunk,) + dw.shape, dw.dtype)
-            for b0, b1 in chunks:
-                cols_t = columns(cols, b0, b1).transpose(0, 2, 1)
-                np.matmul(g_flat[b0:b1], cols_t, out=stack[: b1 - b0])
-                # Added sample by sample in batch order, as .sum(axis=0) of
-                # the whole-batch stack adds them (unless dw has one element,
-                # which numpy sums pairwise).
-                for dw_sample in stack[: b1 - b0]:
-                    dw += dw_sample
-            _accumulate(weight, dw.reshape(weight.data.shape))
-        if x.requires_grad:
-            # col2im: each tap adds its in-range rows back, in k order.
-            dcols = _scratch("conv.dcols", (chunk, c_in * kt, t_out * n),
-                             np.result_type(w_flat, g))
-            dx = np.zeros_like(x.data)
-            for b0, b1 in chunks:
-                dc = np.matmul(w_flat.T, g_flat[b0:b1], out=dcols[: b1 - b0])
-                dc = dc.reshape(b1 - b0, c_in, kt, t_out, n)
-                for k, lo, hi, src in taps:
-                    dx[b0:b1, :, src] += dc[:, :, k, lo:hi]
-            _accumulate(x, dx)
+        # Recompute the columns rather than keeping them alive through the
+        # whole graph; the copy is cheaper than the retained memory.  The
+        # pooled buffer is stale, so first zero the rows no tap writes.
+        cols = _scratch("conv.cols", (chunk, c_in, kt, t_out, n), x.data.dtype)
+        for k, lo, hi in spans:
+            cols[:, :, k, :lo] = 0
+            cols[:, :, k, hi:] = 0
+        dw = np.zeros((c_out, c_in * kt), dtype=np.result_type(g, cols))
+        stack = _scratch("conv.dw", (chunk,) + dw.shape, dw.dtype)
+        for b0, b1 in chunks:
+            cols_t = columns(cols, b0, b1).transpose(0, 2, 1)
+            np.matmul(g_flat[b0:b1], cols_t, out=stack[: b1 - b0])
+            # Added sample by sample in batch order, as .sum(axis=0) of the
+            # whole-batch stack adds them (unless dw has one element, which
+            # numpy sums pairwise).
+            for dw_sample in stack[: b1 - b0]:
+                dw += dw_sample
+        _accumulate(weight, dw.reshape(weight.data.shape))
+        # col2im: each tap adds its in-range rows back, in k order.
+        dcols = _scratch("conv.dcols", (chunk, c_in * kt, t_out * n),
+                         np.result_type(w_flat, g))
+        dx = np.zeros_like(x.data)
+        for b0, b1 in chunks:
+            dc = np.matmul(w_flat.T, g_flat[b0:b1], out=dcols[: b1 - b0])
+            dc = dc.reshape(b1 - b0, c_in, kt, t_out, n)
+            for k, lo, hi, src in taps:
+                dx[b0:b1, :, src] += dc[:, :, k, lo:hi]
+        _accumulate(x, dx)
 
     return _from_op(data, (x, weight), backward)
 
@@ -479,7 +486,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
     Neither mode keeps the normalized input x_hat for backward: the op
     keeps its input ``x`` (which the graph holds anyway) and the per-channel
     mean and 1/sigma, and backward rebuilds x_hat into pooled scratch, bit
-    for bit, when gamma needs a gradient or, in training mode, ``x`` does.
+    for bit.
 
     ``residual``, if given, is added and ``relu`` applied in place on the
     op's own output, so ``batch_norm(x, ..., relu=True, residual=r)`` gives
@@ -542,33 +549,26 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
             g = g * (data > 0)
         if residual is not None:
             _accumulate(residual, g)
-        if gamma.requires_grad or (training and x.requires_grad):
-            # the forward's two expressions, so bitwise the x_hat it computed
-            x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
-            np.subtract(x.data, mean.reshape(per_channel), out=x_hat)
-            x_hat *= inv_std.reshape(per_channel)
-        scratch = None
-        if gamma.requires_grad:
-            scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_hat))
-            np.multiply(g, x_hat, out=scratch)
-            _accumulate(gamma, scratch.sum(axis=axes))
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes))
-        if x.requires_grad:
-            if training:
-                # inv_std * (dxh - m1 - x_hat * m2), built in dx
-                dx = g * gamma_b
-                m1 = dx.mean(axis=axes, keepdims=True)
-                if scratch is None:
-                    scratch = _scratch("batch_norm", dx.shape, np.result_type(dx, x_hat))
-                np.multiply(dx, x_hat, out=scratch)
-                m2 = scratch.mean(axis=axes, keepdims=True)
-                dx -= m1
-                dx -= np.multiply(x_hat, m2, out=scratch)
-                dx *= inv_std.reshape(per_channel)
-                _accumulate(x, dx)
-            else:
-                _accumulate(x, g * a.reshape(per_channel))
+        # the forward's two expressions, so bitwise the x_hat it computed
+        x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
+        np.subtract(x.data, mean.reshape(per_channel), out=x_hat)
+        x_hat *= inv_std.reshape(per_channel)
+        scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_hat))
+        np.multiply(g, x_hat, out=scratch)
+        _accumulate(gamma, scratch.sum(axis=axes))
+        _accumulate(beta, g.sum(axis=axes))
+        if training:
+            # inv_std * (dxh - m1 - x_hat * m2), built in dx
+            dx = g * gamma_b
+            m1 = dx.mean(axis=axes, keepdims=True)
+            np.multiply(dx, x_hat, out=scratch)
+            m2 = scratch.mean(axis=axes, keepdims=True)
+            dx -= m1
+            dx -= np.multiply(x_hat, m2, out=scratch)
+            dx *= inv_std.reshape(per_channel)
+            _accumulate(x, dx)
+        else:
+            _accumulate(x, g * a.reshape(per_channel))
 
     return _from_op(data, inputs, backward)
 

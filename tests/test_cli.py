@@ -180,11 +180,11 @@ def test_export_topology_files(workspace, capsys):
         "--out", str(prefix),
     ])
     assert code == 0
-    matrix = np.loadtxt(prefix.with_suffix(".txt"))
+    matrix = np.loadtxt(prefix.with_name("class0.txt"))
     assert matrix.shape == (25, 25)
     norms = np.linalg.norm(matrix, axis=1)
     assert norms.max() <= 1.0 + 1e-5  # averages of unit-norm rows
-    dot = prefix.with_suffix(".dot").read_text()
+    dot = prefix.with_name("class0.dot").read_text()
     assert dot.startswith("digraph")
     assert "dir=none" in dot  # physical skeleton edges present
 
@@ -199,6 +199,22 @@ def test_export_high_threshold_only_physical(workspace, tmp_path):
     assert '[label="' not in dot  # no learned edge survives the threshold
     layout = build_layout("ntu25")
     assert dot.count("dir=none") == len(layout.edges)
+
+
+def test_export_appends_its_suffixes_to_a_dotted_prefix(workspace, tmp_path):
+    written = {}
+    for layer in (1, 2):
+        matrix, txt_path, dot_path = export_topology(
+            workspace / "run" / "model.ckpt", workspace / "data" / "test.manifest",
+            layer, 0, tmp_path / f"topo.layer{layer}")
+        written[layer] = (matrix, txt_path, dot_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "topo.layer1.dot", "topo.layer1.txt", "topo.layer2.dot", "topo.layer2.txt"]
+    for layer, (matrix, txt_path, dot_path) in written.items():
+        assert txt_path == tmp_path / f"topo.layer{layer}.txt"
+        assert dot_path == tmp_path / f"topo.layer{layer}.dot"
+        # the second export left the first one's files alone
+        assert np.loadtxt(txt_path).shape == matrix.shape == {1: (25, 25), 2: (15, 15)}[layer]
 
 
 def test_export_second_block_has_reduced_joint_axis(workspace, tmp_path):
@@ -300,3 +316,8 @@ def test_dot_threshold_filters_learned_edges():
     assert 'j0 -> j1 [label="0.90"' in dot
     assert 'j2 -> j0 [label="0.41"' in dot
     assert "0.20" not in dot
+
+
+def test_dot_label_escapes_the_class_name():
+    dot = format_dot(np.zeros((2, 2)), None, class_name='say"hi\\n')
+    assert '  label="say\\"hi\\\\n";' in dot.splitlines()

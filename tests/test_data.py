@@ -413,6 +413,25 @@ def test_save_manifest_refuses_class_name_with_whitespace(tmp_path, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("layout, split, rel, problem", [
+    ("l", "train", "#a.skl", r"entry 1 path '#a\.skl'"),
+    ("l", "train", " a.skl", r"entry 1 path ' a\.skl'"),
+    ("l", "train", "", r"entry 1 path ''"),
+    ("l", "train", "a\tb.skl", r"entry 1 path 'a\\tb\.skl'"),
+    ("l", "train", "a\nb.skl", r"entry 1 path 'a\\nb\.skl'"),
+    ("l", "train", "a\u2028b.skl", r"entry 1 path 'a\\u2028b\.skl'"),
+    ("ntu 25", "train", "a.skl", r"layout name 'ntu 25' holds whitespace"),
+    ("l", " train", "a.skl", r"split ' train' holds whitespace"),
+], ids=["hash", "leading-space", "empty", "tab", "newline", "line-separator", "layout", "split"])
+def test_save_manifest_refuses_what_the_reader_cannot_read_back(tmp_path, layout, split, rel,
+                                                                problem):
+    manifest = DatasetManifest([("b.skl", 0), (rel, 1)], ["walk", "run"], layout, split)
+    path = tmp_path / "m.manifest"
+    with pytest.raises(ValueError, match=rf"^.*m\.manifest: {problem}.*; nothing written$"):
+        save_manifest(path, manifest)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("line", ["# class 1 run fast", "# class 1"])
 def test_manifest_class_line_with_wrong_token_count_names_line(tmp_path, line):
     path = tmp_path / "m.manifest"

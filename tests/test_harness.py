@@ -285,6 +285,29 @@ def rewrite_header(path, edit):
     path.write_bytes(raw[:4] + struct.pack("<HQ", 1, len(body)) + body + raw[offset:])
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("modality", "hologram", r"unknown modality 'hologram', expected one of \("),
+    ("modality", None, r"unknown modality None, expected one of \("),
+    ("class_names", "abc", r"'class_names' is 'abc', expected a list of strings"),
+    ("class_names", [1, 2], r"'class_names' is \[1, 2\], expected a list of strings"),
+], ids=["unknown-modality", "null-modality", "string-names", "number-names"])
+def test_save_checkpoint_refuses_the_meta_that_load_checkpoint_refuses(tmp_path, key, value,
+                                                                      problem):
+    model = build_model(tiny_model_config(), seed=1)
+    meta = {"modality": "bone", "class_names": ["walk", "run"], key: value}
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {problem}.*"
+                                         rf"; nothing written$"):
+        save_checkpoint(path, model, meta)
+    assert not path.exists()
+    # the reader refuses the same meta with the same words
+    save_checkpoint(path, model)
+    rewrite_header(path, lambda header: json.dumps({**header, "meta": meta}).encode())
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: header at byte offset 14: "
+                                         rf"{problem}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_unsupported_dtype_names_array_and_offset(tmp_path):
     path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
 
@@ -645,7 +668,10 @@ def test_checkpoint_with_an_unknown_modality_is_refused_before_any_sequence_is_r
         smoke_setup, smoke_run, tmp_path, monkeypatch, entry, modality):
     root, _ = smoke_setup
     model, _ = load_checkpoint(smoke_run.checkpoint_path)
-    ckpt = save_checkpoint(tmp_path / "holo.ckpt", model, {"modality": modality})
+    # save_checkpoint refuses this meta, so it goes into a written header
+    ckpt = save_checkpoint(tmp_path / "holo.ckpt", model)
+    rewrite_header(ckpt, lambda header: json.dumps(
+        {**header, "meta": {"modality": modality}}).encode())
     manifest = root / "data" / "test.manifest"
     monkeypatch.setattr(dyngcn.train, "load_sequence", None)
     call = {"evaluate": lambda: evaluate_checkpoint(ckpt, manifest),
@@ -664,7 +690,10 @@ def test_export_refuses_a_checkpoint_whose_class_names_is_not_a_list_of_strings(
         smoke_setup, smoke_run, tmp_path, class_names):
     root, _ = smoke_setup
     model, meta = load_checkpoint(smoke_run.checkpoint_path)
-    ckpt = save_checkpoint(tmp_path / "names.ckpt", model, {**meta, "class_names": class_names})
+    # save_checkpoint refuses this meta, so it goes into a written header
+    ckpt = save_checkpoint(tmp_path / "names.ckpt", model, meta)
+    rewrite_header(ckpt, lambda header: json.dumps(
+        {**header, "meta": {**meta, "class_names": class_names}}).encode())
     with pytest.raises(ValueError, match=rf"^{re.escape(str(ckpt))}: header at byte offset 14: "
                                          rf"'class_names' is {re.escape(repr(class_names))}, "
                                          rf"expected a list of strings$"):

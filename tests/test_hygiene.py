@@ -2,7 +2,8 @@
 in that module, no module reads the ``tensor`` alias of a parameter (a
 parameter is the tensor itself), no signature restates a model setting's
 default or invents a seed, a defaulted ``batch_size`` defaults to
-``EVAL_BATCH_SIZE``, and an op takes only what some caller passes."""
+``EVAL_BATCH_SIZE``, an op takes only what some caller passes, and no op's
+backward asks which of its inputs need a gradient."""
 
 import ast
 from pathlib import Path
@@ -191,3 +192,35 @@ def test_unset_defaults_are_found():
                "y = pad(x, 1)\nz = scale(x, factor=3.0)\nw = ops.norm(x, *args)\n"
                "v = mean(x, **options)\n")
     assert unset_defaults(ops, [callers]) == [(4, "scale.out"), (7, "pad.right")]
+
+
+def backward_requires_grad_reads(source):
+    """Line numbers of every ``.requires_grad`` read inside a function named
+    ``backward`` that is nested in another function (an op's closure)."""
+    closures = {inner for outer in ast.walk(ast.parse(source))
+                if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for inner in ast.walk(outer)
+                if inner is not outer and isinstance(inner, ast.FunctionDef)
+                and inner.name == "backward"}
+    return sorted(node.lineno for closure in closures for node in ast.walk(closure)
+                  if isinstance(node, ast.Attribute) and node.attr == "requires_grad"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES
+                                  if path.name in ("tensor.py", "model.py")],
+                         ids=lambda p: p.name)
+def test_backward_closures_leave_dropping_gradients_to_accumulate(path):
+    assert backward_requires_grad_reads(path.read_text()) == []
+
+
+def test_backward_requires_grad_reads_are_found():
+    source = ("class Tensor:\n    def backward(self):\n        return self.requires_grad\n\n"
+              "def _accumulate(t, g):\n    if t.requires_grad:\n        t.grad = g\n\n"
+              "def op(a, b):\n    flag = a.requires_grad\n\n"
+              "    def backward(g):\n        if a.requires_grad:\n            _accumulate(a, g)\n"
+              "        b.requires_grad = True\n"
+              "        if any(t.requires_grad for t in (a, b)) or b.requires_grad:\n"
+              "            pass\n\n"
+              "    return backward\n")
+    assert backward_requires_grad_reads(source) == [13, 16, 16]

@@ -177,12 +177,17 @@ def test_dynamic_branch_bitwise_matches_per_sample_products(batch, dtype):
 
 
 GRAPH_CONV_CASES = {
-    # graphs shape, residual: none, its own tensor, or the input x itself
-    "shared graphs": ((1, 3), None),
-    "shared graphs + residual": ((1, 3), "own"),
-    "per-sample graph": ((4, 1), None),
-    "per-sample graph + residual": ((4, 1), "own"),
-    "per-sample graph + residual is the input": ((4, 1), "input"),
+    # graphs shape, residual: none, its own tensor, or the input x itself;
+    # the leaf that needs no gradient, if any
+    "shared graphs": ((1, 3), None, None),
+    "shared graphs + residual": ((1, 3), "own", None),
+    "per-sample graph": ((4, 1), None, None),
+    "per-sample graph + residual": ((4, 1), "own", None),
+    "per-sample graph + residual is the input": ((4, 1), "input", None),
+    "shared graphs, frozen weight": ((1, 3), None, "weight"),
+    "shared graphs + residual, frozen graphs": ((1, 3), "own", "graphs"),
+    "per-sample graph, frozen graphs": ((4, 1), None, "graphs"),
+    "per-sample graph + residual, frozen weight": ((4, 1), "own", "weight"),
 }
 
 
@@ -204,7 +209,7 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
         role: np.full(1 << 16, 0xFF, dtype=np.uint8)
         for role in ("conv.cols", "conv.dcols", "conv.dw", "batch_norm", "batch_norm.x_hat",
                      "graph_conv.stack")})
-    (graph_batch, k), residual = GRAPH_CONV_CASES[case]
+    (graph_batch, k), residual, frozen = GRAPH_CONV_CASES[case]
     batch, c_in, t, n = 4, 6, 7, 25
     c_out = c_in if residual == "input" else 5
     rng = np.random.default_rng(sum(map(ord, case)))
@@ -216,7 +221,8 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
     g = rng.standard_normal((batch, c_out, t, n)).astype(dtype)
 
     def leaves():
-        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        inputs = [Tensor(a, requires_grad=i != {"graphs": 1, "weight": 2}.get(frozen))
+                  for i, a in enumerate(arrays)]
         # the input passed again as the residual is the same tensor
         return inputs + inputs[:1] if residual == "input" else inputs
 
@@ -226,9 +232,12 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
         out = route(*inputs)
         if route is graph_conv:
             # one node whose closure keeps the inputs, not the products
-            assert {id(node) for node in graph_nodes(out)} == {id(out)} | set(map(id, inputs))
+            assert {id(node) for node in graph_nodes(out)} == {id(out)} | {
+                id(t) for t in inputs if t.requires_grad}
         out.backward(g)
-        results.append([out.data] + [t.grad for t in inputs])
+        # a frozen leaf gets no gradient; every other leaf gets the recorded one
+        assert [t.grad is None for t in inputs] == [not t.requires_grad for t in inputs]
+        results.append([out.data] + [t.grad for t in inputs if t.requires_grad])
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with no_grad():

@@ -123,11 +123,13 @@ STREAMED_CONV_CASES = {
     "taps without rows": ((2, 3, 2, 5), 4, 7, 2, 3, np.float32, 1),
     "strided 1x1 shortcut": ((4, 16, 12, 25), 32, 1, 2, 0, np.float32, 1),
     "float64": ((4, 32, 40, 25), 16, 9, 2, 4, np.float64, 2),
+    "1x1 kernel": ((3, 8, 10, 25), 12, 1, 1, 0, np.float32, 1),  # one GEMM, no columns
 }
 
 
-@pytest.mark.parametrize("case", STREAMED_CONV_CASES)
-def test_conv2d_streamed_matches_whole_batch_oracle_bitwise(case):
+def streamed_conv_case(case):
+    """The case's seeded input, weight and output gradient, with its stride
+    and padding; asserts the column buffer's chunk count."""
     shape, c_out, kt, stride_t, pad_t, dtype, n_chunks = STREAMED_CONV_CASES[case]
     batch, c_in, t_in, n = shape
     t_out = (t_in + 2 * pad_t - kt) // stride_t + 1
@@ -138,12 +140,30 @@ def test_conv2d_streamed_matches_whole_batch_oracle_bitwise(case):
     x = rng.standard_normal(shape).astype(dtype)
     w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
     g = rng.standard_normal((batch, c_out, t_out, n)).astype(dtype)
+    return x, w, g, stride_t, pad_t
+
+
+@pytest.mark.parametrize("case", STREAMED_CONV_CASES)
+def test_conv2d_streamed_matches_whole_batch_oracle_bitwise(case):
+    x, w, g, stride_t, pad_t = streamed_conv_case(case)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     out = conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t)
     out.backward(g)
     want_out, want_dx, want_dw = whole_batch_conv(x, w, stride_t, pad_t, g)
     for got, want in ((out.data, want_out), (xt.grad, want_dx), (wt.grad, want_dw)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("frozen", ["x", "weight"])
+@pytest.mark.parametrize("case", STREAMED_CONV_CASES)
+def test_conv2d_with_a_frozen_input_keeps_the_oracle_gradient_bitwise(case, frozen):
+    x, w, g, stride_t, pad_t = streamed_conv_case(case)
+    xt, wt = Tensor(x, requires_grad=frozen != "x"), Tensor(w, requires_grad=frozen != "weight")
+    conv2d(xt, wt, stride_t=stride_t, pad_t=pad_t).backward(g)
+    _, want_dx, want_dw = whole_batch_conv(x, w, stride_t, pad_t, g)
+    dropped, kept, want = (xt, wt, want_dw) if frozen == "x" else (wt, xt, want_dx)
+    assert dropped.grad is None
+    assert kept.grad.dtype == want.dtype and kept.grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stride_t", [1, 2])
