@@ -36,6 +36,7 @@ import numpy as np
 from .layers import BatchNorm, Conv2d, Linear, Module, Parameter
 from .skeleton import TopologySet, build_layout
 from .tensor import (
+    Tensor,
     _accumulate,
     _from_op,
     _matmul_grads,
@@ -174,24 +175,28 @@ def graph_conv(x, graphs, weight, residual=None):
 
     ``x`` is (B, C, T, N), ``graphs`` is (1, K, N, N) shared or (B, K, N, N)
     per sample, and ``weight`` is the (C_out, K * C, 1, 1) channel map.  One
-    broadcast product of the (B, 1, C*T, N) input view with the transposed
-    graphs gives a (B, K, C*T, N) result that already is the (B, K*C, T, N)
-    channel stack, and one 1x1 convolution maps it to the output channels;
-    ``residual``, if given, is added in place into that fresh output.
+    broadcast product of the (B, 1, C*T, N) input view with a contiguous
+    copy of the transposed graphs gives a (B, K, C*T, N) result that already
+    is the (B, K*C, T, N) channel stack, and one 1x1 convolution maps it to
+    the output channels; ``residual``, if given, is added in place into
+    that fresh output.
 
     The stack is K times the size of ``x``, so the products run under
-    ``no_grad`` and one node keeps only the inputs.  Backward rebuilds the
-    stack with the forward's product into pooled scratch
-    (``graph_conv.stack``), and ``_matmul_grads`` gives each product's two
-    gradients, as it does in the recorded ops' backward, so each gradient
-    has the bits of the recorded ops.
+    ``no_grad`` and one node keeps only the inputs and the graphs' small
+    transposed copy.  Backward rebuilds the stack with the forward's
+    product into pooled scratch (``graph_conv.stack``), and
+    ``_matmul_grads`` gives each product's two gradients, as it does in
+    the recorded ops' backward, so each gradient has the bits of the
+    recorded ops.
     """
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
     c_out = weight.data.shape[0]
+    # BLAS multiplies by a contiguous operand faster than by a transposed view
+    graphs_t = np.ascontiguousarray(graphs.data.transpose(0, 1, 3, 2))
     with no_grad():
         rows = reshape(x, (batch, 1, channels * frames, n))
-        stack = matmul(rows, permute(graphs, (0, 1, 3, 2)))
+        stack = matmul(rows, Tensor(graphs_t))
         data = conv2d(reshape(stack, (batch, k * channels, frames, n)), weight).data
     if residual is not None:
         data += residual.data
@@ -199,11 +204,11 @@ def graph_conv(x, graphs, weight, residual=None):
 
     def backward(g):
         # the gradients the recorded 1x1 conv2d, matmul, permute and reshape
-        # backward give, from the same products on the same operands
+        # backward give, from the same products on the same operands (the
+        # product reads the forward's contiguous graphs^T)
         if residual is not None:
             _accumulate(residual, g)
         rows = x.data.reshape(batch, 1, channels * frames, n)
-        graphs_t = graphs.data.transpose(0, 1, 3, 2)
         stack = _scratch("graph_conv.stack", (batch, k, channels * frames, n),
                          np.result_type(x.data, graphs.data))
         np.matmul(rows, graphs_t, out=stack)
@@ -212,7 +217,7 @@ def graph_conv(x, graphs, weight, residual=None):
         w2 = weight.data.reshape(c_out, k * channels)
         # dW reads the stack before dstack takes over its buffer
         dstack = _scratch("graph_conv.stack", stack.shape, np.result_type(w2, g2))
-        dw, dstack = _matmul_grads(g2, w2, stack, dstack)
+        dw, dstack = _matmul_grads(g2, w2, stack, dstack, channel_map=True)
         _accumulate(weight, dw.reshape(weight.data.shape))
         drows, dgraphs_t = _matmul_grads(dstack.reshape(batch, k, channels * frames, n),
                                          rows, graphs_t)

@@ -24,6 +24,13 @@ for a tensor with ``requires_grad``; no backward asks which inputs want
 one.  A product's two gradients always come from ``_matmul_grads``, for
 ``matmul``, the 1x1 convolution and ``model.graph_conv`` alike.
 
+Weight gradients read their operands the way BLAS runs them fastest,
+with bits that were checked equal at 1 and 2 threads: the t x 1
+convolution's dW is ``(cols @ g^T)^T`` with g^T copied contiguous, a
+channel map's dW (the 1x1 convolution's and ``graph_conv``'s) is
+``(x @ g^T)^T``, and a product whose inner dimension is 1 is a broadcast
+multiply, not a GEMM.
+
 A closure keeps only what its backward reads and cannot rebuild cheaply.
 Batch norm keeps its input, which the graph holds anyway, and per-channel
 statistics, and rebuilds the normalized input x_hat in backward; the t x 1
@@ -33,7 +40,8 @@ residual add and its ReLUs need no node of their own.
 
 Backward temporaries that never leave their op come from a small pool of
 scratch buffers, one per role: the t x 1 convolution's recomputed columns
-(``conv.cols``), its column gradient (``conv.dcols``) and its per-chunk
+(``conv.cols``), its column gradient (``conv.dcols``), its contiguous copy
+of the output gradient's transpose (``conv.g_t``) and its per-chunk
 weight-gradient stack (``conv.dw``), and the batch-norm backward's rebuilt
 x_hat (``batch_norm.x_hat``) and its other scratch (``batch_norm``), and
 ``model.graph_conv``'s rebuilt aggregation stack, which its gradient then
@@ -200,14 +208,28 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _matmul_grads(g, a, b, db_out=None):
+def _product(a, b, out=None):
+    """``a @ b``, as the broadcast multiply it is when the inner dimension is 1."""
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _matmul_grads(g, a, b, db_out=None, channel_map=False):
     """Gradients of the broadcast product ``a @ b`` for its output gradient
     ``g``: ``g @ b^T`` summed back to ``a``'s shape, then ``a^T @ g``
     summed back to ``b``'s, the latter written into ``db_out`` if given.
-    ``db_out`` may be ``b`` itself, which the first product has read."""
-    da = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
-    db = np.matmul(np.swapaxes(a, -1, -2), g, out=db_out)
-    return da, _unbroadcast(db, b.shape)
+    ``db_out`` may be ``b`` itself, which the first product has read.
+
+    With ``channel_map``, ``a`` is a channel map's weight and ``b`` its
+    wide input, and the weight gradient comes as ``(b @ g^T)^T``: BLAS runs
+    that form faster at those shapes than ``g @ b^T``."""
+    if channel_map:
+        da = np.swapaxes(_product(b, np.swapaxes(g, -1, -2)), -1, -2)
+    else:
+        da = _product(g, np.swapaxes(b, -1, -2))
+    db = _product(np.swapaxes(a, -1, -2), g, out=db_out)
+    return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
 
 
 # -- elementwise and structural ops -------------------------------------
@@ -397,7 +419,8 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         data = np.matmul(w2, x2).reshape(batch, c_out, t_in, n)
 
         def backward(g):
-            dw, dx = _matmul_grads(g.reshape(batch, c_out, t_in * n), w2, x2)
+            dw, dx = _matmul_grads(g.reshape(batch, c_out, t_in * n), w2, x2,
+                                   channel_map=True)
             _accumulate(weight, dw.reshape(weight.data.shape))
             _accumulate(x, dx.reshape(x.data.shape))
 
@@ -441,17 +464,20 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         for k, lo, hi in spans:
             cols[:, :, k, :lo] = 0
             cols[:, :, k, hi:] = 0
-        dw = np.zeros((c_out, c_in * kt), dtype=np.result_type(g, cols))
-        stack = _scratch("conv.dw", (chunk,) + dw.shape, dw.dtype)
+        # dW^T = cols @ g^T per sample, with g^T copied contiguous: read
+        # through a transposed view, OpenBLAS's bits follow its thread count.
+        dw_t = np.zeros((c_in * kt, c_out), dtype=np.result_type(g, cols))
+        g_t = _scratch("conv.g_t", (chunk, t_out * n, c_out), g.dtype)
+        stack = _scratch("conv.dw", (chunk,) + dw_t.shape, dw_t.dtype)
         for b0, b1 in chunks:
-            cols_t = columns(cols, b0, b1).transpose(0, 2, 1)
-            np.matmul(g_flat[b0:b1], cols_t, out=stack[: b1 - b0])
+            np.copyto(g_t[: b1 - b0], g_flat[b0:b1].transpose(0, 2, 1))
+            np.matmul(columns(cols, b0, b1), g_t[: b1 - b0], out=stack[: b1 - b0])
             # Added sample by sample in batch order, as .sum(axis=0) of the
             # whole-batch stack adds them (unless dw has one element, which
             # numpy sums pairwise).
             for dw_sample in stack[: b1 - b0]:
-                dw += dw_sample
-        _accumulate(weight, dw.reshape(weight.data.shape))
+                dw_t += dw_sample
+        _accumulate(weight, dw_t.T.reshape(weight.data.shape))
         # col2im: each tap adds its in-range rows back, in k order.
         dcols = _scratch("conv.dcols", (chunk, c_in * kt, t_out * n),
                          np.result_type(w_flat, g))
@@ -479,14 +505,19 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
 
     ``running_mean`` and ``running_var`` are the (C,) running buffers that
     ``layers.BatchNorm`` owns.  In training mode the batch statistics
-    (biased variance) normalize the input and update the buffers in place
-    with ``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``.  In eval
-    mode the op reads the buffers and is the per-channel affine map
-    ``x * a + b`` with ``a = gamma / sigma`` and ``b = beta - mu * a``.
-    Neither mode keeps the normalized input x_hat for backward: the op
-    keeps its input ``x`` (which the graph holds anyway) and the per-channel
-    mean and 1/sigma, and backward rebuilds x_hat into pooled scratch, bit
-    for bit.
+    (biased variance) normalize the input, ``(x - mu) * a + beta`` with one
+    multiply by ``a = gamma / sigma``, and update the buffers in place with
+    ``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``.  In eval mode
+    the op reads the buffers and is the per-channel affine map ``x * a + b``
+    with ``b = beta - mu * a``.  Neither mode keeps the normalized input
+    x_hat = (x - mu) / sigma for backward: the op keeps its input ``x``
+    (which the graph holds anyway) and the per-channel mean and 1/sigma, and
+    backward rebuilds x_hat into pooled scratch.
+
+    Backward takes d_gamma = sum(g * x_hat) and d_beta = sum(g) over the M
+    values of each channel.  In training mode it reuses both sums for
+    ``dx = a * (g - d_beta / M - x_hat * (d_gamma / M))``; in eval mode
+    ``dx = a * g``.
 
     ``residual``, if given, is added and ``relu`` applied in place on the
     op's own output, so ``batch_norm(x, ..., relu=True, residual=r)`` gives
@@ -507,24 +538,22 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
         )
     axes = (0, 2, 3)
     per_channel = (1, channels, 1, 1)
+    count = x.data.size // channels
 
     if training:
-        # x_hat is centred once and reused for the variance; squaring it
-        # into a scratch buffer and summing is bitwise equal to x.var, and
-        # the scratch buffer then becomes the output.  x_hat dies with the
-        # forward: backward rebuilds it from x, which the graph keeps anyway.
-        gamma_b = gamma.data.reshape(per_channel)
+        # x is centred once; squaring that into a scratch buffer and summing
+        # is bitwise equal to x.var, and the buffer then becomes the output.
         mean = x.data.mean(axis=axes, keepdims=True)
-        x_hat = x.data - mean
-        data = np.square(x_hat)
-        var = data.sum(axis=axes) / (x.data.size // channels)
+        centred = x.data - mean
+        data = np.square(centred)
+        var = data.sum(axis=axes) / count
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(channels)
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat *= inv_std.reshape(per_channel)
-        np.multiply(gamma_b, x_hat, out=data)
+        a = gamma.data * inv_std
+        np.multiply(centred, a.reshape(per_channel), out=data)
         data += beta.data.reshape(per_channel)
     else:
         # copies: a later training forward updates the buffers in place
@@ -549,23 +578,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
             g = g * (data > 0)
         if residual is not None:
             _accumulate(residual, g)
-        # the forward's two expressions, so bitwise the x_hat it computed
         x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
         np.subtract(x.data, mean.reshape(per_channel), out=x_hat)
         x_hat *= inv_std.reshape(per_channel)
         scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_hat))
-        np.multiply(g, x_hat, out=scratch)
-        _accumulate(gamma, scratch.sum(axis=axes))
-        _accumulate(beta, g.sum(axis=axes))
+        dgamma = np.multiply(g, x_hat, out=scratch).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
         if training:
-            # inv_std * (dxh - m1 - x_hat * m2), built in dx
-            dx = g * gamma_b
-            m1 = dx.mean(axis=axes, keepdims=True)
-            np.multiply(dx, x_hat, out=scratch)
-            m2 = scratch.mean(axis=axes, keepdims=True)
-            dx -= m1
-            dx -= np.multiply(x_hat, m2, out=scratch)
-            dx *= inv_std.reshape(per_channel)
+            dx = g - (dbeta / count).reshape(per_channel)
+            dx -= np.multiply(x_hat, (dgamma / count).reshape(per_channel), out=x_hat)
+            dx *= a.reshape(per_channel)
             _accumulate(x, dx)
         else:
             _accumulate(x, g * a.reshape(per_channel))

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -142,12 +148,22 @@ def test_dynamic_branch_batch_mismatch():
         dynamic_branch(Tensor(np.zeros((2, 1, 5, 4))), Tensor(np.zeros((3, 4, 4))), conv)
 
 
+def contiguous(t):
+    """``t`` copied to a contiguous array; its gradient passes through."""
+    def backward(g):
+        tensor_module._accumulate(t, g)
+
+    return tensor_module._from_op(np.ascontiguousarray(t.data), (t,), backward)
+
+
 def per_sample_graph_conv(graph, x, weight):
     """The dynamic route before ``graph_conv``: one (C*T) x N by N x N product
-    per sample on the (B, C*T, N) view, then the 1x1 channel map."""
+    per sample on the (B, C*T, N) view, by a contiguous copy of the
+    transposed graph as ``graph_conv`` reads it, then the 1x1 channel map."""
     batch, channels, frames, n = x.data.shape
     rows = reshape(x, (batch, channels * frames, n))
-    aggregated = reshape(matmul(rows, permute(graph, (0, 2, 1))), x.data.shape)
+    graph_t = contiguous(permute(graph, (0, 2, 1)))
+    aggregated = reshape(matmul(rows, graph_t), x.data.shape)
     return conv2d(aggregated, weight)
 
 
@@ -192,11 +208,12 @@ GRAPH_CONV_CASES = {
 
 
 def recorded_graph_conv(x, graphs, weight, residual=None):
-    """``graph_conv``'s products and route sum, recorded op by op."""
+    """``graph_conv``'s products and route sum, recorded op by op, with the
+    graph product reading a contiguous copy of the transposed graphs."""
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
     rows = reshape(x, (batch, 1, channels * frames, n))
-    aggregated = matmul(rows, permute(graphs, (0, 1, 3, 2)))
+    aggregated = matmul(rows, contiguous(permute(graphs, (0, 1, 3, 2))))
     out = conv2d(reshape(aggregated, (batch, k * channels, frames, n)), weight)
     return out if residual is None else add(out, residual)
 
@@ -207,8 +224,8 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
     # stale pool bytes (NaN in either dtype) that no backward may read
     monkeypatch.setattr(tensor_module, "_SCRATCH", {
         role: np.full(1 << 16, 0xFF, dtype=np.uint8)
-        for role in ("conv.cols", "conv.dcols", "conv.dw", "batch_norm", "batch_norm.x_hat",
-                     "graph_conv.stack")})
+        for role in ("conv.cols", "conv.dcols", "conv.g_t", "conv.dw", "batch_norm",
+                     "batch_norm.x_hat", "graph_conv.stack")})
     (graph_batch, k), residual, frozen = GRAPH_CONV_CASES[case]
     batch, c_in, t, n = 4, 6, 7, 25
     c_out = c_in if residual == "input" else 5
@@ -630,7 +647,7 @@ def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
     loss.backward()
     pool = tensor_module._SCRATCH
     assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols",
-                            "conv.dw", "graph_conv.stack"]
+                            "conv.dw", "conv.g_t", "graph_conv.stack"]
     held = tape_arrays(loss) + [p.grad for p in model.parameters()]
     assert len(held) > 200
     for array in held:
@@ -702,6 +719,50 @@ def test_no_grad_forward_takes_nothing_from_the_scratch_pool(monkeypatch, traini
     with no_grad():
         model(gate_batch()[0])
     assert tensor_module._SCRATCH == {}
+
+
+# -- training bits and the BLAS thread count -----------------------------
+
+# One train step of the gate model per learner at a fixed seed; prints the
+# SHA-256 of every parameter gradient as one JSON object.
+GRADIENT_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from dyngcn.model import ModelConfig, build_model
+from dyngcn.tensor import Tensor, softmax_cross_entropy
+
+config, learners = json.loads(sys.argv[1])
+hashes = {}
+for learner in learners:
+    model = build_model(ModelConfig(**dict(config, topology=learner)), seed=5)
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((16, 1, 3, 24, 25)).astype(np.float32)
+    softmax_cross_entropy(model(Tensor(x)), rng.integers(0, 5, 16)).backward()
+    for name, p in model.named_parameters():
+        hashes[f"{learner}/{name}"] = hashlib.sha256(p.grad.tobytes()).hexdigest()
+print(json.dumps(hashes))
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def probe_gradient_hashes(threads):
+    """Run the gradient probe in a child process at ``threads`` BLAS threads;
+    ``subprocess.run`` waits for it and kills it if it overruns."""
+    src = str(Path(model_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.update({var: str(threads) for var in BLAS_THREAD_VARS})
+    arg = json.dumps([GATE_CONFIG, ["context", "nonlocal"]])
+    done = subprocess.run([sys.executable, "-c", GRADIENT_PROBE, arg], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_train_step_gradients_do_not_depend_on_the_blas_thread_count():
+    one, two = probe_gradient_hashes(1), probe_gradient_hashes(2)
+    assert len(one) > 100 and one.keys() == two.keys()
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 # -- modalities ---------------------------------------------------------

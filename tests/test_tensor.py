@@ -109,7 +109,12 @@ def whole_batch_conv(x, w, stride_t, pad_t, g):
     w_flat = w.reshape(c_out, c_in * kt)
     out = np.matmul(w_flat, cols).reshape(batch, c_out, t_out, n)
     g_flat = g.reshape(batch, c_out, t_out * n)
-    dw = np.matmul(g_flat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    # dW = (cols @ g^T)^T; the column path copies g^T contiguous, while a
+    # 1x1 kernel is a channel map and reads it as a view
+    g_t = g_flat.transpose(0, 2, 1)
+    if (kt, stride_t, pad_t) != (1, 1, 0):
+        g_t = np.ascontiguousarray(g_t)
+    dw = np.matmul(cols, g_t).sum(axis=0).T.reshape(w.shape)
     dcols = np.matmul(w_flat.T, g_flat).reshape(batch, c_in, kt, t_out, n)
     dxp = np.zeros_like(xp)
     for k in range(kt):
@@ -178,7 +183,7 @@ def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
     # stale pool bytes (NaN in either dtype) that the backward must overwrite
     monkeypatch.setattr(tensor_module, "_SCRATCH", {
         role: np.full(1 << 16, 0xFF, dtype=np.uint8)
-        for role in ("conv.cols", "conv.dcols", "conv.dw")})
+        for role in ("conv.cols", "conv.dcols", "conv.g_t", "conv.dw")})
     rng = np.random.default_rng(40 + stride_t)
     x = rng.standard_normal((batch, c_in, t_in, n)).astype(dtype)
     w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
@@ -262,19 +267,19 @@ def test_batch_norm_epilogue_matches_separate_ops_bitwise(shape, dtype, training
 
 
 def _reference_batch_norm(x, gamma, beta, g):
-    """The training-mode op as first written: x.var and unfused temporaries."""
+    """The training-mode op spelled out: x.var, unfused temporaries, and dx
+    from the two sums that d_gamma and d_beta take."""
     axes, per_channel = (0, 2, 3), (1, x.shape[1], 1, 1)
+    count = x.size // x.shape[1]
     mean, var = x.mean(axis=axes), x.var(axis=axes)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
-    x_hat = x - mean.reshape(per_channel)
-    x_hat *= inv_std.reshape(per_channel)
-    out = gamma.reshape(per_channel) * x_hat
-    out += beta.reshape(per_channel)
-    dxh = g * gamma.reshape(per_channel)
-    m1 = dxh.mean(axis=axes, keepdims=True)
-    m2 = (dxh * x_hat).mean(axis=axes, keepdims=True)
-    dx = inv_std.reshape(per_channel) * (dxh - m1 - x_hat * m2)
-    return out, mean, var, dx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+    a = (gamma * inv_std).reshape(per_channel)
+    out = (x - mean.reshape(per_channel)) * a + beta.reshape(per_channel)
+    x_hat = (x - mean.reshape(per_channel)) * inv_std.reshape(per_channel)
+    dgamma, dbeta = (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+    dx = a * (g - (dbeta / count).reshape(per_channel)
+              - x_hat * (dgamma / count).reshape(per_channel))
+    return out, mean, var, dx, dgamma, dbeta
 
 
 @pytest.mark.parametrize("shape", BN_SHAPES + [(3, 5, 7, 2)])
@@ -324,23 +329,24 @@ def test_batch_norm_backward_leaves_the_given_gradient_unmodified(relu_on, train
 
 def batch_norm_keeping_x_hat(x, gamma, beta, running_mean, running_var, training,
                              relu=False, residual=None, momentum=0.1, eps=1e-5):
-    """The batch-norm op as it was when its closure kept the forward's x_hat
+    """The batch-norm op with a closure that keeps the forward's x_hat
     (fresh arrays in place of pooled scratch)."""
     axes, channels = (0, 2, 3), x.data.shape[1]
     per_channel = (1, channels, 1, 1)
+    count = x.data.size // channels
     if training:
-        gamma_b = gamma.data.reshape(per_channel)
         mean = x.data.mean(axis=axes, keepdims=True)
-        x_hat = x.data - mean
-        data = np.square(x_hat)
-        var = data.sum(axis=axes) / (x.data.size // channels)
+        centred = x.data - mean
+        data = np.square(centred)
+        var = data.sum(axis=axes) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.reshape(channels)
         running_var *= 1.0 - momentum
         running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat *= inv_std.reshape(per_channel)
-        np.multiply(gamma_b, x_hat, out=data)
+        a = gamma.data * inv_std
+        x_hat = centred * inv_std.reshape(per_channel)
+        np.multiply(centred, a.reshape(per_channel), out=data)
         data += beta.data.reshape(per_channel)
     else:
         mean = running_mean.copy()
@@ -348,6 +354,8 @@ def batch_norm_keeping_x_hat(x, gamma, beta, running_mean, running_var, training
         a = gamma.data * inv_std
         data = x.data * a.reshape(per_channel)
         data += (beta.data - mean * a).reshape(per_channel)
+        x_hat = x.data - mean.reshape(per_channel)
+        x_hat *= inv_std.reshape(per_channel)
     if residual is not None:
         data += residual.data
     if relu:
@@ -358,26 +366,16 @@ def batch_norm_keeping_x_hat(x, gamma, beta, running_mean, running_var, training
             g = g * (data > 0)
         if residual is not None:
             tensor_module._accumulate(residual, g)
-        if gamma.requires_grad:
-            if training:
-                x_norm = x_hat
-            else:
-                x_norm = x.data - mean.reshape(per_channel)
-                x_norm *= inv_std.reshape(per_channel)
-            tensor_module._accumulate(gamma, (g * x_norm).sum(axis=axes))
-        if beta.requires_grad:
-            tensor_module._accumulate(beta, g.sum(axis=axes))
-        if x.requires_grad:
-            if training:
-                dx = g * gamma_b
-                m1 = dx.mean(axis=axes, keepdims=True)
-                m2 = (dx * x_hat).mean(axis=axes, keepdims=True)
-                dx -= m1
-                dx -= x_hat * m2
-                dx *= inv_std.reshape(per_channel)
-                tensor_module._accumulate(x, dx)
-            else:
-                tensor_module._accumulate(x, g * a.reshape(per_channel))
+        dgamma, dbeta = (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+        tensor_module._accumulate(gamma, dgamma)
+        tensor_module._accumulate(beta, dbeta)
+        if training:
+            dx = g - (dbeta / count).reshape(per_channel)
+            dx -= x_hat * (dgamma / count).reshape(per_channel)
+            dx *= a.reshape(per_channel)
+        else:
+            dx = g * a.reshape(per_channel)
+        tensor_module._accumulate(x, dx)
 
     inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return tensor_module._from_op(data, inputs, backward)
