@@ -217,7 +217,7 @@ def graph_conv(x, graphs, weight, residual=None):
         w2 = weight.data.reshape(c_out, k * channels)
         # dW reads the stack before dstack takes over its buffer
         dstack = _scratch("graph_conv.stack", stack.shape, np.result_type(w2, g2))
-        dw, dstack = _matmul_grads(g2, w2, stack, dstack, channel_map=True)
+        dw, dstack = _matmul_grads(g2, w2, stack, dstack)
         _accumulate(weight, dw.reshape(weight.data.shape))
         drows, dgraphs_t = _matmul_grads(dstack.reshape(batch, k, channels * frames, n),
                                          rows, graphs_t)

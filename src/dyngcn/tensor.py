@@ -26,10 +26,10 @@ one.  A product's two gradients always come from ``_matmul_grads``, for
 
 Weight gradients read their operands the way BLAS runs them fastest,
 with bits that were checked equal at 1 and 2 threads: the t x 1
-convolution's dW is ``(cols @ g^T)^T`` with g^T copied contiguous, a
-channel map's dW (the 1x1 convolution's and ``graph_conv``'s) is
-``(x @ g^T)^T``, and a product whose inner dimension is 1 is a broadcast
-multiply, not a GEMM.
+convolution's dW is ``(cols @ g^T)^T`` with g^T copied contiguous, the
+first gradient of every other product ``a @ b`` (a channel map's dW among
+them) is ``(b @ g^T)^T``, and a product whose inner dimension is 1 is a
+broadcast multiply, not a GEMM.
 
 A closure keeps only what its backward reads and cannot rebuild cheaply.
 Batch norm keeps its input, which the graph holds anyway, and per-channel
@@ -215,19 +215,15 @@ def _product(a, b, out=None):
     return np.matmul(a, b, out=out)
 
 
-def _matmul_grads(g, a, b, db_out=None, channel_map=False):
+def _matmul_grads(g, a, b, db_out=None):
     """Gradients of the broadcast product ``a @ b`` for its output gradient
-    ``g``: ``g @ b^T`` summed back to ``a``'s shape, then ``a^T @ g``
+    ``g``: ``(b @ g^T)^T`` summed back to ``a``'s shape, then ``a^T @ g``
     summed back to ``b``'s, the latter written into ``db_out`` if given.
     ``db_out`` may be ``b`` itself, which the first product has read.
 
-    With ``channel_map``, ``a`` is a channel map's weight and ``b`` its
-    wide input, and the weight gradient comes as ``(b @ g^T)^T``: BLAS runs
-    that form faster at those shapes than ``g @ b^T``."""
-    if channel_map:
-        da = np.swapaxes(_product(b, np.swapaxes(g, -1, -2)), -1, -2)
-    else:
-        da = _product(g, np.swapaxes(b, -1, -2))
+    The first gradient is ``g @ b^T`` computed as ``(b @ g^T)^T``: BLAS
+    runs a channel map's weight gradient (wide ``b``) faster that way."""
+    da = np.swapaxes(_product(b, np.swapaxes(g, -1, -2)), -1, -2)
     db = _product(np.swapaxes(a, -1, -2), g, out=db_out)
     return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
 
@@ -419,8 +415,7 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         data = np.matmul(w2, x2).reshape(batch, c_out, t_in, n)
 
         def backward(g):
-            dw, dx = _matmul_grads(g.reshape(batch, c_out, t_in * n), w2, x2,
-                                   channel_map=True)
+            dw, dx = _matmul_grads(g.reshape(batch, c_out, t_in * n), w2, x2)
             _accumulate(weight, dw.reshape(weight.data.shape))
             _accumulate(x, dx.reshape(x.data.shape))
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import dyngcn.model as model_module
 import dyngcn.tensor as tensor_module
+from dyngcn.config import model_preset
 from dyngcn.layers import Conv2d
 from dyngcn.model import (
     BlockSpec,
@@ -731,19 +733,27 @@ import numpy as np
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.tensor import Tensor, softmax_cross_entropy
 
-config, learners = json.loads(sys.argv[1])
 hashes = {}
-for learner in learners:
-    model = build_model(ModelConfig(**dict(config, topology=learner)), seed=5)
+for label, config, shape in json.loads(sys.argv[1]):
+    model = build_model(ModelConfig(**config), seed=5)
     rng = np.random.default_rng(23)
-    x = rng.standard_normal((16, 1, 3, 24, 25)).astype(np.float32)
-    softmax_cross_entropy(model(Tensor(x)), rng.integers(0, 5, 16)).backward()
+    x = rng.standard_normal(shape).astype(np.float32)
+    labels = rng.integers(0, config["n_classes"], shape[0])
+    softmax_cross_entropy(model(Tensor(x)), labels).backward()
     for name, p in model.named_parameters():
-        hashes[f"{learner}/{name}"] = hashlib.sha256(p.grad.tobytes()).hexdigest()
+        hashes[f"{label}/{name}"] = hashlib.sha256(p.grad.tobytes()).hexdigest()
 print(json.dumps(hashes))
 """
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# (label, model config, input shape): the gate model with either learner at
+# B=16, and a 2-person ntu-like step at B=2 for the 64- to 256-channel maps
+GRADIENT_PROBE_CASES = [
+    ("gate-context", dict(GATE_CONFIG, topology="context"), (16, 1, 3, 24, 25)),
+    ("gate-nonlocal", dict(GATE_CONFIG, topology="nonlocal"), (16, 1, 3, 24, 25)),
+    ("ntu-like", asdict(model_preset("ntu-like")), (2, 2, 3, 64, 25)),
+]
 
 
 def probe_gradient_hashes(threads):
@@ -753,7 +763,7 @@ def probe_gradient_hashes(threads):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.update({var: str(threads) for var in BLAS_THREAD_VARS})
-    arg = json.dumps([GATE_CONFIG, ["context", "nonlocal"]])
+    arg = json.dumps(GRADIENT_PROBE_CASES)
     done = subprocess.run([sys.executable, "-c", GRADIENT_PROBE, arg], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout)
@@ -761,7 +771,7 @@ def probe_gradient_hashes(threads):
 
 def test_train_step_gradients_do_not_depend_on_the_blas_thread_count():
     one, two = probe_gradient_hashes(1), probe_gradient_hashes(2)
-    assert len(one) > 100 and one.keys() == two.keys()
+    assert len(one) > 300 and one.keys() == two.keys()
     assert [name for name in one if one[name] != two[name]] == []
 
 
