@@ -4,6 +4,9 @@ A ``Tensor`` wraps a numpy array (float32 by default, float64 is kept when
 given) and remembers which operation produced it.  ``backward()`` on a
 scalar walks the recorded graph in reverse topological order and
 accumulates gradients into every tensor that has ``requires_grad`` set.
+It releases the graph as it goes: each op node drops its closure and its
+inputs once its closure has run, so an activation lives only until its
+last consumer's backward, and a graph can be backpropagated once.
 
 The op set is intentionally small: what a graph-convolutional sequence
 classifier needs and nothing more.  Convolutions cover the two kernel
@@ -117,6 +120,12 @@ class Tensor:
         (tensors without a backward closure), so callers clear parameter
         grads between steps.  An op output's gradient is freed once its
         closure has passed it on, so afterwards only leaves hold ``.grad``.
+
+        The graph is released as it is walked: once an op node's closure
+        has run (or no gradient reached it), the node drops its closure and
+        its inputs, so an activation is freed as soon as its last
+        consumer's backward has run.  A second ``backward`` through a
+        released node raises ``RuntimeError``.
         """
         if gradient is None:
             if self.data.size != 1:
@@ -147,10 +156,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = gradient if self.grad is None else self.grad + gradient
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            node._backward = _released
+            node._prev = ()
 
     # -- operator sugar -------------------------------------------------
 
@@ -162,6 +176,13 @@ class Tensor:
 
     def mean(self, axis=None):
         return tensor_mean(self, axis=axis)
+
+
+def _released(g):
+    raise RuntimeError(
+        "this graph was already backpropagated and released; "
+        "run the forward again to backpropagate once more"
+    )
 
 
 def _from_op(data, inputs, backward):

@@ -282,8 +282,6 @@ def train(config):
             optimizer.step()
             loss_sum += value * len(idx)
             correct += int((logits.data.argmax(axis=1) == y_train[idx]).sum())
-            # free this step's graph before the next forward records its own
-            del logits, loss
 
         if eval_data is not None:
             result = evaluate_arrays(model, *eval_data, batch_size=config.batch_size)

@@ -890,20 +890,32 @@ def test_train_frees_each_step_graph_and_its_scratch_pool(smoke_setup, tmp_path,
     cfg = cfg.with_overrides(["total_epochs=2", f"out_dir={tmp_path / 'run'}"])
     model = build_model(cfg.model, seed=cfg.seed)
     forward = model.forward
-    earlier = []   # weak references to the logits of every train-mode forward
+    # weak references to the outputs of every op behind the logits of each
+    # train-mode forward; train() keeps only the logits and the loss bound
+    # until the next step replaces them
+    earlier = []
+    steps = []
 
     def checked_forward(x):
         if model.training:
             assert [ref() for ref in earlier] == [None] * len(earlier)
         logits = forward(x)
         if model.training:
-            earlier.append(weakref.ref(logits.data))
+            seen, stack = set(), list(logits._prev)
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._backward is not None:
+                    seen.add(id(node))
+                    earlier.append(weakref.ref(node.data))
+                    stack.extend(node._prev)
+            steps.append(len(seen))
         return logits
 
     model.forward = checked_forward
     monkeypatch.setattr(d_train, "build_model", lambda config, seed: model)
     train(cfg)
-    assert len(earlier) == 6  # 20 samples in batches of 8, two epochs
+    assert len(steps) == 6  # 20 samples in batches of 8, two epochs
+    assert min(steps) > 50
     assert dyngcn.tensor._SCRATCH == {}
 
 

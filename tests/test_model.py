@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -646,11 +647,12 @@ def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
     model = build_model(ModelConfig(**GATE_CONFIG), seed=0)
     x, labels = gate_batch()
     loss = softmax_cross_entropy(model(x), labels)
+    tape = tape_arrays(loss)
     loss.backward()
     pool = tensor_module._SCRATCH
     assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols",
                             "conv.dw", "conv.g_t", "graph_conv.stack"]
-    held = tape_arrays(loss) + [p.grad for p in model.parameters()]
+    held = tape + [p.grad for p in model.parameters()]
     assert len(held) > 200
     for array in held:
         for role, buf in pool.items():
@@ -679,6 +681,46 @@ def array_base(array):
     while isinstance(array.base, np.ndarray):
         array = array.base
     return array
+
+
+def test_backward_frees_each_activation_once_its_consumers_have_run(monkeypatch):
+    # the input norm's backward runs last; by then every block's output has
+    # had its last consumer's backward run, and nothing else holds it
+    model = build_model(ModelConfig(**GATE_CONFIG), seed=0)
+    x, labels = gate_batch()
+    outputs, alive = [], []
+
+    def keep_weakref(module):
+        def forward(*args, original=module.forward, **kwargs):
+            out = original(*args, **kwargs)
+            outputs.append(weakref.ref(array_base(out.data)))
+            return out
+
+        monkeypatch.setattr(module, "forward", forward)
+
+    for block in model.blocks:
+        keep_weakref(block)
+
+    def input_norm(*args, original=model.input_bn.forward, **kwargs):
+        out = original(*args, **kwargs)
+        backward = out._backward
+
+        def checked(g):
+            alive.append([i for i, ref in enumerate(outputs) if ref() is not None])
+            backward(g)
+
+        out._backward = checked
+        return out
+
+    monkeypatch.setattr(model.input_bn, "forward", input_norm)
+    softmax_cross_entropy(model(x), labels).backward()
+    assert len(outputs) == len(model.blocks) and alive == [[]]
+
+    loss = softmax_cross_entropy(model(x), labels)
+    ops = [node for node in graph_nodes(loss) if node._backward is not None]
+    loss.backward()
+    assert len(ops) > 100
+    assert all(node._prev == () for node in ops)
 
 
 def ntu_width_training_block():

@@ -443,25 +443,27 @@ def test_backward_keeps_only_leaf_gradients():
     x, h, loss = _relu_square_graph()
     w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
     out = add(loss, mul(h, w).sum())
-    out.backward()
     nodes, stack = [], [out]
     while stack:
         node = stack.pop()
         nodes.append(node)
         stack.extend(node._prev)
     ops = [n for n in nodes if n._backward is not None]
+    out.backward()
     assert len(ops) >= 6 and out in ops and h in ops
     assert all(n.grad is None for n in ops)
     assert x.grad is not None and w.grad is not None
     assert np.array_equal(w.grad, h.data)
 
 
-def test_second_backward_adds_exactly_one_leaf_gradient():
-    x, _, loss = _relu_square_graph()
+def test_second_backward_through_a_released_graph_raises():
+    x, h, loss = _relu_square_graph()
     loss.backward()
     assert np.array_equal(x.grad, [18.0, 36.0, 0.0])
-    loss.backward()
-    assert np.array_equal(x.grad, [36.0, 72.0, 0.0])
+    for root in (loss, h):
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            root.backward(np.ones_like(root.data))
+    assert np.array_equal(x.grad, [18.0, 36.0, 0.0])
 
 
 def test_concat_joins_in_order():
