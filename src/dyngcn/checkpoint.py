@@ -22,6 +22,7 @@ import numpy as np
 
 from .modality import refuse_unknown_modality
 from .model import ModelConfig, build_model
+from .skeleton import write_file
 
 MAGIC = b"DGCK"
 FORMAT_VERSION = 1
@@ -54,7 +55,6 @@ def _refuse_bad_meta(meta):
 
 
 def save_checkpoint(path, model, meta=None):
-    path = Path(path)
     meta = dict(meta or {})
     try:
         _refuse_bad_meta(meta)
@@ -75,13 +75,8 @@ def save_checkpoint(path, model, meta=None):
         "arrays": table,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HQ", FORMAT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in buffers:
-            fh.write(blob)
-    return path
+    return write_file(path, MAGIC, struct.pack("<HQ", FORMAT_VERSION, len(header_bytes)),
+                      header_bytes, *buffers)
 
 
 def read_checkpoint_header(path):

@@ -11,6 +11,7 @@ from .config import MODEL_PRESETS, RUN_PRESETS, RunConfig, model_preset, run_pre
 from .data import SynthSpec, synth_generate
 from .export import DEFAULT_THRESHOLD, export_topology
 from .flops import count_model_flops, overhead_report
+from .skeleton import write_file
 from .train import EVAL_BATCH_SIZE, ensemble_checkpoints, evaluate_checkpoint, train
 
 
@@ -91,7 +92,7 @@ def _cmd_flops(args):
     if len(reports) == 2:
         print(overhead_report(reports[0], reports[1]).as_text())
     if args.kv:
-        Path(args.kv).write_text("\n".join(r.as_kv() for r in reports))
+        write_file(args.kv, "\n".join(r.as_kv() for r in reports))
         print(f"wrote {args.kv}")
 
 

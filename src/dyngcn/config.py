@@ -6,11 +6,10 @@ each field's annotation picks the parser of its value."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .modality import refuse_unknown_modality
 from .model import ModelConfig, refuse_non_finite
-from .skeleton import read_utf8
+from .skeleton import read_utf8, write_file
 
 
 def _parse_bool(text):
@@ -113,6 +112,8 @@ class RunConfig:
             raise ValueError("total_epochs must be at least 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be non-negative")
         if any(m >= self.total_epochs for m in self.milestones):
             raise ValueError(
                 f"milestones {self.milestones} must fall before total_epochs "
@@ -153,8 +154,7 @@ class RunConfig:
             raise ValueError(f"{source}: {exc}") from None
 
     def save(self, path):
-        Path(path).write_text(self.to_text())
-        return path
+        return write_file(path, self.to_text())
 
     @classmethod
     def load(cls, path):

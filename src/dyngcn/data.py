@@ -8,11 +8,16 @@ Two on-disk formats carry the same payload:
 
   binary   magic ``SKSQ``, version, label, T, M, N, D, then the layout
            name and sample id as length-prefixed UTF-8, then T*M*N*D
-           little-endian float32 values in (t, m, n, d) order
+           little-endian float32 values in (t, m, n, d) order; T is a
+           u32 and the rest are u16, so ``save_sequence`` refuses a
+           label, N, D or name length above 65535
   text     line-oriented, hand-writable; see ``parse_sequence_text``
 
 Datasets are described by a manifest: a text file of ``path<TAB>label``
 lines with a commented header naming the layout, split, and classes.
+Every file is written by ``skeleton.write_file`` and every text is read by
+``skeleton.read_utf8`` or ``decode_utf8``, so text is UTF-8 whatever the
+locale.
 """
 
 from __future__ import annotations
@@ -24,13 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from .model import refuse_non_finite
-from .skeleton import build_layout, decode_utf8, read_utf8
+from .skeleton import build_layout, decode_utf8, read_utf8, write_file
 
 MAGIC = b"SKSQ"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHIHHH")
 
 MAX_PERSONS = 2
+
+# The binary header holds the label, N, D and both string lengths as u16
+# (T is a u32, and M is at most MAX_PERSONS).
+_U16_MAX = 0xFFFF
 
 # Byte offsets of T, M, N and D in the binary header.
 _SHAPE_OFFSETS = (8, 12, 14, 16)
@@ -106,18 +115,20 @@ def _check_finite(path, seq):
 
 
 def save_sequence(path, seq):
-    path = Path(path)
     _check_finite(path, seq)
     layout_bytes = seq.layout_name.encode("utf-8")
     id_bytes = seq.sample_id.encode("utf-8")
     t, m, n, d = seq.data.shape
-    blob = bytearray()
-    blob += _HEADER.pack(MAGIC, FORMAT_VERSION, seq.label, t, m, n, d)
-    blob += struct.pack("<H", len(layout_bytes)) + layout_bytes
-    blob += struct.pack("<H", len(id_bytes)) + id_bytes
-    blob += np.ascontiguousarray(seq.data, dtype="<f4").tobytes()
-    path.write_bytes(bytes(blob))
-    return path
+    for field, value in (("label", seq.label), ("joint count", n), ("coordinate count", d),
+                         ("layout name's UTF-8 length", len(layout_bytes)),
+                         ("sample id's UTF-8 length", len(id_bytes))):
+        if value > _U16_MAX:
+            raise ValueError(f"{path}: {field} {value} is above {_U16_MAX}, the most the "
+                             "binary header holds; nothing written")
+    return write_file(path, _HEADER.pack(MAGIC, FORMAT_VERSION, seq.label, t, m, n, d),
+                      struct.pack("<H", len(layout_bytes)), layout_bytes,
+                      struct.pack("<H", len(id_bytes)), id_bytes,
+                      np.ascontiguousarray(seq.data, dtype="<f4").tobytes())
 
 
 def _parse_binary(raw, path):
@@ -179,15 +190,13 @@ def format_sequence_text(seq):
 
 
 def save_sequence_text(path, seq):
-    path = Path(path)
     _check_finite(path, seq)
     # the text reader takes each of these as one token, cut at a '#'
     for field, value in (("layout name", seq.layout_name), ("sample id", seq.sample_id)):
         if value.split() != [value] or "#" in value:
             raise ValueError(f"{path}: {field} {value!r} is empty or holds whitespace "
                              "or '#'; nothing written")
-    path.write_text(format_sequence_text(seq))
-    return path
+    return write_file(path, format_sequence_text(seq))
 
 
 def parse_sequence_text(text, path="<text>"):
@@ -375,7 +384,6 @@ class DatasetManifest:
 def save_manifest(path, manifest):
     """Write ``manifest`` as ``load_manifest`` reads it; refuses, before
     writing anything, what would not read back as it is."""
-    path = Path(path)
     for i, name in enumerate(manifest.class_names):
         if name.split() != [name]:
             raise ValueError(f"{path}: class {i} name {name!r} is empty or holds whitespace; "
@@ -396,8 +404,7 @@ def save_manifest(path, manifest):
         lines.append(f"# class {i} {name}")
     for rel, label in manifest.entries:
         lines.append(f"{rel}\t{label}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_file(path, "\n".join(lines) + "\n")
 
 
 def load_manifest(path):
@@ -464,12 +471,17 @@ class SynthSpec:
         refuse_non_finite(self)
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
+        if self.n_classes > _U16_MAX + 1:
+            raise ValueError(f"n_classes={self.n_classes} is above {_U16_MAX + 1}: a binary "
+                             f"sequence's label is at most {_U16_MAX}")
         if self.samples_per_class < 1 or self.test_per_class < 0:
             raise ValueError("sample counts must be positive")
         if self.frames < 2:
             raise ValueError("need at least two frames")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be non-negative")
 
 
 def _class_programs(spec, layout, rng):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .skeleton import write_file
 from .tensor import Tensor, no_grad
 from .train import EVAL_BATCH_SIZE, load_checkpoint_inputs
 
@@ -90,6 +91,5 @@ def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
     # appended, not swapped in: a dotted prefix such as topo.layer2 keeps its name
     txt_path = out_prefix.with_name(out_prefix.name + ".txt")
     dot_path = out_prefix.with_name(out_prefix.name + ".dot")
-    txt_path.write_text(format_matrix(matrix))
-    dot_path.write_text(format_dot(matrix, model.layout, threshold, class_name))
-    return matrix, txt_path, dot_path
+    return (matrix, write_file(txt_path, format_matrix(matrix)),
+            write_file(dot_path, format_dot(matrix, model.layout, threshold, class_name)))

@@ -11,6 +11,10 @@ self connections, links toward the center (centripetal), and links away
 from it (centrifugal), with equal-distance neighbors assigned to the
 centripetal set.  A matrix entry (i -> j) is stored at row i, column j,
 and a graph product aggregates features of j into position i.
+
+This module also holds the package's file I/O edge: ``write_file`` writes
+every file the package makes, and ``read_utf8``/``decode_utf8`` decode every
+text it reads, so text is UTF-8 on disk whatever the locale.
 """
 
 from __future__ import annotations
@@ -166,11 +170,25 @@ def read_utf8(path):
     return decode_utf8(Path(path).read_bytes(), path)
 
 
+def write_file(path, *chunks):
+    """Write ``chunks`` to ``path`` and return ``Path(path)``: a str as UTF-8,
+    bytes as they are.  All are encoded before the file is opened, so a str
+    that is not UTF-8 text leaves no file."""
+    path = Path(path)
+    try:
+        chunks = [c.encode("utf-8") if isinstance(c, str) else c for c in chunks]
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{path}: {exc}; nothing written") from None
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+    return path
+
+
 def build_layout(name_or_path):
     """Load a built-in layout by name, or any layout file by path."""
     if name_or_path in BUILTIN_LAYOUTS:
         resource = importlib.resources.files("dyngcn") / "layouts" / f"{name_or_path}.layout"
-        return parse_layout(resource.read_text(), name=name_or_path)
+        return parse_layout(decode_utf8(resource.read_bytes(), resource), name=name_or_path)
     path = Path(name_or_path)
     if path.is_file():
         text = read_utf8(path)

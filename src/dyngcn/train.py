@@ -14,7 +14,7 @@ from .data import load_manifest, load_sequence, normalize_coords, resize_sequenc
 from .modality import apply_modality, ensemble_logits
 from .model import build_model
 from .optim import NesterovSGD
-from .skeleton import read_utf8
+from .skeleton import read_utf8, write_file
 from .tensor import Tensor, free_scratch, no_grad, softmax_cross_entropy
 
 # Batch size of eval-mode forwards outside training (eval, ensemble, export).
@@ -58,8 +58,7 @@ class MetricsLog:
         return "\n".join(lines) + "\n"
 
     def save(self, path):
-        Path(path).write_text(self.format())
-        return path
+        return write_file(path, self.format())
 
     @classmethod
     def parse(cls, text, source="<metrics>"):
@@ -96,7 +95,6 @@ class MetricsLog:
 class EvalResult:
     top1: float
     top5: float
-    confusion: np.ndarray
     count: int
 
 
@@ -184,10 +182,7 @@ def accuracy_from_logits(logits, labels, n_classes):
     k = min(5, n_classes)
     topk = np.argsort(-logits, axis=1)[:, :k]
     top5 = float((topk == labels[:, None]).any(axis=1).mean())
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for truth, pred in zip(labels, top1_pred):
-        confusion[truth, pred] += 1
-    return EvalResult(top1, top5, confusion, len(labels))
+    return EvalResult(top1, top5, len(labels))
 
 
 def evaluate_arrays(model, x, labels, batch_size=EVAL_BATCH_SIZE):

@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +56,27 @@ def test_synth_refuses_a_non_finite_noise(tmp_path, capsys, value):
     assert code == 2
     assert capsys.readouterr().err == f"error: noise_sigma={value} must be finite\n"
     assert not (tmp_path / "d").exists()
+
+
+def test_synth_refuses_more_classes_than_a_label_holds_before_writing(tmp_path, capsys):
+    code = cli.main(["synth", "--out", str(tmp_path / "d"), "--classes", "65537",
+                     "--train-per-class", "1", "--test-per-class", "0", "--frames", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: n_classes=65537 is above 65536: a binary "
+                                       "sequence's label is at most 65535\n")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_is_refused_naming_the_key(workspace, tmp_path, capsys, command):
+    out = tmp_path / "d"
+    argv = {"synth": ["synth", "--out", str(out)],
+            "train": ["train", "--preset", "smoke", "--out-dir", str(out),
+                      "--train-manifest", str(workspace / "data" / "train.manifest")]}[command]
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert re.fullmatch(r"error: (overrides \[.*\]: )?seed=-1 must be non-negative\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_train_from_a_config_file(workspace, tmp_path, capsys):
@@ -321,3 +347,49 @@ def test_dot_threshold_filters_learned_edges():
 def test_dot_label_escapes_the_class_name():
     dot = format_dot(np.zeros((2, 2)), None, class_name='say"hi\\n')
     assert '  label="say\\"hi\\\\n";' in dot.splitlines()
+
+
+# Writes a manifest, a run.cfg and a topology export that hold non-ASCII text
+# and reads each back with its own reader.  The script itself is ASCII, so a
+# C-locale interpreter takes it on its command line.
+LOCALE_PROBE = r"""
+import sys
+from pathlib import Path
+import numpy as np
+from dyngcn.checkpoint import save_checkpoint
+from dyngcn.config import RunConfig, model_preset
+from dyngcn.data import DatasetManifest, SkeletonSequence, load_manifest, save_manifest
+from dyngcn.data import save_sequence
+from dyngcn.export import export_topology, format_dot, format_matrix
+from dyngcn.model import build_model
+from dyngcn.skeleton import read_utf8
+
+root = Path(sys.argv[1])
+names = ["caf\u00e9", "th\u00e9"]
+rng = np.random.default_rng(0)
+entries = []
+for label in (0, 1):
+    seq = SkeletonSequence(rng.standard_normal((4, 1, 25, 3)), label, "ntu25", f"s{label}")
+    entries.append((save_sequence(root / f"s{label}.skl", seq).name, label))
+manifest = save_manifest(root / "data.manifest", DatasetManifest(entries, names, "ntu25", "test"))
+assert load_manifest(manifest).class_names == names
+config = RunConfig(model=model_preset("toy"), train_manifest="donn\u00e9es/train.manifest")
+assert RunConfig.load(config.save(root / "run.cfg")) == config
+model = build_model(config.model, seed=0)
+checkpoint = save_checkpoint(root / "model.ckpt", model, {"class_names": names})
+matrix, txt, dot = export_topology(checkpoint, manifest, 1, 0, root / "topo")
+assert read_utf8(txt) == format_matrix(matrix)
+assert read_utf8(dot) == format_dot(matrix, model.layout, class_name=names[0])
+"""
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, Python's own text files use
+    ASCII; ``subprocess.run`` waits for the probe and kills it if it overruns."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", LOCALE_PROBE, str(tmp_path)], env=env,
+                   capture_output=True, text=True, timeout=120, check=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.manifest", "model.ckpt", "run.cfg", "s0.skl", "s1.skl", "topo.dot", "topo.txt"]

@@ -276,6 +276,37 @@ def test_save_text_refuses_a_name_the_reader_cannot_read_back(tmp_path, field, v
     assert load_sequence(save_sequence(tmp_path / "a.skl", seq)).data.tobytes() == data.tobytes()
 
 
+# (field, (T, M, N, D), label, layout name, sample id) one past what a u16 holds
+HEADER_OVERFLOWS = [
+    ("label 65536", (1, 1, 1, 1), 65536, "l", "s"),
+    ("joint count 65536", (1, 1, 65536, 1), 0, "l", "s"),
+    ("coordinate count 65536", (1, 1, 1, 65536), 0, "l", "s"),
+    ("layout name's UTF-8 length 65536", (1, 1, 1, 1), 0, "l" * 65536, "s"),
+    ("sample id's UTF-8 length 65536", (1, 1, 1, 1), 0, "l", "\u00e9" * 32768),
+]
+
+
+@pytest.mark.parametrize("problem, shape, label, layout_name, sample_id", HEADER_OVERFLOWS,
+                         ids=[case[0].split(" 6")[0] for case in HEADER_OVERFLOWS])
+def test_save_binary_refuses_what_its_header_cannot_hold(tmp_path, problem, shape, label,
+                                                         layout_name, sample_id):
+    seq = SkeletonSequence(np.zeros(shape, dtype=np.float32), label, layout_name, sample_id)
+    path = tmp_path / "a.skl"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {problem} is above 65535, "
+                                         "the most the binary header holds; nothing written$"):
+        save_sequence(path, seq)
+    assert not path.exists()
+
+
+def test_save_binary_round_trips_the_largest_header_values(tmp_path):
+    seq = SkeletonSequence(np.ones((2, 1, 3, 2), dtype=np.float32), 65535, "l" * 65535,
+                           "\u00e9" * 32767 + "s")
+    again = load_sequence(save_sequence(tmp_path / "a.skl", seq))
+    assert (again.label, again.layout_name, again.sample_id) == (65535, seq.layout_name,
+                                                                 seq.sample_id)
+    assert again.data.tobytes() == seq.data.tobytes()
+
+
 def test_format_text_is_parseable_inverse():
     seq = random_sequence(np.random.default_rng(4), t=2, m=1)
     again = parse_sequence_text(format_sequence_text(seq))
@@ -534,6 +565,7 @@ def test_synth_validation():
         SynthSpec(n_classes=1)
     with pytest.raises(ValueError, match="noise_sigma"):
         SynthSpec(noise_sigma=-0.1)
+    assert SynthSpec(n_classes=65536).n_classes == 65536  # 65537 is refused in test_cli
     for name in ("noise_sigma", "amplitude"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=rf"^{name}={value!r} must be finite$"):

@@ -18,6 +18,7 @@ from dyngcn.config import RunConfig, model_preset
 from dyngcn.data import (
     DatasetManifest,
     SkeletonSequence,
+    SynthSpec,
     format_sequence_text,
     load_manifest,
     load_sequence,
@@ -295,7 +296,7 @@ def run_configs(draw):
         lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)), momentum=draw(floats),
         nesterov=draw(st.booleans()), weight_decay=draw(floats), batch_size=draw(sizes),
         total_epochs=total_epochs, milestones=tuple(milestones), decay=draw(floats),
-        seed=draw(st.integers(-2**63, 2**63)),
+        seed=draw(st.integers(0, 2**63)),
     )
 
 
@@ -329,6 +330,21 @@ def test_run_config_text_round_trip(config):
     back = RunConfig.from_text(text)
     assert back == config
     assert back.to_text() == text
+
+
+@FUZZ
+@given(config=run_configs(), seed=st.integers(-2**63, -1))
+def test_negative_seed_is_refused_naming_the_key(config, seed):
+    message = rf"seed={seed} must be non-negative$"
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        replace(config, seed=seed)
+    text = config.to_text()
+    assert text.endswith(f"\nseed={config.seed}\n")
+    with pytest.raises(ValueError, match=rf"^fuzz\.cfg: {message}"):
+        RunConfig.from_text(text.replace(f"\nseed={config.seed}\n", f"\nseed={seed}\n"),
+                            source="fuzz.cfg")
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        SynthSpec(seed=seed)
 
 
 @FUZZ

@@ -35,6 +35,7 @@ from dyngcn.train import (
     ensemble_checkpoints,
     evaluate_arrays,
     evaluate_checkpoint,
+    load_checkpoint_inputs,
     load_dataset,
     train,
 )
@@ -499,7 +500,7 @@ def test_top5_never_below_top1(smoke_setup, smoke_run):
     result = evaluate_checkpoint(smoke_run.checkpoint_path,
                                  root / "data" / "train.manifest")
     assert result.top5 >= result.top1
-    assert result.confusion.sum() == result.count == 20
+    assert result.count == 20
 
 
 def test_ensemble_of_one_equals_evaluate(smoke_setup, smoke_run):
@@ -604,7 +605,10 @@ def test_checkpoint_without_class_names_reads_any_class_table(smoke_setup, smoke
     got = evaluate_checkpoint(ckpt, other)
     want = evaluate_checkpoint(smoke_run.checkpoint_path, root / "data" / "test.manifest")
     assert (got.top1, got.top5) == (want.top1, want.top5)
-    assert (got.confusion == want.confusion).all()
+    logits = [collect_logits(model, x) for model, _, x, _ in (
+        load_checkpoint_inputs(ckpt, other),
+        load_checkpoint_inputs(smoke_run.checkpoint_path, root / "data" / "test.manifest"))]
+    assert np.array_equal(*logits)
 
 
 def faulty_manifest(root, tmp_path, fault):

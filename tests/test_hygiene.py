@@ -2,8 +2,9 @@
 in that module, no module reads the ``tensor`` alias of a parameter (a
 parameter is the tensor itself), no signature restates a model setting's
 default or invents a seed, a defaulted ``batch_size`` defaults to
-``EVAL_BATCH_SIZE``, an op takes only what some caller passes, and no op's
-backward asks which of its inputs need a gradient."""
+``EVAL_BATCH_SIZE``, an op takes only what some caller passes, no op's
+backward asks which of its inputs need a gradient, and no module opens or
+writes a file, or reads one as locale text, except ``skeleton.write_file``."""
 
 import ast
 from pathlib import Path
@@ -224,3 +225,42 @@ def test_backward_requires_grad_reads_are_found():
               "            pass\n\n"
               "    return backward\n")
     assert backward_requires_grad_reads(source) == [13, 16, 16]
+
+
+# Calls that open a file, write one, or read one in the locale's encoding.
+FILE_CALLS = {"open", "write_text", "write_bytes", "read_text"}
+
+
+def stray_file_calls(source):
+    """(line, name) of every call, by name or as an attribute, of one of
+    ``FILE_CALLS`` outside a function named ``write_file``; ``read_bytes``
+    is allowed."""
+    tree = ast.parse(source)
+    allowed = {id(node) for writer in ast.walk(tree)
+               if isinstance(writer, ast.FunctionDef) and writer.name == "write_file"
+               for node in ast.walk(writer)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_writes_files_only_through_write_file(path):
+    assert stray_file_calls(path.read_text()) == []
+
+
+def test_stray_file_calls_are_found():
+    source = ("from pathlib import Path\n\n"
+              "def write_file(path, *chunks):\n    with open(path, 'wb') as fh:\n"
+              "        fh.write(b'')\n\n"
+              "def save(path, text):\n    Path(path).write_text(text)\n"
+              "    return open(path).read()\n\n"
+              "def load(path):\n    return path.read_bytes(), path.read_text(), io.open(path)\n\n"
+              "blob = Path('x').write_bytes(b'')\n")
+    assert stray_file_calls(source) == [(8, "write_text"), (9, "open"), (12, "open"),
+                                        (12, "read_text"), (14, "write_bytes")]

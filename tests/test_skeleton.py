@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from dyngcn.skeleton import (
     normalize_adjacency,
     parse_layout,
     partition_spatial_configs,
+    read_utf8,
+    write_file,
 )
 
 
@@ -217,3 +221,25 @@ def test_topology_set_self_loops_only():
     graphs = topo.static_topology().data
     assert np.allclose(np.diag(graphs[0]), 1.0 / 1.001, atol=1e-6)
     assert graphs[1].sum() == 0.0
+
+
+# -- file writer --------------------------------------------------------
+
+
+def test_write_file_writes_str_as_utf8_and_bytes_as_they_are(tmp_path):
+    target = tmp_path / "mixed.bin"
+    assert write_file(str(target), "caf\u00e9\n", b"\x00\xff", bytearray(b"ok")) == target
+    assert target.read_bytes() == b"caf\xc3\xa9\n\x00\xffok"
+    assert write_file(target) == target and target.read_bytes() == b""
+
+
+def test_write_file_encodes_every_chunk_before_opening(tmp_path):
+    target = tmp_path / "kept.txt"
+    write_file(target, "old\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(target))}: .*surrogates not allowed; "
+                                         "nothing written$"):
+        write_file(target, "new\n", "bad \udcff")
+    assert read_utf8(target) == "old\n"
+    with pytest.raises(ValueError, match="nothing written"):
+        write_file(tmp_path / "fresh.txt", "\ud800")
+    assert not (tmp_path / "fresh.txt").exists()
