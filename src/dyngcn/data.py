@@ -116,8 +116,11 @@ def _check_finite(path, seq):
 
 def save_sequence(path, seq):
     _check_finite(path, seq)
-    layout_bytes = seq.layout_name.encode("utf-8")
-    id_bytes = seq.sample_id.encode("utf-8")
+    try:
+        layout_bytes, id_bytes = [name.encode("utf-8")
+                                  for name in (seq.layout_name, seq.sample_id)]
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{path}: {exc}; nothing written") from None
     t, m, n, d = seq.data.shape
     for field, value in (("label", seq.label), ("joint count", n), ("coordinate count", d),
                          ("layout name's UTF-8 length", len(layout_bytes)),

@@ -9,6 +9,7 @@ showing learned links above a threshold on top of the physical skeleton.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,9 @@ def format_dot(matrix, layout, threshold=DEFAULT_THRESHOLD, class_name=""):
 def export_topology(checkpoint_path, manifest_path, layer_index, class_id,
                     out_prefix, threshold=DEFAULT_THRESHOLD):
     """Write <prefix>.txt and <prefix>.dot; returns (matrix, txt, dot)."""
+    if not math.isfinite(threshold):
+        # a non-finite threshold would draw every learned edge or none
+        raise ValueError(f"threshold={threshold!r} must be finite")
     model, meta, x, labels = load_checkpoint_inputs(checkpoint_path, manifest_path)
     matrix = class_average_adjacency(model, x, labels, class_id, layer_index)
     names = meta.get("class_names", [])

@@ -133,10 +133,6 @@ class Linear(Module):
         self.out_features = out_features
 
     def forward(self, x):
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_features:
-            raise ValueError(
-                f"linear expects (B, {self.in_features}) input, got shape {x.data.shape}"
-            )
         batch = x.data.shape[0]
         # Route through a (B, 1, F) stack so each sample sees the same GEMM
         # shape whatever the batch size.

@@ -241,11 +241,6 @@ def dynamic_branch(x, graph, conv, residual=None):
     """Per-sample (B, N, N) graph aggregation followed by its own 1x1 channel
     map, to whose output ``graph_conv`` adds ``residual`` (the static route)."""
     batch, _, _, n = x.data.shape
-    if graph.data.shape != (batch, n, n):
-        raise ValueError(
-            f"graph shape {graph.data.shape} does not match input batch {batch} "
-            f"and {n} joints"
-        )
     return graph_conv(x, reshape(graph, (batch, 1, n, n)), conv.weight, residual)
 
 
@@ -306,10 +301,6 @@ class DynamicGConvBlock(Module):
             self.projection = None
 
     def forward(self, x):
-        if x.data.ndim != 4 or x.data.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"block expects (B, {self.spec.in_channels}, T, N) input, got {x.data.shape}"
-            )
         predicted = self.learner(x) if self.learner is not None else None
         y = None
         if self.lambda_static != 0.0:

@@ -17,9 +17,11 @@ its transpose before the row normalization.
 embeddings, a temporal average, and a row softmax over their inner
 products.
 
-All variants bind the construction-time (C, T, N) sizes, because the
-squeeze convolutions treat those axes as channels; a different runtime
-shape is a hard error rather than a silent misread.
+``ContextEncoder`` binds the construction-time C, T and N, because each
+becomes the channel axis of one pointwise convolution; ``conv2d``'s
+channel check refuses an input whose size differs there.
+``NonLocalTopology`` binds only C, through its embeddings' ``conv2d``,
+and takes any T and N.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ def context_stages(axis, channels, frames, joints):
     """(input width, output width, positions) of the context encoder's three
     pointwise maps, per sample: two squeezes to width 1, then the expansion
     of the kept axis into N^2 values."""
-    if axis not in _SQUEEZE_ORDER:
-        raise ValueError(
-            f"unknown context axis {axis!r}, expected one of {tuple(_SQUEEZE_ORDER)}"
-        )
     size = {"c": channels, "t": frames, "n": joints}
     first, second, kept = (size[a] for a in _SQUEEZE_ORDER[axis])
     return ((first, 1, second * kept), (second, 1, kept), (kept, joints * joints, 1))
@@ -74,8 +72,6 @@ class ContextEncoder(Module):
         super().__init__()
         (a_in, a_out, _), (b_in, b_out, _), (e_in, e_out, _) = context_stages(
             axis, channels, frames, joints)
-        self.channels = channels
-        self.frames = frames
         self.joints = joints
         self.axis = axis
         self.symmetric = symmetric
@@ -86,17 +82,8 @@ class ContextEncoder(Module):
         self.expand = Conv2d(e_in, e_out, rng=rng, dtype=dtype)
         self.bn_out = BatchNorm(e_out, relu=final_relu, dtype=dtype)
 
-    def _check_input(self, x):
-        expected = (self.channels, self.frames, self.joints)
-        if x.data.ndim != 4 or x.data.shape[1:] != expected:
-            raise ValueError(
-                f"context encoder built for (B, {expected[0]}, {expected[1]}, "
-                f"{expected[2]}), got input shape {x.data.shape}"
-            )
-
     def scores(self, x):
         """Dependency matrix before row normalization."""
-        self._check_input(x)
         batch, n = x.data.shape[0], self.joints
         # Each stage maps the axis at position 1; one permute swaps the
         # stage's axis there.  bn_a and bn_b apply a ReLU, bn_out one when
@@ -132,17 +119,11 @@ class NonLocalTopology(Module):
 
     def __init__(self, channels, rng, dtype=np.float32):
         super().__init__()
-        self.channels = channels
         self.embed_channels = nonlocal_width(channels)
         self.embed_query = Conv2d(channels, self.embed_channels, rng=rng, dtype=dtype)
         self.embed_key = Conv2d(channels, self.embed_channels, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        if x.data.ndim != 4 or x.data.shape[1] != self.channels:
-            raise ValueError(
-                f"non-local topology expects (B, {self.channels}, T, N) input, "
-                f"got shape {x.data.shape}"
-            )
         q = tensor_mean(self.embed_query(x), axis=2)   # (B, E, N)
         k = tensor_mean(self.embed_key(x), axis=2)     # (B, E, N)
         sim = matmul(permute(q, (0, 2, 1)), k)          # (B, N, N)
@@ -152,8 +133,6 @@ class NonLocalTopology(Module):
 def build_topology_learner(kind, channels, frames, joints, final_relu, rng,
                            dtype=np.float32):
     """Factory keyed by the model-config topology name; None for "none"."""
-    if kind not in LEARNERS:
-        raise ValueError(f"unknown topology learner {kind!r}")
     if kind == "none":
         return None
     if kind == "nonlocal":

@@ -167,7 +167,6 @@ def _refuse_bad_batch_size(batch_size):
 
 
 def collect_logits(model, x, batch_size=EVAL_BATCH_SIZE):
-    _refuse_bad_batch_size(batch_size)
     model.eval()
     chunks = []
     with no_grad():

@@ -215,6 +215,26 @@ def test_export_topology_files(workspace, capsys):
     assert "dir=none" in dot  # physical skeleton edges present
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_export_refuses_a_non_finite_threshold_before_reading(workspace, tmp_path, capsys,
+                                                              monkeypatch, value):
+    reads = []
+    original = export.load_checkpoint_inputs
+
+    def spy(*args):
+        reads.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(export, "load_checkpoint_inputs", spy)
+    code = cli.main(["export-topology", "--checkpoint", str(workspace / "run" / "model.ckpt"),
+                     "--manifest", str(workspace / "data" / "test.manifest"),
+                     "--layer", "1", "--class-id", "0", f"--threshold={value}",
+                     "--out", str(tmp_path / "viz" / "t")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: threshold={float(value)!r} must be finite\n"
+    assert reads == [] and list(tmp_path.iterdir()) == []
+
+
 def test_export_high_threshold_only_physical(workspace, tmp_path):
     matrix, _, dot_path = export_topology(
         workspace / "run" / "model.ckpt",

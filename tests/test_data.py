@@ -276,6 +276,20 @@ def test_save_text_refuses_a_name_the_reader_cannot_read_back(tmp_path, field, v
     assert load_sequence(save_sequence(tmp_path / "a.skl", seq)).data.tobytes() == data.tobytes()
 
 
+@pytest.mark.parametrize("save", [save_sequence, save_sequence_text])
+@pytest.mark.parametrize("field", ["layout name", "sample id"])
+def test_save_refuses_a_name_that_is_not_utf8_text(tmp_path, save, field):
+    # a lone surrogate, as surrogateescape gives for an undecodable byte
+    names = {"layout name": "test-layout", "sample id": "sample-001", field: "s\udcff"}
+    seq = SkeletonSequence(random_sequence(np.random.default_rng(8)).data, 1,
+                           names["layout name"], names["sample id"])
+    path = tmp_path / "a.out"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't "
+                                         r"encode character '\\udcff'.*; nothing written$"):
+        save(path, seq)
+    assert not path.exists()
+
+
 # (field, (T, M, N, D), label, layout name, sample id) one past what a u16 holds
 HEADER_OVERFLOWS = [
     ("label 65536", (1, 1, 1, 1), 65536, "l", "s"),

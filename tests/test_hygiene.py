@@ -3,8 +3,9 @@ in that module, no module reads the ``tensor`` alias of a parameter (a
 parameter is the tensor itself), no signature restates a model setting's
 default or invents a seed, a defaulted ``batch_size`` defaults to
 ``EVAL_BATCH_SIZE``, an op takes only what some caller passes, no op's
-backward asks which of its inputs need a gradient, and no module opens or
-writes a file, or reads one as locale text, except ``skeleton.write_file``."""
+backward asks which of its inputs need a gradient, no module opens or
+writes a file, or reads one as locale text, except ``skeleton.write_file``,
+and no layer between the model's edge and the ops raises."""
 
 import ast
 from pathlib import Path
@@ -264,3 +265,40 @@ def test_stray_file_calls_are_found():
               "blob = Path('x').write_bytes(b'')\n")
     assert stray_file_calls(source) == [(8, "write_text"), (9, "open"), (12, "open"),
                                         (12, "read_text"), (14, "write_bytes")]
+
+
+# Between the model's edge (``SkeletonClassifier.input_stage``) and the ops,
+# shapes follow from the block plan: the edge checks the input and each
+# tensor op checks its operands, so the layers check nothing again.
+LAYER_MODULES = ("model.py", "layers.py", "topology.py")
+LAYER_FUNCTIONS = {"forward", "scores", "graph_conv", "static_branch", "dynamic_branch",
+                   "joint_aggregate"}
+
+
+def layer_raises(source):
+    """(line, function) of every ``raise`` inside a function or method named
+    in ``LAYER_FUNCTIONS``, closures included."""
+    return sorted({(inner.lineno, node.name) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name in LAYER_FUNCTIONS
+                   for inner in ast.walk(node) if isinstance(inner, ast.Raise)})
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name in LAYER_MODULES],
+                         ids=lambda p: p.name)
+def test_layers_between_the_edge_and_the_ops_raise_nothing(path):
+    assert layer_raises(path.read_text()) == []
+
+
+def test_layer_raises_are_found():
+    source = ("def graph_conv(x):\n    def backward(g):\n        raise ValueError(g)\n"
+              "    return x\n\n"
+              "def dynamic_branch(x, graph):\n    if graph is None:\n        raise ValueError\n"
+              "    return x\n\n"
+              "class Block:\n    def __init__(self, c):\n        if c < 1:\n"
+              "            raise ValueError(c)\n\n"
+              "    def input_stage(self, x):\n        raise ValueError(x)\n\n"
+              "    def scores(self, x):\n        if x:\n            raise ValueError(x)\n\n"
+              "    def forward(self, x):\n        try:\n            return self.scores(x)\n"
+              "        except KeyError:\n            raise\n")
+    assert layer_raises(source) == [(3, "graph_conv"), (8, "dynamic_branch"), (21, "scores"),
+                                    (27, "forward")]

