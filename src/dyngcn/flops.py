@@ -67,14 +67,14 @@ def _fmt_shape(shape):
 def count_conv_flops(in_shape, kernel_shape, stride=1, pad=0):
     """Cost of one convolution over a (time, joint) grid, per sample.
 
-    ``in_shape`` is (C_in, T, N); ``kernel_shape`` is
-    (C_out, C_in, k_t, k_n).  Stride and padding apply to the time axis.
+    ``in_shape`` is (C_in, T, N); ``kernel_shape`` is (C_out, C_in, k_t),
+    a t x 1 kernel, the only kind ``tensor.conv2d`` runs.  Stride and
+    padding apply to the time axis.
     """
     c_in, t, n = in_shape
-    c_out, _, k_t, k_n = kernel_shape
+    c_out, _, k_t = kernel_shape
     t_out = (t + 2 * pad - k_t) // stride + 1
-    n_out = n - k_n + 1
-    return 2 * c_in * c_out * k_t * k_n * t_out * n_out
+    return 2 * c_in * c_out * k_t * t_out * n
 
 
 def count_graph_mult_flops(n_joints, channels, frames, n_graphs=1):
@@ -120,24 +120,24 @@ def count_model_flops(config, include_cen=True, persons=1):
         static = 0
         if config.lambda_static != 0.0:
             static = count_graph_mult_flops(joints, c_in, frames, N_SPATIAL_CONFIGS)
-            static += N_SPATIAL_CONFIGS * count_conv_flops(in_shape, (out_c, c_in, 1, 1))
+            static += N_SPATIAL_CONFIGS * count_conv_flops(in_shape, (out_c, c_in, 1))
         report.add(f"block{i}.static", in_shape, fused_shape, static)
 
         learner = dynamic = 0
         if include_cen:
             learner = count_learner_flops(config.topology, c_in, frames, joints)
             dynamic = count_graph_mult_flops(joints, c_in, frames)
-            dynamic += count_conv_flops(in_shape, (out_c, c_in, 1, 1))
+            dynamic += count_conv_flops(in_shape, (out_c, c_in, 1))
             minor += joints * joints  # row normalization
         report.add(f"block{i}.learner", in_shape, (joints, joints), learner)
         report.add(f"block{i}.dynamic", in_shape, fused_shape, dynamic)
 
-        tc = count_conv_flops(fused_shape, (out_c, out_c, spec.tc_kernel, 1),
+        tc = count_conv_flops(fused_shape, (out_c, out_c, spec.tc_kernel),
                               stride=spec.stride, pad=spec.tc_pad)
         report.add(f"block{i}.tc", fused_shape, out_shape, tc)
 
         if spec.has_shortcut_conv:
-            shortcut = count_conv_flops(in_shape, (out_c, c_in, 1, 1), stride=spec.stride)
+            shortcut = count_conv_flops(in_shape, (out_c, c_in, 1), stride=spec.stride)
             report.add(f"block{i}.shortcut", in_shape, out_shape, shortcut)
             minor += out_c * t_out * joints  # shortcut norm
 

@@ -184,10 +184,9 @@ def graph_conv(x, graphs, weight, residual=None):
     The stack is K times the size of ``x``, so the products run under
     ``no_grad`` and one node keeps only the inputs and the graphs' small
     transposed copy.  Backward rebuilds the stack with the forward's
-    product into pooled scratch (``graph_conv.stack``), and
-    ``_matmul_grads`` gives each product's two gradients, as it does in
-    the recorded ops' backward, so each gradient has the bits of the
-    recorded ops.
+    product in the scratch arena, and ``_matmul_grads`` gives each
+    product's two gradients, as it does in the recorded ops' backward, so
+    each gradient has the bits of the recorded ops.
     """
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
@@ -209,14 +208,14 @@ def graph_conv(x, graphs, weight, residual=None):
         if residual is not None:
             _accumulate(residual, g)
         rows = x.data.reshape(batch, 1, channels * frames, n)
-        stack = _scratch("graph_conv.stack", (batch, k, channels * frames, n),
-                         np.result_type(x.data, graphs.data))
+        [stack] = _scratch(((batch, k, channels * frames, n),
+                            np.result_type(x.data, graphs.data)))
         np.matmul(rows, graphs_t, out=stack)
         stack = stack.reshape(batch, k * channels, frames * n)
         g2 = g.reshape(batch, c_out, frames * n)
         w2 = weight.data.reshape(c_out, k * channels)
-        # dW reads the stack before dstack takes over its buffer
-        dstack = _scratch("graph_conv.stack", stack.shape, np.result_type(w2, g2))
+        # dW reads the stack before dstack takes over its bytes
+        [dstack] = _scratch((stack.shape, np.result_type(w2, g2)))
         dw, dstack = _matmul_grads(g2, w2, stack, dstack)
         _accumulate(weight, dw.reshape(weight.data.shape))
         drows, dgraphs_t = _matmul_grads(dstack.reshape(batch, k, channels * frames, n),
@@ -259,7 +258,6 @@ class DynamicGConvBlock(Module):
 
     def __init__(self, spec, layout, config, rng, dtype=np.float32):
         super().__init__()
-        self.spec = spec
         self.lambda_static = float(config.lambda_static)
         c_in, c_out, joints = spec.in_channels, spec.out_channels, spec.in_joints
 

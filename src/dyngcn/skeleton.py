@@ -275,10 +275,6 @@ class TopologySet(Module):
     def n_configs(self):
         return self.configs.shape[0]
 
-    @property
-    def n_joints(self):
-        return self.configs.shape[1]
-
     def static_topology(self):
         """All K combined static graphs ``configs[k] + mask[k]`` as one
         (K, N, N) tensor; graph k is ``static_topology().data[k]``."""

@@ -41,21 +41,23 @@ convolution keeps its input and recomputes its columns.  Batch norm adds a
 residual and applies a ReLU in place on its own output, so a block's
 residual add and its ReLUs need no node of their own.
 
-Backward temporaries that never leave their op come from a small pool of
-scratch buffers, one per role: the t x 1 convolution's recomputed columns
-(``conv.cols``), its column gradient (``conv.dcols``), its contiguous copy
-of the output gradient's transpose (``conv.g_t``) and its per-chunk
-weight-gradient stack (``conv.dw``), and the batch-norm backward's rebuilt
-x_hat (``batch_norm.x_hat``) and its other scratch (``batch_norm``), and
-``model.graph_conv``'s rebuilt aggregation stack, which its gradient then
-overwrites (``graph_conv.stack``).  A role's buffer grows to the largest
-size the role has needed and is kept until ``free_scratch()`` (``train``
-calls it when a run ends), so a train step reuses the previous step's
-memory instead of faulting fresh pages in.  An op overwrites all it takes
-from the pool, and no pooled array escapes: none becomes an op output, a
-gradient handed to ``_accumulate`` or a value a closure keeps.  Forwards
-take nothing from the pool.  The pool belongs to the process, so only one
-backward may run at a time.
+Backward temporaries that never leave their op come from one scratch
+arena, a uint8 buffer that ``_scratch`` lays a call's arrays end to end
+in, from its first byte, each at a multiple of 64 bytes.  Backward runs one
+op at a time, so the ops share it: the t x 1 convolution takes its
+recomputed columns, its contiguous copy of the output gradient's transpose
+and its per-chunk weight-gradient stack in one call and its column
+gradient in a second; batch norm takes its rebuilt x_hat and its other
+scratch in one call; ``model.graph_conv`` takes its rebuilt aggregation
+stack, and once dW has read it, that stack's gradient in a second call.
+Each call invalidates the arrays the previous call returned.
+The arena grows to the largest single call and is kept until
+``free_scratch()`` (``train`` calls it when a run ends), so a train step
+reuses the previous step's memory instead of faulting fresh pages in.  An
+op overwrites all it takes from the arena, and no array from it escapes:
+none becomes an op output, a gradient handed to ``_accumulate`` or a value
+a closure keeps.  Forwards take nothing from the arena.  The arena belongs
+to the process, so only one backward may run at a time.
 """
 
 from __future__ import annotations
@@ -194,23 +196,33 @@ def _from_op(data, inputs, backward):
     return out
 
 
-# role -> uint8 buffer; see the module docstring
-_SCRATCH = {}
+# the backward arena: empty, or one uint8 buffer; see the module docstring
+_SCRATCH = []
+_SCRATCH_ALIGN = 64
 
 
-def _scratch(role, shape, dtype):
-    """``role``'s pooled buffer viewed as ``shape`` and ``dtype``.  It holds
-    whatever the role's last user left there."""
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    buf = _SCRATCH.get(role)
-    if buf is None or buf.size < nbytes:
-        buf = _SCRATCH[role] = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
+def _scratch(*specs):
+    """One array per ``(shape, dtype)`` in ``specs``, laid end to end in the
+    arena from its first byte, each at a multiple of 64 bytes.  They hold
+    whatever the arena's last user left there, and the next call's arrays
+    take the same bytes."""
+    layout, end = [], 0
+    for shape, dtype in specs:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        layout.append((end, nbytes, shape, dtype))
+        end += -(-nbytes // _SCRATCH_ALIGN) * _SCRATCH_ALIGN
+    if not _SCRATCH or _SCRATCH[0].size < end:
+        raw = np.empty(end + _SCRATCH_ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % _SCRATCH_ALIGN
+        _SCRATCH[:] = [raw[start:start + end]]
+    arena = _SCRATCH[0]
+    return [arena[offset:offset + nbytes].view(dtype).reshape(shape)
+            for offset, nbytes, shape, dtype in layout]
 
 
 def free_scratch():
-    """Drop the scratch pool's buffers; the next backward allocates them anew."""
+    """Drop the arena; the next backward allocates it anew."""
     _SCRATCH.clear()
 
 
@@ -474,17 +486,17 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
     def backward(g):
         g_flat = g.reshape(batch, c_out, t_out * n)
         # Recompute the columns rather than keeping them alive through the
-        # whole graph; the copy is cheaper than the retained memory.  The
-        # pooled buffer is stale, so first zero the rows no tap writes.
-        cols = _scratch("conv.cols", (chunk, c_in, kt, t_out, n), x.data.dtype)
+        # whole graph; the copy is cheaper than the retained memory.
+        # dW^T = cols @ g^T per sample, with g^T copied contiguous: read
+        # through a transposed view, OpenBLAS's bits follow its thread count.
+        dw_t = np.zeros((c_in * kt, c_out), dtype=np.result_type(g, x.data))
+        cols, g_t, stack = _scratch(((chunk, c_in, kt, t_out, n), x.data.dtype),
+                                    ((chunk, t_out * n, c_out), g.dtype),
+                                    ((chunk,) + dw_t.shape, dw_t.dtype))
+        # the arena is stale, so first zero the rows no tap writes
         for k, lo, hi in spans:
             cols[:, :, k, :lo] = 0
             cols[:, :, k, hi:] = 0
-        # dW^T = cols @ g^T per sample, with g^T copied contiguous: read
-        # through a transposed view, OpenBLAS's bits follow its thread count.
-        dw_t = np.zeros((c_in * kt, c_out), dtype=np.result_type(g, cols))
-        g_t = _scratch("conv.g_t", (chunk, t_out * n, c_out), g.dtype)
-        stack = _scratch("conv.dw", (chunk,) + dw_t.shape, dw_t.dtype)
         for b0, b1 in chunks:
             np.copyto(g_t[: b1 - b0], g_flat[b0:b1].transpose(0, 2, 1))
             np.matmul(columns(cols, b0, b1), g_t[: b1 - b0], out=stack[: b1 - b0])
@@ -494,9 +506,9 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
             for dw_sample in stack[: b1 - b0]:
                 dw_t += dw_sample
         _accumulate(weight, dw_t.T.reshape(weight.data.shape))
-        # col2im: each tap adds its in-range rows back, in k order.
-        dcols = _scratch("conv.dcols", (chunk, c_in * kt, t_out * n),
-                         np.result_type(w_flat, g))
+        # col2im: each tap adds its in-range rows back, in k order.  dcols
+        # takes the arena's bytes over from the columns.
+        [dcols] = _scratch(((chunk, c_in * kt, t_out * n), np.result_type(w_flat, g)))
         dx = np.zeros_like(x.data)
         for b0, b1 in chunks:
             dc = np.matmul(w_flat.T, g_flat[b0:b1], out=dcols[: b1 - b0])
@@ -528,7 +540,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
     with ``b = beta - mu * a``.  Neither mode keeps the normalized input
     x_hat = (x - mu) / sigma for backward: the op keeps its input ``x``
     (which the graph holds anyway) and the per-channel mean and 1/sigma, and
-    backward rebuilds x_hat into pooled scratch.
+    backward rebuilds x_hat in the scratch arena.
 
     Backward takes d_gamma = sum(g * x_hat) and d_beta = sum(g) over the M
     values of each channel.  In training mode it reuses both sums for
@@ -594,10 +606,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
             g = g * (data > 0)
         if residual is not None:
             _accumulate(residual, g)
-        x_hat = _scratch("batch_norm.x_hat", x.data.shape, np.result_type(x.data, mean))
+        x_dtype = np.result_type(x.data, mean)
+        x_hat, scratch = _scratch((x.data.shape, x_dtype), (g.shape, np.result_type(g, x_dtype)))
         np.subtract(x.data, mean.reshape(per_channel), out=x_hat)
         x_hat *= inv_std.reshape(per_channel)
-        scratch = _scratch("batch_norm", g.shape, np.result_type(g, x_hat))
         dgamma = np.multiply(g, x_hat, out=scratch).sum(axis=axes)
         dbeta = g.sum(axis=axes)
         _accumulate(gamma, dgamma)

@@ -248,48 +248,51 @@ def train(config):
     rng = np.random.default_rng(config.seed)
     log = MetricsLog()
 
-    for epoch in range(1, config.total_epochs + 1):
-        started = time.perf_counter()
-        lr = optimizer.set_epoch(epoch, config.milestones, config.decay)
-        model.train()
-        order = rng.permutation(len(y_train))
-        loss_sum = 0.0
-        correct = 0
-        for batch_index, sl in enumerate(_batch_slices(len(order), config.batch_size)):
-            idx = order[sl]
-            logits = model(Tensor(x_train[idx]))
-            loss = softmax_cross_entropy(logits, y_train[idx])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise RuntimeError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {batch_index}; "
-                    f"lower the learning rate or check the data"
-                )
-            loss.backward()
-            if epoch == 1 and batch_index == 0:
-                missing = [name for name, p in trainable if p.grad is None]
-                if missing:
+    # The run's backward scratch arena ends with it, also when the run
+    # raises.  An arena kept for the next run would sit below that run's
+    # graph in the heap, and glibc would then hand the freed graph back to
+    # the kernel after each step, to be faulted in again on the next.  One
+    # allocated in a run's first backward sits above its graph, and the
+    # freed graph stays in the process.
+    try:
+        for epoch in range(1, config.total_epochs + 1):
+            started = time.perf_counter()
+            lr = optimizer.set_epoch(epoch, config.milestones, config.decay)
+            model.train()
+            order = rng.permutation(len(y_train))
+            loss_sum = 0.0
+            correct = 0
+            for batch_index, sl in enumerate(_batch_slices(len(order), config.batch_size)):
+                idx = order[sl]
+                logits = model(Tensor(x_train[idx]))
+                loss = softmax_cross_entropy(logits, y_train[idx])
+                value = float(loss.data)
+                if not np.isfinite(value):
                     raise RuntimeError(
-                        f"trainable parameters got no gradient from the first batch: "
-                        f"{', '.join(missing)}"
+                        f"non-finite loss {value} at epoch {epoch}, batch {batch_index}; "
+                        f"lower the learning rate or check the data"
                     )
-            optimizer.step()
-            loss_sum += value * len(idx)
-            correct += int((logits.data.argmax(axis=1) == y_train[idx]).sum())
+                loss.backward()
+                if epoch == 1 and batch_index == 0:
+                    missing = [name for name, p in trainable if p.grad is None]
+                    if missing:
+                        raise RuntimeError(
+                            f"trainable parameters got no gradient from the first batch: "
+                            f"{', '.join(missing)}"
+                        )
+                optimizer.step()
+                loss_sum += value * len(idx)
+                correct += int((logits.data.argmax(axis=1) == y_train[idx]).sum())
 
-        if eval_data is not None:
-            result = evaluate_arrays(model, *eval_data, batch_size=config.batch_size)
-            top1, top5 = result.top1, result.top5
-        else:
-            top1 = top5 = float("nan")
-        log.append(EpochRecord(epoch, loss_sum / len(y_train), correct / len(y_train),
-                               top1, top5, lr, time.perf_counter() - started))
-    # The run's backward scratch ends with it.  A pool kept for the next run
-    # would sit below that run's graph in the heap, and glibc would then hand
-    # the freed graph back to the kernel after each step, to be faulted in
-    # again on the next.  Buffers allocated in a run's first backward sit
-    # above its graph, and the freed graph stays in the process.
-    free_scratch()
+            if eval_data is not None:
+                result = evaluate_arrays(model, *eval_data, batch_size=config.batch_size)
+                top1, top5 = result.top1, result.top5
+            else:
+                top1 = top5 = float("nan")
+            log.append(EpochRecord(epoch, loss_sum / len(y_train), correct / len(y_train),
+                                   top1, top5, lr, time.perf_counter() - started))
+    finally:
+        free_scratch()
 
     meta = {
         "modality": config.modality,

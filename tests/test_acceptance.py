@@ -259,7 +259,8 @@ def test_criterion_5_shape_contract():
     ntu = build_model(ModelConfig(layout="ntu25", n_classes=60), seed=0)
     out = ntu(Tensor(np.zeros((1, 3, 64, 25), dtype=np.float32)))
     assert out.shape == (1, 60)
-    joint_path = [(b.spec.in_joints, b.spec.out_joints) for b in ntu.blocks]
+    joint_path = [(spec.in_joints, spec.out_joints)
+                  for spec in ntu.config.block_plan(ntu.layout.n_joints)]
     assert [j for j, _ in joint_path] == [25] * 5 + [15] * 3 + [9] * 2
     assert joint_path[4] == (25, 15) and joint_path[7] == (15, 9)
 
@@ -268,7 +269,8 @@ def test_criterion_5_shape_contract():
     )
     out = kinetics(Tensor(np.zeros((1, 3, 150, 18), dtype=np.float32)))
     assert out.shape == (1, 400)
-    joint_path = [(b.spec.in_joints, b.spec.out_joints) for b in kinetics.blocks]
+    joint_path = [(spec.in_joints, spec.out_joints)
+                  for spec in kinetics.config.block_plan(kinetics.layout.n_joints)]
     assert [j for j, _ in joint_path] == [18] * 5 + [11] * 3 + [7] * 2
     report(5, "shapes: 25->15->9 after blocks 5 and 8; 18->11->7 accepted")
 

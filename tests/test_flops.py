@@ -38,16 +38,16 @@ def ntu_config(**overrides):
 
 
 def test_pointwise_conv_flops():
-    assert count_conv_flops((64, 64, 25), (64, 64, 1, 1)) == 13_107_200
+    assert count_conv_flops((64, 64, 25), (64, 64, 1)) == 13_107_200
 
 
 def test_single_position_conv_flops():
-    assert count_conv_flops((7, 1, 1), (13, 7, 1, 1)) == 2 * 7 * 13
+    assert count_conv_flops((7, 1, 1), (13, 7, 1)) == 2 * 7 * 13
 
 
 def test_stride_two_halves_count():
-    full = count_conv_flops((8, 16, 5), (8, 8, 3, 1), stride=1, pad=1)
-    half = count_conv_flops((8, 16, 5), (8, 8, 3, 1), stride=2, pad=1)
+    full = count_conv_flops((8, 16, 5), (8, 8, 3), stride=1, pad=1)
+    half = count_conv_flops((8, 16, 5), (8, 8, 3), stride=2, pad=1)
     assert half * 2 == full
 
 

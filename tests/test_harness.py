@@ -920,7 +920,30 @@ def test_train_frees_each_step_graph_and_its_scratch_pool(smoke_setup, tmp_path,
     train(cfg)
     assert len(steps) == 6  # 20 samples in batches of 8, two epochs
     assert min(steps) > 50
-    assert dyngcn.tensor._SCRATCH == {}
+    assert dyngcn.tensor._SCRATCH == []
+
+
+def test_a_run_that_raises_frees_its_scratch_arena(smoke_setup, tmp_path, monkeypatch):
+    import dyngcn.tensor
+    import dyngcn.train as d_train
+
+    _, cfg = smoke_setup
+    cfg = cfg.with_overrides([f"out_dir={tmp_path / 'run'}"])
+    arena_held = []
+
+    def nan_on_the_second_batch(logits, labels, original=d_train.softmax_cross_entropy):
+        loss = original(logits, labels)
+        arena_held.append(bool(dyngcn.tensor._SCRATCH))
+        if len(arena_held) == 2:
+            loss.data[...] = np.nan
+        return loss
+
+    monkeypatch.setattr(d_train, "softmax_cross_entropy", nan_on_the_second_batch)
+    with pytest.raises(RuntimeError, match="non-finite loss nan at epoch 1, batch 1"):
+        train(cfg)
+    # the first batch's backward took the arena, and the raise dropped it
+    assert arena_held == [False, True]
+    assert not dyngcn.tensor._SCRATCH
 
 
 @pytest.fixture(scope="module")

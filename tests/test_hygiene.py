@@ -302,3 +302,44 @@ def test_layer_raises_are_found():
               "        except KeyError:\n            raise\n")
     assert layer_raises(source) == [(3, "graph_conv"), (8, "dynamic_branch"), (21, "scores"),
                                     (27, "forward")]
+
+
+# Forwards take nothing from the backward scratch arena: its arrays are
+# overwritten by the next backward op, so only a backward may hold them.
+def stray_scratch_calls(source):
+    """(line, function) of every ``_scratch(...)`` call whose innermost
+    enclosing function is not named ``backward`` (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call) and function != "backward":
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_scratch":
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda item: item[0])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_backward_closures_take_scratch(path):
+    assert stray_scratch_calls(path.read_text()) == []
+
+
+def test_stray_scratch_calls_are_found():
+    source = ("def _scratch(*specs):\n    return []\n\n"
+              "def conv(x):\n    [cols] = _scratch(((2,), 'f4'))\n\n"
+              "    def backward(g):\n        [dcols] = _scratch(((2,), 'f4'))\n\n"
+              "        def helper():\n            return tensor._scratch(((2,), 'f4'))\n"
+              "        return helper()\n"
+              "    return backward\n\n"
+              "buf = _scratch(((1,), 'f8'))\n"
+              "pick = lambda: _scratch(((1,), 'f8'))\n")
+    assert stray_scratch_calls(source) == [(5, "conv"), (11, "helper"), (15, None),
+                                           (16, "<lambda>")]

@@ -224,11 +224,10 @@ def recorded_graph_conv(x, graphs, weight, residual=None):
 @pytest.mark.parametrize("case", GRAPH_CONV_CASES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dtype):
-    # stale pool bytes (NaN in either dtype) that no backward may read
-    monkeypatch.setattr(tensor_module, "_SCRATCH", {
-        role: np.full(1 << 16, 0xFF, dtype=np.uint8)
-        for role in ("conv.cols", "conv.dcols", "conv.g_t", "conv.dw", "batch_norm",
-                     "batch_norm.x_hat", "graph_conv.stack")})
+    # a stale arena (NaN in either dtype) that no backward may read, large
+    # enough that none grows it
+    arena = np.full(1 << 20, 0xFF, dtype=np.uint8)
+    monkeypatch.setattr(tensor_module, "_SCRATCH", [arena])
     (graph_batch, k), residual, frozen = GRAPH_CONV_CASES[case]
     batch, c_in, t, n = 4, 6, 7, 25
     c_out = c_in if residual == "input" else 5
@@ -260,6 +259,7 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
         results.append([out.data] + [t.grad for t in inputs if t.requires_grad])
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert tensor_module._SCRATCH[0] is arena
     with no_grad():
         out = graph_conv(*leaves())
     assert out._backward is None and out._prev == () and not out.requires_grad
@@ -328,10 +328,15 @@ def test_spatial_routes_batch_invariant_bitwise(route, batch):
 # -- block behavior -----------------------------------------------------
 
 
+def small_spec(out_channels=3, frames=6, out_joints=4, stride=1):
+    """The geometry of ``small_block`` with the same arguments."""
+    return BlockSpec(in_channels=3, out_channels=out_channels, in_frames=frames,
+                     in_joints=4, out_joints=out_joints, stride=stride, tc_kernel=3)
+
+
 def small_block(out_channels=3, frames=6, out_joints=4, stride=1, seed=5, **settings):
     """A float64 block on a 4-joint chain; ``settings`` are ModelConfig fields."""
-    spec = BlockSpec(in_channels=3, out_channels=out_channels, in_frames=frames,
-                     in_joints=4, out_joints=out_joints, stride=stride, tc_kernel=3)
+    spec = small_spec(out_channels, frames, out_joints, stride)
     config = ModelConfig(layout="chain4", n_classes=2, **settings)
     return DynamicGConvBlock(spec, chain_layout(4), config, np.random.default_rng(seed),
                              np.float64)
@@ -348,10 +353,11 @@ def test_block_zero_weights_reduces_to_relu_shortcut():
 
 def test_block_output_shape_with_stride_and_projection():
     block = small_block(out_channels=5, stride=2, out_joints=3)
+    spec = small_spec(out_channels=5, stride=2, out_joints=3)
     x = Tensor(np.zeros((2, 3, 6, 4)))
     out = block(x)
     assert out.shape == (2, 5, 3, 3)
-    assert block.spec.out_frames == 3 and block.spec.out_joints == 3
+    assert spec.out_frames == 3 and spec.out_joints == 3
 
 
 def test_block_odd_length_stride_two():
@@ -363,7 +369,7 @@ def test_block_odd_length_stride_two():
 def test_block_learner_captures_adjacency():
     block = small_block()
     x = Tensor(np.random.default_rng(7).standard_normal((2, 3, 6, 4)))
-    spec = block.spec
+    spec = small_spec()
     assert (2, spec.in_channels, spec.in_frames, spec.in_joints) == (2, 3, 6, 4)
     assert block.learner(x).shape == (2, 4, 4)
 
@@ -524,7 +530,7 @@ def test_model_forward_shapes_and_schedule():
     model = build_model(tiny_config(), seed=0)
     out = model(Tensor(np.random.default_rng(12).standard_normal((2, 3, 12, 25))))
     assert out.shape == (2, 5)
-    path = joint_path(block.spec for block in model.blocks)
+    path = joint_path(model.config.block_plan(model.layout.n_joints))
     assert path[0] == (25, 15)
     assert path[1] == (15, 15)
 
@@ -597,7 +603,7 @@ def test_two_block_model_input_gradient(seed):
     assert err < 1e-3
 
 
-# -- the backward scratch pool --------------------------------------------
+# -- the backward scratch arena -------------------------------------------
 
 # The acceptance-gate model, trained at batch 16.
 GATE_CONFIG = dict(layout="ntu25", n_classes=5, frames=24, channels=(16, 16, 32, 32),
@@ -643,20 +649,50 @@ def tape_arrays(root):
 
 
 def test_pooled_scratch_never_escapes_a_train_step(monkeypatch):
-    monkeypatch.setattr(tensor_module, "_SCRATCH", {})
+    monkeypatch.setattr(tensor_module, "_SCRATCH", [])
     model = build_model(ModelConfig(**GATE_CONFIG), seed=0)
     x, labels = gate_batch()
     loss = softmax_cross_entropy(model(x), labels)
     tape = tape_arrays(loss)
     loss.backward()
-    pool = tensor_module._SCRATCH
-    assert sorted(pool) == ["batch_norm", "batch_norm.x_hat", "conv.cols", "conv.dcols",
-                            "conv.dw", "conv.g_t", "graph_conv.stack"]
+    [arena] = tensor_module._SCRATCH
     held = tape + [p.grad for p in model.parameters()]
     assert len(held) > 200
     for array in held:
-        for role, buf in pool.items():
-            assert not np.shares_memory(array, buf), role
+        assert not np.shares_memory(array, arena)
+
+
+# After this gate step the role-keyed pool that the arena replaced held
+# seven buffers of 10,403,840 bytes in all.
+ROLE_POOL_BYTES = 10_403_840
+
+
+def test_scratch_arena_is_the_largest_single_request(monkeypatch):
+    monkeypatch.setattr(tensor_module, "_SCRATCH", [])
+    requests = []
+
+    def recorded(*specs, original=tensor_module._scratch):
+        views = original(*specs)
+        # the arrays a call takes and the bytes it lays out, each array's
+        # start rounded up to 64
+        requests.append((len(views), sum(-(-v.nbytes // 64) * 64 for v in views)))
+        return views
+
+    monkeypatch.setattr(tensor_module, "_scratch", recorded)
+    monkeypatch.setattr(model_module, "_scratch", recorded)
+    model = build_model(ModelConfig(**GATE_CONFIG), seed=0)
+    x, labels = gate_batch()
+    softmax_cross_entropy(model(x), labels).backward()
+    # the t x 1 conv's three arrays, batch norm's two, and the one-array
+    # calls of the conv's dcols and graph_conv
+    assert {n for n, _ in requests} == {1, 2, 3}
+    [arena] = tensor_module._SCRATCH
+    assert arena.nbytes == max(nbytes for _, nbytes in requests) < ROLE_POOL_BYTES
+    # a later call lays its arrays out from the arena's first byte again
+    first, second = tensor_module._scratch(((3,), np.float32), ((5, 2), np.float64))
+    assert first.ctypes.data == arena.ctypes.data
+    assert second.ctypes.data == arena.ctypes.data + 64
+    assert tensor_module._SCRATCH[0] is arena
 
 
 def test_train_step_backward_calls_no_contraction_op(monkeypatch):
@@ -758,11 +794,11 @@ def test_block_training_graph_keeps_no_graph_aggregation_stack():
 
 @pytest.mark.parametrize("training", [True, False])
 def test_no_grad_forward_takes_nothing_from_the_scratch_pool(monkeypatch, training):
-    monkeypatch.setattr(tensor_module, "_SCRATCH", {})
+    monkeypatch.setattr(tensor_module, "_SCRATCH", [])
     model = build_model(ModelConfig(**GATE_CONFIG), seed=0).train(training)
     with no_grad():
         model(gate_batch()[0])
-    assert tensor_module._SCRATCH == {}
+    assert tensor_module._SCRATCH == []
 
 
 # -- training bits and the BLAS thread count -----------------------------

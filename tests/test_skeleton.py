@@ -212,7 +212,7 @@ def test_topology_set_configs_frozen():
 
 def test_topology_set_self_loops_only():
     topo = TopologySet.self_loops_only(4, 0.001)
-    assert topo.n_configs == 3 and topo.n_joints == 4
+    assert topo.n_configs == 3 and topo.configs.shape[1] == 4
     graphs = topo.static_topology().data
     assert np.allclose(np.diag(graphs[0]), 1.0 / 1.001, atol=1e-6)
     assert graphs[1].sum() == 0.0

@@ -171,6 +171,14 @@ def test_conv2d_with_a_frozen_input_keeps_the_oracle_gradient_bitwise(case, froz
     assert kept.grad.dtype == want.dtype and kept.grad.tobytes() == want.tobytes()
 
 
+def nan_arena(monkeypatch):
+    """Put a 1 MiB scratch arena of stale bytes (NaN in either float dtype)
+    in place, large enough that no small backward grows it, and return it."""
+    arena = np.full(1 << 20, 0xFF, dtype=np.uint8)
+    monkeypatch.setattr(tensor_module, "_SCRATCH", [arena])
+    return arena
+
+
 @pytest.mark.parametrize("stride_t", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
@@ -180,10 +188,7 @@ def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
     # columns of two samples per chunk, so the batch of 7 runs in 4 chunks
     budget = 2 * c_in * kt * t_out * n * np.dtype(dtype).itemsize
     monkeypatch.setattr(tensor_module, "_COLS_BUDGET", budget)
-    # stale pool bytes (NaN in either dtype) that the backward must overwrite
-    monkeypatch.setattr(tensor_module, "_SCRATCH", {
-        role: np.full(1 << 16, 0xFF, dtype=np.uint8)
-        for role in ("conv.cols", "conv.dcols", "conv.g_t", "conv.dw")})
+    arena = nan_arena(monkeypatch)
     rng = np.random.default_rng(40 + stride_t)
     x = rng.standard_normal((batch, c_in, t_in, n)).astype(dtype)
     w = rng.standard_normal((c_out, c_in, kt, 1)).astype(dtype)
@@ -193,6 +198,7 @@ def test_conv2d_chunked_weight_gradient_is_bitwise_the_whole_batch_sum(
     _, want_dx, want_dw = whole_batch_conv(x, w, stride_t, pad_t, g)
     assert wt.grad.dtype == want_dw.dtype and wt.grad.tobytes() == want_dw.tobytes()
     assert xt.grad.tobytes() == want_dx.tobytes()
+    assert tensor_module._SCRATCH[0] is arena  # the backward read the stale bytes
 
 
 def test_batch_norm_training_statistics():
@@ -387,10 +393,7 @@ def batch_norm_keeping_x_hat(x, gamma, beta, running_mean, running_var, training
 @pytest.mark.parametrize("training", [True, False])
 def test_batch_norm_rebuilding_x_hat_matches_keeping_it_bitwise(
         monkeypatch, epilogue, frozen, dtype, training):
-    # stale pool bytes (NaN in either dtype) that the backward must overwrite
-    monkeypatch.setattr(tensor_module, "_SCRATCH", {
-        role: np.full(1 << 16, 0xFF, dtype=np.uint8)
-        for role in ("batch_norm", "batch_norm.x_hat")})
+    arena = nan_arena(monkeypatch)
     x, residual, gamma, beta, (rm, rv), g = _bn_case((4, 6, 9, 5), dtype, seed=2)
     results = []
     for op in (batch_norm, batch_norm_keeping_x_hat):
@@ -407,6 +410,7 @@ def test_batch_norm_rebuilding_x_hat_matches_keeping_it_bitwise(
     assert len(results[0]) == len(results[1])
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert tensor_module._SCRATCH[0] is arena
 
 
 def test_batch_norm_rejects_mismatched_residual():
