@@ -15,7 +15,9 @@ Buffers are written raw, so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +72,7 @@ def save_checkpoint(path, model, meta=None):
         buffers.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
     header = {
         "version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "meta": meta,
         "arrays": table,
     }
@@ -149,23 +151,24 @@ def load_checkpoint(path):
         raise _bad_header(path, f"the arrays mix dtypes {sorted(dtypes)}, a model has one")
     dtype = np.float64 if dtypes == {"float64"} else np.float32
     try:
-        model = build_model(ModelConfig.from_dict(header["config"]), seed=0, dtype=dtype)
+        model = build_model(ModelConfig(**header["config"]), seed=0, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise _bad_header(path, f"bad config ({exc})") from None
 
-    stored = {}
+    # Offsets first, so each array is then copied once, from the file's
+    # bytes straight into the model.
+    item = np.dtype(dtype).newbyteorder("<")
+    placed = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        item = np.dtype(_DTYPES[entry["dtype"]])
-        if offset + count * item.itemsize > len(raw):
+        nbytes = math.prod(shape) * item.itemsize
+        if offset + nbytes > len(raw):
             raise ValueError(
                 f"{path}: truncated: array {entry['name']!r} at byte offset {offset} "
-                f"needs {count * item.itemsize} bytes, the file ends at byte offset {len(raw)}"
+                f"needs {nbytes} bytes, the file ends at byte offset {len(raw)}"
             )
-        arr = np.frombuffer(raw, dtype=item, count=count, offset=offset)
-        stored[entry["name"]] = arr.reshape(shape).astype(entry["dtype"])
-        offset += arr.nbytes
+        placed[entry["name"]] = (shape, offset)
+        offset += nbytes
     if offset != len(raw):
         raise ValueError(
             f"{path}: {len(raw) - offset} trailing bytes after the arrays end "
@@ -173,15 +176,16 @@ def load_checkpoint(path):
         )
 
     expected = dict(_model_arrays(model))
-    if set(stored) != set(expected):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
+    if set(placed) != set(expected):
+        missing = sorted(set(expected) - set(placed))
+        extra = sorted(set(placed) - set(expected))
         raise _bad_header(path, f"array set does not match the configured model "
                                 f"(missing {missing[:3]}, unexpected {extra[:3]})")
     for name, target in expected.items():
-        value = stored[name]
-        if target.shape != value.shape:
-            raise _bad_header(path, f"array {name!r} has shape {value.shape}, "
+        shape, start = placed[name]
+        if target.shape != shape:
+            raise _bad_header(path, f"array {name!r} has shape {shape}, "
                                     f"model expects {target.shape}")
-        target[...] = value
+        target[...] = np.frombuffer(raw, dtype=item, count=target.size,
+                                    offset=start).reshape(shape)
     return model, header["meta"]

@@ -12,7 +12,7 @@ from .data import SynthSpec, synth_generate
 from .export import DEFAULT_THRESHOLD, export_topology
 from .flops import count_model_flops, overhead_report
 from .skeleton import write_file
-from .train import EVAL_BATCH_SIZE, ensemble_checkpoints, evaluate_checkpoint, train
+from .train import EVAL_BATCH_SIZE, ensemble_checkpoints, train
 
 
 def _cmd_synth(args):
@@ -57,8 +57,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    result = evaluate_checkpoint(args.checkpoint, args.manifest,
-                                 batch_size=args.batch_size)
+    (result,), _ = ensemble_checkpoints([args.checkpoint], args.manifest,
+                                        batch_size=args.batch_size)
     print(f"samples {result.count}")
     print(f"top1 {result.top1:.4f}")
     print(f"top5 {result.top5:.4f}")

@@ -112,6 +112,14 @@ class RunConfig:
             raise ValueError("total_epochs must be at least 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+        if self.decay <= 0:
+            # zero stops every update at the first milestone, a negative
+            # rate climbs the loss
+            raise ValueError("decay must be positive")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
         if any(m >= self.total_epochs for m in self.milestones):
@@ -119,7 +127,7 @@ class RunConfig:
                 f"milestones {self.milestones} must fall before total_epochs "
                 f"{self.total_epochs}"
             )
-        if list(self.milestones) != sorted(self.milestones):
+        if any(a >= b for a, b in zip(self.milestones, self.milestones[1:])):
             raise ValueError(f"milestones must be increasing, got {self.milestones}")
         for key, value in self._items():
             if isinstance(value, str) and ("#" in value or value != value.strip()

@@ -335,9 +335,6 @@ def resize_sequence(seq, t_target):
     t = seq.frames
     if t == t_target:
         return SkeletonSequence(seq.data.copy(), seq.label, seq.layout_name, seq.sample_id)
-    if t == 1:
-        data = np.repeat(seq.data, t_target, axis=0)
-        return SkeletonSequence(data, seq.label, seq.layout_name, seq.sample_id)
     positions = np.linspace(0.0, t - 1, t_target)
     lo = np.floor(positions).astype(int)
     hi = np.minimum(lo + 1, t - 1)

@@ -129,13 +129,10 @@ class Linear(Module):
         super().__init__()
         self.weight = Parameter(uniform_init(rng, (in_features, out_features), in_features, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
-        self.in_features = in_features
-        self.out_features = out_features
 
     def forward(self, x):
-        batch = x.data.shape[0]
+        batch, features = x.data.shape
         # Route through a (B, 1, F) stack so each sample sees the same GEMM
         # shape whatever the batch size.
-        rows = reshape(x, (batch, 1, self.in_features))
-        out = matmul(rows, self.weight)
-        return add(reshape(out, (batch, self.out_features)), self.bias)
+        out = matmul(reshape(x, (batch, 1, features)), self.weight)
+        return add(reshape(out, (batch, self.weight.data.shape[1])), self.bias)

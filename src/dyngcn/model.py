@@ -29,7 +29,7 @@ N_i x N_{i+1} matrix, shrinking the graph for everything downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,13 +117,6 @@ class ModelConfig:
             raise ValueError("alpha_degree must be positive")
         if self.topology == "none" and self.lambda_static == 0.0:
             raise ValueError("lambda_static=0 with topology 'none' leaves no active branch")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
 
     def block_plan(self, n_joints):
         """The layer schedule, one ``BlockSpec`` per block, that the

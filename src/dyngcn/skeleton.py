@@ -79,14 +79,6 @@ class SkeletonLayout:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"layout {self.name!r}: bone ({s}, {t}) out of range")
 
-    def adjacency(self):
-        """Symmetric physical adjacency without self loops."""
-        a = np.zeros((self.n_joints, self.n_joints))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
-
     def hop_distances(self):
         """Shortest path length from every joint to the center joint."""
         dist = np.full(self.n_joints, -1, dtype=np.int64)

@@ -72,7 +72,6 @@ class ContextEncoder(Module):
         super().__init__()
         (a_in, a_out, _), (b_in, b_out, _), (e_in, e_out, _) = context_stages(
             axis, channels, frames, joints)
-        self.joints = joints
         self.axis = axis
         self.symmetric = symmetric
         self.squeeze_a = Conv2d(a_in, a_out, rng=rng, dtype=dtype)
@@ -84,7 +83,7 @@ class ContextEncoder(Module):
 
     def scores(self, x):
         """Dependency matrix before row normalization."""
-        batch, n = x.data.shape[0], self.joints
+        batch, n = x.data.shape[0], x.data.shape[3]
         # Each stage maps the axis at position 1; one permute swaps the
         # stage's axis there.  bn_a and bn_b apply a ReLU, bn_out one when
         # final_relu is set.
@@ -119,9 +118,9 @@ class NonLocalTopology(Module):
 
     def __init__(self, channels, rng, dtype=np.float32):
         super().__init__()
-        self.embed_channels = nonlocal_width(channels)
-        self.embed_query = Conv2d(channels, self.embed_channels, rng=rng, dtype=dtype)
-        self.embed_key = Conv2d(channels, self.embed_channels, rng=rng, dtype=dtype)
+        width = nonlocal_width(channels)
+        self.embed_query = Conv2d(channels, width, rng=rng, dtype=dtype)
+        self.embed_key = Conv2d(channels, width, rng=rng, dtype=dtype)
 
     def forward(self, x):
         q = tensor_mean(self.embed_query(x), axis=2)   # (B, E, N)

@@ -161,11 +161,6 @@ def _batch_slices(count, batch_size):
             for start in range(0, count, batch_size)]
 
 
-def _refuse_bad_batch_size(batch_size):
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-
-
 def collect_logits(model, x, batch_size=EVAL_BATCH_SIZE):
     model.eval()
     chunks = []
@@ -317,15 +312,11 @@ def load_checkpoint_inputs(checkpoint_path, manifest_path):
     return model, meta, x, labels
 
 
-def evaluate_checkpoint(checkpoint_path, manifest_path, batch_size=EVAL_BATCH_SIZE):
-    _refuse_bad_batch_size(batch_size)
-    model, _, x, y = load_checkpoint_inputs(checkpoint_path, manifest_path)
-    return evaluate_arrays(model, x, y, batch_size=batch_size)
-
-
 def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=EVAL_BATCH_SIZE):
-    """Sum pre-softmax logits across streams; returns (per-stream, fused)."""
-    _refuse_bad_batch_size(batch_size)
+    """Sum pre-softmax logits across streams; returns (per-stream, fused).
+    One checkpoint is the one-stream case: what ``dyngcn eval`` runs."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     per_stream = []
     stream_logits = []
     n_classes = None

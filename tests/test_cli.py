@@ -79,6 +79,16 @@ def test_negative_seed_is_refused_naming_the_key(workspace, tmp_path, capsys, co
     assert not out.exists()
 
 
+def test_train_refuses_a_decay_that_would_climb_the_loss(tmp_path, capsys):
+    out = tmp_path / "d"
+    code = cli.main(["train", "--preset", "smoke", "--out-dir", str(out),
+                     "--set", "decay=-0.1"])
+    assert code == 2
+    assert re.fullmatch(r"error: overrides \['decay=-0\.1', .*\]: decay must be positive\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_train_from_a_config_file(workspace, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     run_preset("smoke").with_overrides([f"out_dir={tmp_path / 'run'}",

@@ -361,8 +361,11 @@ def test_resize_idempotent():
 
 def test_resize_single_frame_repeats():
     data = np.random.default_rng(7).standard_normal((1, 1, 2, 3)).astype(np.float32)
+    data[0, 0, 1, :2] = [-0.0, 0.0]
     out = resize_sequence(SkeletonSequence(data, 0, "l", "s"), 4)
-    assert all(np.array_equal(out.data[t], data[0]) for t in range(4))
+    # bitwise, so a -0.0 stays -0.0
+    assert out.data.dtype == np.float32
+    assert out.data.tobytes() == np.repeat(data, 4, axis=0).tobytes()
 
 
 def test_resize_rejects_bad_target():

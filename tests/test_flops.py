@@ -88,7 +88,7 @@ def test_learner_param_count_matches_modules(kind):
     c, t, n = 6, 10, 5
     module = learner_modules(c, t, n)[kind]
     if kind == "nonlocal":
-        expected = 2 * module.embed_channels * c
+        expected = 2 * module.embed_query.weight.data.shape[0] * c
     else:
         stages = context_stages(LEARNERS[kind][0], c, t, n)
         expected = sum(w_in * w_out + 2 * w_out for w_in, w_out, _ in stages)

@@ -267,6 +267,7 @@ config_strings = names.filter(
     lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) <= 1)
 floats = st.floats(allow_nan=False, allow_infinity=False)
 sizes = st.integers(1, 2**40)
+positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -286,16 +287,18 @@ def run_configs(draw):
         aggregate_after=tuple(draw(st.lists(st.integers(1, blocks), max_size=3))),
         topology=topology, learner_final_relu=draw(st.booleans()),
         learn_projection=draw(st.booleans()),
-        alpha_degree=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        alpha_degree=draw(positive_floats),
     )
     total_epochs = draw(sizes)
-    milestones = sorted(draw(st.lists(st.integers(-5, total_epochs - 1), max_size=3)))
+    milestones = sorted(draw(st.lists(st.integers(-5, total_epochs - 1), max_size=3,
+                                      unique=True)))
     return RunConfig(
         model=model, train_manifest=draw(config_strings), test_manifest=draw(config_strings),
         out_dir=draw(config_strings), modality=draw(st.sampled_from(tuple(MODALITIES))),
-        lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)), momentum=draw(floats),
-        nesterov=draw(st.booleans()), weight_decay=draw(floats), batch_size=draw(sizes),
-        total_epochs=total_epochs, milestones=tuple(milestones), decay=draw(floats),
+        lr=draw(positive_floats), momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        nesterov=draw(st.booleans()), weight_decay=draw(st.floats(0.0, allow_infinity=False)),
+        batch_size=draw(sizes), total_epochs=total_epochs, milestones=tuple(milestones),
+        decay=draw(positive_floats),
         seed=draw(st.integers(0, 2**63)),
     )
 

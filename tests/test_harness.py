@@ -29,12 +29,12 @@ from dyngcn.flops import count_model_flops
 from dyngcn.model import ModelConfig, build_model
 from dyngcn.skeleton import build_layout
 from dyngcn.train import (
+    EVAL_BATCH_SIZE,
     EpochRecord,
     MetricsLog,
     collect_logits,
     ensemble_checkpoints,
     evaluate_arrays,
-    evaluate_checkpoint,
     load_checkpoint_inputs,
     load_dataset,
     train,
@@ -158,6 +158,16 @@ def test_values_that_read_back_are_kept():
     ("modality=depth", "unknown modality 'depth'"),
     ("model.channels=", "model.channels schedule (0) and strides schedule"),
     ("model.alpha_degree=0", "model.alpha_degree must be positive"),
+    # optimizer settings that would break a run without an error: a
+    # negative decay climbs the loss after the first milestone, a zero one
+    # stops every update there, and a repeated milestone decays twice
+    ("decay=-0.1", "decay must be positive"),
+    ("decay=0", "decay must be positive"),
+    ("momentum=-0.5", "momentum must be in [0, 1)"),
+    ("momentum=1", "momentum must be in [0, 1)"),
+    ("momentum=1.5", "momentum must be in [0, 1)"),
+    ("weight_decay=-1", "weight_decay must be non-negative"),
+    ("milestones=2,2", "milestones must be increasing, got (2, 2)"),
 ])
 def test_validation_errors_name_their_source(line, message):
     text = f"model.layout=ntu25\nmodel.n_classes=2\n{line}\n"
@@ -246,6 +256,18 @@ def test_checkpoint_round_trip_bit_exact_logits(tmp_path):
     after = collect_logits(again, x[:, None])
     assert np.array_equal(before, after)
     assert meta == {"modality": "joint"}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loaded_arrays_are_writeable_and_own_their_memory(tmp_path, dtype):
+    # the arrays are copied out of the file's bytes, so training can go on
+    # in place and the bytes can be freed
+    model = build_model(tiny_model_config(), seed=4, dtype=dtype)
+    again, _ = load_checkpoint(save_checkpoint(tmp_path / "m.ckpt", model))
+    arrays = [p.data for p in again.parameters()] + [b for _, b in again.named_buffers()]
+    assert len(arrays) == len(model.parameters()) + len(list(model.named_buffers()))
+    for arr in arrays:
+        assert arr.dtype == dtype and arr.flags.writeable and arr.flags.owndata
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -495,21 +517,27 @@ def test_run_config_bad_line_names_file_and_line(smoke_run, tmp_path, capsys):
     assert re.match(rf"error: {message}", capsys.readouterr().err)
 
 
+def eval_command(checkpoint, manifest, batch_size=EVAL_BATCH_SIZE):
+    """Run ``dyngcn eval`` as ``cli.main`` does, but let a refusal raise."""
+    args = cli.build_parser().parse_args([
+        "eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
+        "--batch-size", str(batch_size)])
+    args.func(args)
+
+
 def test_top5_never_below_top1(smoke_setup, smoke_run):
     root, cfg = smoke_setup
-    result = evaluate_checkpoint(smoke_run.checkpoint_path,
-                                 root / "data" / "train.manifest")
+    (result,), _ = ensemble_checkpoints([smoke_run.checkpoint_path],
+                                        root / "data" / "train.manifest")
     assert result.top5 >= result.top1
     assert result.count == 20
 
 
-def test_ensemble_of_one_equals_evaluate(smoke_setup, smoke_run):
+def test_ensemble_of_one_fuses_to_its_stream(smoke_setup, smoke_run):
     root, _ = smoke_setup
     manifest = root / "data" / "test.manifest"
-    single = evaluate_checkpoint(smoke_run.checkpoint_path, manifest)
-    streams, fused = ensemble_checkpoints([smoke_run.checkpoint_path], manifest)
-    assert len(streams) == 1
-    assert fused.top1 == single.top1 and fused.top5 == single.top5
+    (single,), fused = ensemble_checkpoints([smoke_run.checkpoint_path], manifest)
+    assert fused == single
 
 
 def test_ensemble_duplicate_checkpoint_unchanged(smoke_setup, smoke_run, tmp_path):
@@ -517,9 +545,8 @@ def test_ensemble_duplicate_checkpoint_unchanged(smoke_setup, smoke_run, tmp_pat
     manifest = root / "data" / "test.manifest"
     copy = tmp_path / "copy.ckpt"
     shutil.copyfile(smoke_run.checkpoint_path, copy)
-    single = evaluate_checkpoint(smoke_run.checkpoint_path, manifest)
-    _, fused = ensemble_checkpoints([smoke_run.checkpoint_path, copy], manifest)
-    assert fused.top1 == single.top1
+    streams, fused = ensemble_checkpoints([smoke_run.checkpoint_path, copy], manifest)
+    assert fused == streams[0] == streams[1]
 
 
 def test_ensemble_class_count_mismatch(smoke_setup, smoke_run, tmp_path):
@@ -548,7 +575,7 @@ def test_bad_eval_batch_size_is_refused_before_any_sequence_is_read(smoke_setup,
     manifest = root / "data" / "test.manifest"
     with pytest.raises(ValueError, match="^batch_size must be at least 1, got 0$"):
         if entry == "evaluate":
-            evaluate_checkpoint(smoke_run.checkpoint_path, manifest, batch_size=0)
+            eval_command(smoke_run.checkpoint_path, manifest, batch_size=0)
         else:
             ensemble_checkpoints([smoke_run.checkpoint_path], manifest, batch_size=0)
     assert reads == []
@@ -562,7 +589,7 @@ def test_manifest_declaring_another_layout_is_refused(smoke_setup, smoke_run, tm
     manifest.layout_name = "kinect25"
     other = save_manifest(tmp_path / "kinect.manifest", manifest)
     ckpt = smoke_run.checkpoint_path
-    call = {"evaluate": lambda: evaluate_checkpoint(ckpt, other),
+    call = {"evaluate": lambda: eval_command(ckpt, other),
             "ensemble": lambda: ensemble_checkpoints([ckpt], other),
             "export": lambda: export_topology(ckpt, other, 1, 0, tmp_path / "t")}[entry]
     with pytest.raises(ValueError, match=rf"kinect\.manifest: manifest declares layout "
@@ -586,7 +613,7 @@ def test_manifest_with_another_class_table_is_refused(smoke_setup, smoke_run, tm
     else:
         monkeypatch.setattr(dyngcn.train, "load_sequence", None)
         source = rf"checkpoint {re.escape(str(ckpt))} was trained on"
-        call = {"evaluate": lambda: evaluate_checkpoint(ckpt, other),
+        call = {"evaluate": lambda: eval_command(ckpt, other),
                 "ensemble": lambda: ensemble_checkpoints([ckpt], other),
                 "export": lambda: export_topology(ckpt, other, 1, 0, tmp_path / "t")}[entry]
     with pytest.raises(ValueError, match=rf"^{re.escape(str(other))}: manifest declares classes "
@@ -602,9 +629,9 @@ def test_checkpoint_without_class_names_reads_any_class_table(smoke_setup, smoke
     model, meta = load_checkpoint(smoke_run.checkpoint_path)
     del meta["class_names"]
     ckpt = save_checkpoint(tmp_path / "nameless.ckpt", model, meta)
-    got = evaluate_checkpoint(ckpt, other)
-    want = evaluate_checkpoint(smoke_run.checkpoint_path, root / "data" / "test.manifest")
-    assert (got.top1, got.top5) == (want.top1, want.top5)
+    got = ensemble_checkpoints([ckpt], other)
+    want = ensemble_checkpoints([smoke_run.checkpoint_path], root / "data" / "test.manifest")
+    assert got == want
     logits = [collect_logits(model, x) for model, _, x, _ in (
         load_checkpoint_inputs(ckpt, other),
         load_checkpoint_inputs(smoke_run.checkpoint_path, root / "data" / "test.manifest"))]
@@ -656,7 +683,7 @@ def test_manifest_the_model_cannot_read_is_refused(smoke_setup, smoke_run, tmp_p
     ckpt = smoke_run.checkpoint_path
     call = {"train": lambda: train(cfg.with_overrides([f"train_manifest={bad}",
                                                        f"out_dir={tmp_path / 'run'}"])),
-            "evaluate": lambda: evaluate_checkpoint(ckpt, bad),
+            "evaluate": lambda: eval_command(ckpt, bad),
             "ensemble": lambda: ensemble_checkpoints([ckpt], bad),
             "export": lambda: export_topology(ckpt, bad, 1, 0, tmp_path / "t")}[entry]
     where = r"mixed-\d+\.skl" if fault == "mixed" else rf"{fault}\.manifest"
@@ -678,7 +705,7 @@ def test_checkpoint_with_an_unknown_modality_is_refused_before_any_sequence_is_r
         {**header, "meta": {"modality": modality}}).encode())
     manifest = root / "data" / "test.manifest"
     monkeypatch.setattr(dyngcn.train, "load_sequence", None)
-    call = {"evaluate": lambda: evaluate_checkpoint(ckpt, manifest),
+    call = {"evaluate": lambda: eval_command(ckpt, manifest),
             "ensemble": lambda: ensemble_checkpoints([ckpt], manifest),
             "export": lambda: export_topology(ckpt, manifest, 1, 0, tmp_path / "t")}[entry]
     with pytest.raises(ValueError, match=rf"^{re.escape(str(ckpt))}: header at byte offset 14: "

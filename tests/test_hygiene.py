@@ -5,7 +5,8 @@ default or invents a seed, a defaulted ``batch_size`` defaults to
 ``EVAL_BATCH_SIZE``, an op takes only what some caller passes, no op's
 backward asks which of its inputs need a gradient, no module opens or
 writes a file, or reads one as locale text, except ``skeleton.write_file``,
-and no layer between the model's edge and the ops raises."""
+no layer between the model's edge and the ops raises, and every float
+setting of a config dataclass is range-checked where it is built."""
 
 import ast
 from pathlib import Path
@@ -343,3 +344,48 @@ def test_stray_scratch_calls_are_found():
               "pick = lambda: _scratch(((1,), 'f8'))\n")
     assert stray_scratch_calls(source) == [(5, "conv"), (11, "helper"), (15, None),
                                            (16, "<lambda>")]
+
+
+# Float settings where any finite value means something.  Every other float
+# field of a config dataclass is range-checked in its ``__post_init__``, so
+# a value that would silently break a run is refused where it is set.
+CONFIG_CLASSES = {"ModelConfig", "RunConfig", "SynthSpec"}
+UNBOUNDED_FLOATS = {"lambda_static", "amplitude"}
+
+
+def unchecked_floats(source):
+    """(line, "Class.field") of every ``float`` field of a class named in
+    ``CONFIG_CLASSES`` that no comparison in the class's ``__post_init__``
+    reads as ``self.<field>``; ``UNBOUNDED_FLOATS`` are exempt."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in CONFIG_CLASSES):
+            continue
+        compared = {node.attr for method in cls.body
+                    if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+                    for compare in ast.walk(method) if isinstance(compare, ast.Compare)
+                    for node in ast.walk(compare)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"}
+        found += [(stmt.lineno, f"{cls.name}.{stmt.target.id}") for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and isinstance(stmt.annotation, ast.Name) and stmt.annotation.id == "float"
+                  and stmt.target.id not in compared | UNBOUNDED_FLOATS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_config_float_settings_are_range_checked(path):
+    assert unchecked_floats(path.read_text()) == []
+
+
+def test_unchecked_floats_are_found():
+    source = ("class RunConfig:\n    lr: float = 0.1\n    momentum: float = 0.9\n"
+              "    decay: float = 0.1\n    lambda_static: float = 1.0\n"
+              "    seed: int = 0\n    rate: float = 0.5\n\n"
+              "    def __post_init__(self):\n        if self.lr <= 0:\n            raise ValueError\n"
+              "        if not 0.0 <= self.momentum < 1.0:\n            raise ValueError\n"
+              "        check(self.decay)\n\n"
+              "    def validate(self):\n        return self.rate > 0\n\n"
+              "class Other:\n    sigma: float = 0.0\n")
+    assert unchecked_floats(source) == [(4, "RunConfig.decay"), (7, "RunConfig.rate")]

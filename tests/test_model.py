@@ -498,7 +498,8 @@ def test_model_config_validation():
 
 def test_model_config_round_trip():
     cfg = ModelConfig(layout="ntu25", n_classes=60)
-    again = ModelConfig.from_dict(cfg.to_dict())
+    # as a checkpoint header stores it: tuples come back from JSON lists
+    again = ModelConfig(**json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 

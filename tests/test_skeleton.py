@@ -117,15 +117,23 @@ def test_partition_chain_hand_enumerated():
     assert np.array_equal(configs[2], centrifugal)
 
 
+def adjacency(layout):
+    """Symmetric physical adjacency of the layout's edges, without self loops."""
+    a = np.zeros((layout.n_joints, layout.n_joints))
+    for i, j in layout.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def test_partition_star_sums_to_identity_plus_adjacency():
     star = SkeletonLayout(
         "star5", 5, ((0, 1), (0, 2), (0, 3), (0, 4)), 0,
         ((0, 1), (0, 2), (0, 3), (0, 4)),
     )
     configs = partition_spatial_configs(star)
-    assert np.array_equal(configs.sum(axis=0), np.eye(5) + star.adjacency())
+    assert np.array_equal(configs.sum(axis=0), np.eye(5) + adjacency(star))
     # every directed edge position appears exactly once across configs 2 and 3
-    assert np.array_equal(configs[1] + configs[2], star.adjacency())
+    assert np.array_equal(configs[1] + configs[2], adjacency(star))
 
 
 def test_partition_tie_break_goes_centripetal():
@@ -137,7 +145,7 @@ def test_partition_tie_break_goes_centripetal():
     # contributes both directions to the centripetal matrix
     assert configs[1][1, 2] == 1.0 and configs[1][2, 1] == 1.0
     assert configs[2][1, 2] == 0.0 and configs[2][2, 1] == 0.0
-    assert np.array_equal(configs.sum(axis=0), np.eye(3) + triangle.adjacency())
+    assert np.array_equal(configs.sum(axis=0), np.eye(3) + adjacency(triangle))
 
 
 @pytest.mark.parametrize("layout_name", ["ntu25", "openpose18"])
@@ -145,7 +153,7 @@ def test_partition_builtin_covers_adjacency(layout_name):
     layout = build_layout(layout_name)
     configs = partition_spatial_configs(layout)
     assert np.array_equal(configs[0], np.eye(layout.n_joints))
-    assert np.array_equal(configs[1] + configs[2], layout.adjacency())
+    assert np.array_equal(configs[1] + configs[2], adjacency(layout))
 
 
 def dense_normalize_oracle(a, alpha):

@@ -91,8 +91,10 @@ def test_nonlocal_toy_similarity():
 
 def test_nonlocal_embed_width_default():
     rng = np.random.default_rng(0)
-    assert NonLocalTopology(64, rng).embed_channels == 16
-    assert NonLocalTopology(8, rng).embed_channels == 4  # floor at 4
+    for channels, width in ((64, 16), (8, 4)):  # floor at 4
+        learner = NonLocalTopology(channels, rng)
+        assert learner.embed_query.weight.data.shape[:2] == (width, channels)
+        assert learner.embed_key.weight.data.shape[:2] == (width, channels)
 
 
 @pytest.mark.parametrize("kind", VARIANTS)
@@ -180,7 +182,7 @@ def test_gradient_flows_through_learner_to_input(kind, seed):
 def three_branch_scores(enc, x):
     """Oracle: the context encoder's scores with one hand-written branch per
     context axis, as they were before the squeeze order drove them."""
-    batch, n = x.data.shape[0], enc.joints
+    batch, n = x.data.shape[0], x.data.shape[3]
     if enc.axis == "joint":
         h = enc.bn_a(enc.squeeze_a(x))                        # (B, 1, T, N)
         h = permute(h, (0, 2, 1, 3))                          # (B, T, 1, N)
