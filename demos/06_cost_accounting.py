@@ -8,6 +8,8 @@ as two FLOPs; cheap elementwise work is tallied separately and kept
 out of the headline number.
 """
 
+from dataclasses import replace
+
 from dyngcn.flops import count_learner_flops, count_model_flops, overhead_report
 from dyngcn.model import ModelConfig
 
@@ -38,3 +40,21 @@ print(f"learner overhead  {extra:,} FLOPs ({delta.ratio:+.2%})")
 for kind in ("context", "context-feature", "context-temporal", "nonlocal"):
     flops = count_learner_flops(kind, channels=64, frames=64, joints=25)
     print(f"  {kind:17s} learner at (C=64, T=64, N=25): {flops:12,} FLOPs")
+
+# The paper's efficiency claim, priced by the same cost model. Everything
+# but the schedule is held equal: 64 frames, the preset's widths, one
+# person, one stream. The "-like" schedules are this package's
+# configurations, not the published models (the non-local learner is an
+# embedded-Gaussian graph, not 2s-AGCN's full adaptive graph).
+schedules = (
+    ("Dynamic GCN (CeN, joint aggregation)", config, True),
+    ("Dynamic GCN without joint aggregation", replace(config, aggregate_after=()), True),
+    ("ST-GCN-like (no learner, no aggregation)",
+     replace(config, topology="none", aggregate_after=()), False),
+    ("2s-AGCN-like (non-local, no aggregation)",
+     replace(config, topology="nonlocal", aggregate_after=()), True),
+)
+print("\nGFLOP per stream at equal input (64 frames, one person):")
+for name, schedule, include_cen in schedules:
+    total = count_model_flops(schedule, include_cen=include_cen).total
+    print(f"  {name:41s} {total / 1e9:6.3f}  {total / report.total:5.2f}x")

@@ -69,7 +69,7 @@ def save_checkpoint(path, model, meta=None):
         if dtype not in _DTYPES:
             raise ValueError(f"array {name!r} has unsupported dtype {dtype}")
         table.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
-        buffers.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
+        buffers.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]))
     header = {
         "version": FORMAT_VERSION,
         "config": asdict(model.config),

@@ -122,6 +122,9 @@ class RunConfig:
             raise ValueError("decay must be positive")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
+        if any(m < 2 for m in self.milestones):
+            # the rate decays from epoch m on, so below 2 the lr is never used
+            raise ValueError(f"milestones must be at least 2, got {self.milestones}")
         if any(m >= self.total_epochs for m in self.milestones):
             raise ValueError(
                 f"milestones {self.milestones} must fall before total_epochs "

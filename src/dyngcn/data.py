@@ -131,18 +131,17 @@ def save_sequence(path, seq):
     return write_file(path, _HEADER.pack(MAGIC, FORMAT_VERSION, seq.label, t, m, n, d),
                       struct.pack("<H", len(layout_bytes)), layout_bytes,
                       struct.pack("<H", len(id_bytes)), id_bytes,
-                      np.ascontiguousarray(seq.data, dtype="<f4").tobytes())
+                      np.ascontiguousarray(seq.data, dtype="<f4"))
 
 
 def _parse_binary(raw, path):
+    """Decode ``raw``, which ``load_sequence`` found to start with ``MAGIC``."""
     def fail(offset, message):
         raise ValueError(f"{path}: byte {offset}: {message}")
 
     if len(raw) < _HEADER.size:
         fail(0, f"truncated header ({len(raw)} bytes, need {_HEADER.size})")
-    magic, version, label, t, m, n, d = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        fail(0, f"bad magic {magic!r}")
+    _, version, label, t, m, n, d = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
         fail(4, f"unsupported version {version}")
     problem = _shape_problem((t, m, n, d))
@@ -330,8 +329,6 @@ def load_sequence(path):
 
 def resize_sequence(seq, t_target):
     """Linearly interpolate the time axis onto ``t_target`` uniform points."""
-    if t_target < 1:
-        raise ValueError(f"target length must be at least 1, got {t_target}")
     t = seq.frames
     if t == t_target:
         return SkeletonSequence(seq.data.copy(), seq.label, seq.layout_name, seq.sample_id)

@@ -15,11 +15,6 @@ import numpy as np
 def derive_bone(coords, layout):
     """Bone vectors per layout bone pair; (..., C, T, N) in and out."""
     coords = np.asarray(coords)
-    if coords.shape[-1] != layout.n_joints:
-        raise ValueError(
-            f"last axis {coords.shape[-1]} does not match layout with "
-            f"{layout.n_joints} joints"
-        )
     bones = np.zeros_like(coords)
     for source, target in layout.bone_pairs:
         bones[..., target] = coords[..., target] - coords[..., source]
@@ -49,20 +44,13 @@ def refuse_unknown_modality(name):
 
 
 def apply_modality(coords, modality, layout):
-    refuse_unknown_modality(modality)
+    """Apply a known modality; ``RunConfig`` and ``load_checkpoint`` refuse others."""
     return MODALITIES[modality](coords, layout)
 
 
 def ensemble_logits(logit_arrays):
-    """Sum per-stream logits; all arrays must share one shape."""
-    arrays = [np.asarray(a) for a in logit_arrays]
-    if not arrays:
-        raise ValueError("ensemble needs at least one logit array")
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise ValueError(f"logit shapes differ: {shape} vs {a.shape}")
-    total = np.zeros(shape, dtype=np.float64)
-    for a in arrays:
+    """Sum a non-empty list of per-stream logits of one shape, in float64."""
+    total = np.zeros(np.shape(logit_arrays[0]), dtype=np.float64)
+    for a in logit_arrays:
         total += a
     return total

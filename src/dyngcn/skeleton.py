@@ -164,8 +164,8 @@ def read_utf8(path):
 
 def write_file(path, *chunks):
     """Write ``chunks`` to ``path`` and return ``Path(path)``: a str as UTF-8,
-    bytes as they are.  All are encoded before the file is opened, so a str
-    that is not UTF-8 text leaves no file."""
+    any bytes-like chunk as it is.  All are encoded before the file is
+    opened, so a str that is not UTF-8 text leaves no file."""
     path = Path(path)
     try:
         chunks = [c.encode("utf-8") if isinstance(c, str) else c for c in chunks]

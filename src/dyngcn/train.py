@@ -118,10 +118,12 @@ def _overflow_located(path, stage):
 
 
 def load_dataset(manifest, frames, layout, modality):
-    """Materialize a manifest as ((S, M, C, T, N) float32, (S,) labels)."""
-    arrays = []
-    labels = []
-    for rel, label in manifest.entries:
+    """Materialize a manifest as ((S, M, C, T, N) float32, (S,) labels).
+
+    Each sequence's model input goes straight into its slot of one array,
+    which grows once if a file has more persons than the first."""
+    x = None
+    for i, (rel, _) in enumerate(manifest.entries):
         path = manifest.resolve(rel)
         seq = load_sequence(path)
         if seq.layout_name and seq.layout_name != layout.name:
@@ -137,23 +139,23 @@ def load_dataset(manifest, frames, layout, modality):
                 f"{path}: sequence has {seq.coords} coordinates, layout {layout.name!r} "
                 f"puts its score in channel {layout.score_channel}"
             )
-        if arrays and seq.coords != arrays[0].shape[1]:
+        if x is not None and seq.coords != x.shape[2]:
             raise ValueError(
                 f"{path}: sequence has {seq.coords} coordinates, "
-                f"{manifest.resolve(manifest.entries[0][0])} has {arrays[0].shape[1]}"
+                f"{manifest.resolve(manifest.entries[0][0])} has {x.shape[2]}"
             )
         seq = resize_sequence(seq, frames)   # a convex blend of finite frames
         with _overflow_located(path, "centring"):
             seq = normalize_coords(seq, layout)
         with _overflow_located(path, f"the {modality} transform"):
-            coords = seq.to_model_input()             # (M, C, T, N)
-            arrays.append(apply_modality(coords, modality, layout).astype(np.float32))
-        labels.append(label)
-    persons = max(arr.shape[0] for arr in arrays)
-    stacked = np.zeros((len(arrays),) + (persons,) + arrays[0].shape[1:], dtype=np.float32)
-    for i, arr in enumerate(arrays):
-        stacked[i, : arr.shape[0]] = arr
-    return stacked, np.asarray(labels, dtype=np.int64)
+            sample = apply_modality(seq.to_model_input(), modality, layout)   # (M, C, T, N)
+        if x is None or len(sample) > x.shape[1]:
+            grown = np.zeros((len(manifest.entries),) + sample.shape, dtype=np.float32)
+            if x is not None:
+                grown[:, : x.shape[1]] = x
+            x = grown
+        x[i, : len(sample)] = sample
+    return x, np.array([label for _, label in manifest.entries], dtype=np.int64)
 
 
 def _batch_slices(count, batch_size):
@@ -317,6 +319,8 @@ def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=EVAL_BATCH_
     One checkpoint is the one-stream case: what ``dyngcn eval`` runs."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if not checkpoint_paths:
+        raise ValueError("an ensemble needs at least one checkpoint")
     per_stream = []
     stream_logits = []
     n_classes = None

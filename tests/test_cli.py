@@ -89,6 +89,16 @@ def test_train_refuses_a_decay_that_would_climb_the_loss(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_refuses_a_milestone_that_leaves_the_lr_unused(tmp_path, capsys):
+    out = tmp_path / "d"
+    code = cli.main(["train", "--preset", "smoke", "--out-dir", str(out),
+                     "--set", "milestones=1"])
+    assert code == 2
+    assert re.fullmatch(r"error: overrides \['milestones=1', .*\]: milestones must be at "
+                        r"least 2, got \(1,\)\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_train_from_a_config_file(workspace, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     run_preset("smoke").with_overrides([f"out_dir={tmp_path / 'run'}",
@@ -166,6 +176,12 @@ def test_flops_both_modes_overhead(capsys):
     assert code == 0
     assert "2,230,588,544" in out and "2,426,522,712" in out
     assert "+0.0878" in out
+
+
+def test_flops_refuses_no_persons(capsys):
+    assert cli.main(["flops", "--preset", "toy", "--persons", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: persons must be >= 1\n" and captured.out == ""
 
 
 def test_error_line_and_exit_code(workspace, capsys):

@@ -370,7 +370,7 @@ def test_resize_single_frame_repeats():
 
 def test_resize_rejects_bad_target():
     seq = random_sequence(np.random.default_rng(8))
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="at least one frame"):
         resize_sequence(seq, 0)
 
 
@@ -582,6 +582,10 @@ def test_synth_validation():
         SynthSpec(n_classes=1)
     with pytest.raises(ValueError, match="noise_sigma"):
         SynthSpec(noise_sigma=-0.1)
+    with pytest.raises(ValueError, match="^sample counts must be positive$"):
+        SynthSpec(samples_per_class=0)
+    with pytest.raises(ValueError, match="^need at least two frames$"):
+        SynthSpec(frames=1)
     assert SynthSpec(n_classes=65536).n_classes == 65536  # 65537 is refused in test_cli
     for name in ("noise_sigma", "amplitude"):
         for value in (float("nan"), float("inf"), float("-inf")):

@@ -27,6 +27,13 @@ from dyngcn.topology import LEARNERS, ContextEncoder, NonLocalTopology, context_
 NTU_STATIC_TOTAL = 2_230_588_544
 NTU_LEARNER_EXTRA = 195_934_168
 
+# The schedules the paper's 2x-4x FLOP claim compares against, priced by the
+# same walker at the same input as the preset (64 frames, 25 joints, one
+# person, one stream): ST-GCN-like has no learner and no joint aggregation,
+# 2s-AGCN-like the non-local learner and no aggregation.
+STGCN_LIKE_TOTAL = 3_601_749_120
+AGCN_LIKE_TOTAL = 4_042_341_320
+
 
 def ntu_config(**overrides):
     args = dict(layout="ntu25", n_classes=60)
@@ -169,6 +176,15 @@ def test_ntu_totals_match_hand_derivation():
     with_cen = count_model_flops(ntu_config(), include_cen=True)
     assert without.total == NTU_STATIC_TOTAL
     assert with_cen.total == NTU_STATIC_TOTAL + NTU_LEARNER_EXTRA
+
+
+def test_paper_baselines_cost_under_twice_the_preset_at_equal_input():
+    dynamic = NTU_STATIC_TOTAL + NTU_LEARNER_EXTRA
+    stgcn = count_model_flops(ntu_config(topology="none", aggregate_after=()),
+                              include_cen=False)
+    agcn = count_model_flops(ntu_config(topology="nonlocal", aggregate_after=()))
+    assert (stgcn.total, agcn.total) == (STGCN_LIKE_TOTAL, AGCN_LIKE_TOTAL)
+    assert [round(total / dynamic, 2) for total in (stgcn.total, agcn.total)] == [1.48, 1.67]
 
 
 def test_ntu_static_total_in_published_band():

@@ -290,8 +290,9 @@ def run_configs(draw):
         alpha_degree=draw(positive_floats),
     )
     total_epochs = draw(sizes)
-    milestones = sorted(draw(st.lists(st.integers(-5, total_epochs - 1), max_size=3,
-                                      unique=True)))
+    # a milestone lies in 2..total_epochs - 1, so a run of 1 or 2 epochs has none
+    milestones = sorted(draw(st.lists(st.integers(2, total_epochs - 1), max_size=3,
+                                      unique=True))) if total_epochs >= 3 else []
     return RunConfig(
         model=model, train_manifest=draw(config_strings), test_manifest=draw(config_strings),
         out_dir=draw(config_strings), modality=draw(st.sampled_from(tuple(MODALITIES))),

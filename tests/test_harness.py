@@ -104,9 +104,9 @@ def test_config_field_without_a_parser_is_refused():
 
 def test_with_overrides():
     cfg = run_preset("smoke")
-    out = cfg.with_overrides(["lr=0.25", "milestones=1,2", "total_epochs=4",
+    out = cfg.with_overrides(["lr=0.25", "milestones=2,3", "total_epochs=4",
                               "model.frames=8"])
-    assert out.lr == 0.25 and out.milestones == (1, 2)
+    assert out.lr == 0.25 and out.milestones == (2, 3)
     assert out.model.frames == 8
     assert cfg.lr == 0.05  # original untouched
     with pytest.raises(ValueError, match="unknown key"):
@@ -168,6 +168,11 @@ def test_values_that_read_back_are_kept():
     ("momentum=1.5", "momentum must be in [0, 1)"),
     ("weight_decay=-1", "weight_decay must be non-negative"),
     ("milestones=2,2", "milestones must be increasing, got (2, 2)"),
+    # the rate decays from epoch m on, so a milestone below 2 leaves lr unused
+    ("milestones=1", "milestones must be at least 2, got (1,)"),
+    ("milestones=-3,0", "milestones must be at least 2, got (-3, 0)"),
+    ("total_epochs=0", "total_epochs must be at least 1"),
+    ("lr=0", "lr must be positive"),
 ])
 def test_validation_errors_name_their_source(line, message):
     text = f"model.layout=ntu25\nmodel.n_classes=2\n{line}\n"
@@ -331,6 +336,15 @@ def test_save_checkpoint_refuses_the_meta_that_load_checkpoint_refuses(tmp_path,
         load_checkpoint(path)
 
 
+def test_save_checkpoint_refuses_a_dtype_the_format_has_no_code_for(tmp_path):
+    model = build_model(tiny_model_config(), seed=1, dtype=np.float16)   # float16 BN buffers
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=r"^array 'input_bn\.running_mean' has unsupported "
+                                         r"dtype float16$"):
+        save_checkpoint(path, model)
+    assert not path.exists()
+
+
 def test_checkpoint_unsupported_dtype_names_array_and_offset(tmp_path):
     path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
 
@@ -345,11 +359,14 @@ def test_checkpoint_unsupported_dtype_names_array_and_offset(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
-def test_checkpoint_unreadable_header_names_offset(tmp_path, body):
+@pytest.mark.parametrize("body, problem", [
+    (b"{not json", "not UTF-8 JSON"), (b"\xff\xfe{}", "not UTF-8 JSON"),
+    (b"[]", "expected a JSON object, got list"),
+], ids=["not-json", "not-utf8", "list"])
+def test_checkpoint_unreadable_header_names_offset(tmp_path, body, problem):
     path = save_checkpoint(tmp_path / "m.ckpt", build_model(tiny_model_config(), seed=1))
     rewrite_header(path, lambda header: body)
-    with pytest.raises(ValueError, match=r"m\.ckpt: header at byte offset 14: not UTF-8 JSON"):
+    with pytest.raises(ValueError, match=rf"m\.ckpt: header at byte offset 14: {problem}"):
         load_checkpoint(path)
 
 
@@ -559,6 +576,11 @@ def test_ensemble_class_count_mismatch(smoke_setup, smoke_run, tmp_path):
     with pytest.raises(ValueError, match="classes"):
         ensemble_checkpoints([smoke_run.checkpoint_path, path],
                              root / "data" / "test.manifest")
+
+
+def test_empty_ensemble_is_refused_before_anything_is_read(tmp_path):
+    with pytest.raises(ValueError, match="^an ensemble needs at least one checkpoint$"):
+        ensemble_checkpoints([], tmp_path / "missing.manifest")
 
 
 @pytest.mark.parametrize("entry", ["evaluate", "ensemble"])

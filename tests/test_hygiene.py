@@ -270,10 +270,14 @@ def test_stray_file_calls_are_found():
 
 # Between the model's edge (``SkeletonClassifier.input_stage``) and the ops,
 # shapes follow from the block plan: the edge checks the input and each
-# tensor op checks its operands, so the layers check nothing again.
-LAYER_MODULES = ("model.py", "layers.py", "topology.py")
+# tensor op checks its operands, so the layers check nothing again.  On the
+# input path the file readers, ``load_dataset``, ``RunConfig`` and
+# ``load_checkpoint`` are the edge, so the transforms between a decoded
+# sequence and the model's input, and the logit sum, check nothing again.
+LAYER_MODULES = ("model.py", "layers.py", "topology.py", "modality.py", "data.py")
 LAYER_FUNCTIONS = {"forward", "scores", "graph_conv", "static_branch", "dynamic_branch",
-                   "joint_aggregate"}
+                   "joint_aggregate", "derive_bone", "derive_motion", "apply_modality",
+                   "ensemble_logits", "resize_sequence", "normalize_coords"}
 
 
 def layer_raises(source):

@@ -76,7 +76,9 @@ def test_parse_layout_errors_name_line():
      "1 bone pairs for 99999999999 joints, expected 99999999998"),
     ("joints 2\ncenter 0\nedge 0 1\nbone 0 1\nscore_channel -1\n",
      "score channel -1 is negative"),
-], ids=["junk edge", "disconnected", "center", "huge joint count", "negative score channel"])
+    ("joints 0\ncenter 0\n", "layout 'bad2': needs at least one joint"),
+], ids=["junk edge", "disconnected", "center", "huge joint count", "negative score channel",
+        "no joints"])
 def test_layout_file_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "bad2.layout"
     path.write_text(text)
