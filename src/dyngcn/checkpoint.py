@@ -67,7 +67,8 @@ def save_checkpoint(path, model, meta=None):
     for name, arr in _model_arrays(model):
         dtype = str(arr.dtype)
         if dtype not in _DTYPES:
-            raise ValueError(f"array {name!r} has unsupported dtype {dtype}")
+            raise ValueError(f"{path}: array {name!r} has unsupported dtype {dtype}; "
+                             f"nothing written")
         table.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
         buffers.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]))
     header = {

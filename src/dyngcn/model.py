@@ -16,7 +16,8 @@ maps the stack to the output channels.  The static route passes its K
 graphs with the concatenated weight lambda * [W_0 | ... | W_{K-1}], the
 dynamic route its one learned graph per sample with W'.  The static route
 runs first, and the dynamic route's ``graph_conv`` adds it in place into
-its own output, so the route sum keeps no array of its own.  Every
+its own output, so the route sum keeps no array of its own, and records
+its stand-in, so the tape keeps no static route output either.  Every
 contraction keeps a per-sample GEMM shape, so eval outputs do not
 depend on the batch size.
 
@@ -39,6 +40,7 @@ from .tensor import (
     Tensor,
     _accumulate,
     _from_op,
+    _hand_over,
     _matmul_grads,
     _scratch,
     concat,
@@ -172,7 +174,8 @@ def graph_conv(x, graphs, weight, residual=None):
     copy of the transposed graphs gives a (B, K, C*T, N) result that already
     is the (B, K*C, T, N) channel stack, and one 1x1 convolution maps it to
     the output channels; ``residual``, if given, is added in place into
-    that fresh output.
+    that fresh output, and the node records its stand-in (``_hand_over``),
+    because backward reads no value of it.
 
     The stack is K times the size of ``x``, so the products run under
     ``no_grad`` and one node keeps only the inputs and the graphs' small
@@ -192,6 +195,7 @@ def graph_conv(x, graphs, weight, residual=None):
         data = conv2d(reshape(stack, (batch, k * channels, frames, n)), weight).data
     if residual is not None:
         data += residual.data
+        residual = _hand_over(residual)
     inputs = (x, graphs, weight) if residual is None else (x, graphs, weight, residual)
 
     def backward(g):
@@ -374,4 +378,10 @@ class SkeletonClassifier(Module):
 
 
 def build_model(config, seed=0, dtype=np.float32):
+    """The classifier for ``config``, its weights drawn from ``seed``, with
+    every parameter and buffer in ``dtype`` (float32 or float64)."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        # Tensor would cast the parameters to float32 and leave the
+        # batch-norm buffers in the given dtype
+        raise ValueError(f"model dtype must be float32 or float64, got {np.dtype(dtype)}")
     return SkeletonClassifier(config, rng=np.random.default_rng(seed), dtype=dtype)

@@ -8,6 +8,17 @@ It releases the graph as it goes: each op node drops its closure and its
 inputs once its closure has run, so an activation lives only until its
 last consumer's backward, and a graph can be backpropagated once.
 
+The tape keeps an op output's array only while some backward reads it.
+An op whose backward reads no value of an input (batch norm's and
+``model.graph_conv``'s ``residual``, ``scale``'s input) records in its
+place the stand-in that ``_hand_over`` makes: the stand-in takes over the
+input's closure and inputs and holds a zero-stride NaN, and the input,
+whose array stays the caller's, passes every gradient it is given on to
+the stand-in in the order it would have summed them.  So the static
+route's output, the shortcut batch norm's output and the concatenated
+static weights are freed once the forward drops them, and no gradient
+changes a bit.
+
 The op set is intentionally small: what a graph-convolutional sequence
 classifier needs and nothing more.  Convolutions cover the two kernel
 shapes used by the model (1x1 and t x 1 over a (time, joint) grid).  An op
@@ -127,7 +138,8 @@ class Tensor:
         has run (or no gradient reached it), the node drops its closure and
         its inputs, so an activation is freed as soon as its last
         consumer's backward has run.  A second ``backward`` through a
-        released node raises ``RuntimeError``.
+        released node raises ``RuntimeError``.  Seeded at a tensor that an
+        op handed over to a stand-in, it seeds the stand-in.
         """
         if gradient is None:
             if self.data.size != 1:
@@ -157,7 +169,8 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self.grad = gradient if self.grad is None else self.grad + gradient
+        root = _holder(self)
+        root.grad = gradient if root.grad is None else root.grad + gradient
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -226,7 +239,42 @@ def free_scratch():
     _SCRATCH.clear()
 
 
+def _handed_over(g):
+    """The closure of a tensor an op handed over to a stand-in, its one
+    input.  ``_accumulate`` and ``backward`` give the stand-in its
+    gradients, so none reaches the tensor itself."""
+    raise RuntimeError("a gradient reached a tensor that was handed over to a stand-in")
+
+
+def _holder(t):
+    """The tensor that takes ``t``'s gradients: its stand-in, or ``t``."""
+    return t._prev[0] if t._backward is _handed_over else t
+
+
+def _hand_over(t):
+    """Give ``t``'s place in the graph to a stand-in that holds no value;
+    an op calls it on an input whose value its backward never reads, and
+    records what it returns in place of ``t``.
+
+    The stand-in takes over ``t``'s closure and inputs, and its array is a
+    zero-stride NaN of ``t``'s shape and dtype, so a stray read is loud.
+    ``t`` keeps its array for the caller and keeps the stand-in as its one
+    input, so ``backward`` still runs the stand-in after every consumer of
+    ``t``, and ``_accumulate`` hands every later gradient of ``t`` on to the
+    stand-in in the order ``t`` would have summed them.  Once the caller
+    drops ``t``, nothing holds its array.  A leaf, a tensor outside the
+    graph and one handed over before are not handed over (again)."""
+    if t._backward in (None, _handed_over) or not _grad_enabled[-1]:
+        return _holder(t)
+    stand_in = Tensor(np.broadcast_to(np.array(np.nan, dtype=t.data.dtype), t.data.shape))
+    stand_in.requires_grad = True
+    stand_in._prev, stand_in._backward = t._prev, t._backward
+    t._prev, t._backward = (stand_in,), _handed_over
+    return stand_in
+
+
 def _accumulate(t, g):
+    t = _holder(t)
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
 
@@ -294,11 +342,13 @@ def neg(x):
 def scale(x, factor):
     """Multiply by a python scalar."""
     factor = float(factor)
+    data = x.data * factor
+    x = _hand_over(x)
 
     def backward(g):
         _accumulate(x, g * factor)
 
-    return _from_op(x.data * factor, (x,), backward)
+    return _from_op(data, (x,), backward)
 
 
 def relu(x):
@@ -550,6 +600,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
     ``residual``, if given, is added and ``relu`` applied in place on the
     op's own output, so ``batch_norm(x, ..., relu=True, residual=r)`` gives
     the bits of ``relu(add(batch_norm(x, ...), r))`` without their outputs.
+    Backward reads no value of ``residual``, so the op records its
+    stand-in (``_hand_over``).
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm expects a 4-d tensor, got shape {x.data.shape}")
@@ -592,9 +644,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
         data += (beta.data - mean * a).reshape(per_channel)
     if residual is not None:
         data += residual.data
+        residual = _hand_over(residual)
     if relu:
         # np.maximum keeps NaN, as the relu op does
         np.maximum(data, 0, out=data)
+    # the closure keeps the output only for the ReLU's mask
+    activated = data if relu else None
     inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
 
     def backward(g):
@@ -603,7 +658,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training=True,
         # held as some tensor's .grad.
         if relu:
             # out > 0 exactly where the pre-activation is > 0, as in relu
-            g = g * (data > 0)
+            g = g * (activated > 0)
         if residual is not None:
             _accumulate(residual, g)
         x_dtype = np.result_type(x.data, mean)

@@ -5,7 +5,8 @@ default or invents a seed, a defaulted ``batch_size`` defaults to
 ``EVAL_BATCH_SIZE``, an op takes only what some caller passes, no op's
 backward asks which of its inputs need a gradient, no module opens or
 writes a file, or reads one as locale text, except ``skeleton.write_file``,
-no layer between the model's edge and the ops raises, and every float
+no layer between the model's edge and the ops raises, no backward reads
+the value of an input its op handed over to a stand-in, and every float
 setting of a config dataclass is range-checked where it is built."""
 
 import ast
@@ -227,6 +228,49 @@ def test_backward_requires_grad_reads_are_found():
               "            pass\n\n"
               "    return backward\n")
     assert backward_requires_grad_reads(source) == [13, 16, 16]
+
+
+# An op whose backward reads no value of an input hands that input over to
+# a stand-in (``_hand_over``) whose array is a NaN placeholder, so that the
+# tape does not keep the input's array.  Its closure then reads no ``.data``
+# of that input: the stand-in's would be NaN, and the caller's tensor's
+# would keep the array alive.
+def handed_over_reads(source):
+    """(line, op) of every ``<name>.data`` read inside a ``backward`` closure
+    nested in a function that passes ``<name>`` to ``_hand_over``."""
+    found = set()
+    for op in ast.walk(ast.parse(source)):
+        if not isinstance(op, ast.FunctionDef):
+            continue
+        handed = {arg.id for call in ast.walk(op) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_hand_over"
+                  for arg in call.args if isinstance(arg, ast.Name)}
+        found |= {(node.lineno, op.name) for closure in ast.walk(op)
+                  if closure is not op and isinstance(closure, ast.FunctionDef)
+                  and closure.name == "backward"
+                  for node in ast.walk(closure)
+                  if isinstance(node, ast.Attribute) and node.attr == "data"
+                  and isinstance(node.value, ast.Name) and node.value.id in handed}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_backward_closures_read_no_value_of_a_handed_over_input(path):
+    assert handed_over_reads(path.read_text()) == []
+
+
+def test_handed_over_reads_are_found():
+    source = ("def scale(x, factor):\n    data = x.data * factor\n    x = _hand_over(x)\n\n"
+              "    def backward(g):\n        _accumulate(x, g * x.data.dtype.type(factor))\n\n"
+              "    return _from_op(data, (x,), backward)\n\n"
+              "def fused(x, residual):\n    data = x.data + residual.data\n"
+              "    inputs = (x, tensor._hand_over(residual))\n\n"
+              "    def backward(g):\n        _accumulate(x, g * x.data)\n"
+              "        _accumulate(residual, g * residual.data)\n\n"
+              "    return _from_op(data, inputs, backward)\n\n"
+              "def kept(x):\n    def backward(g):\n        return x.data\n\n"
+              "    return backward\n")
+    assert handed_over_reads(source) == [(6, "scale"), (16, "fused")]
 
 
 # Calls that open a file, write one, or read one in the locale's encoding.

@@ -29,11 +29,13 @@ from dyngcn.skeleton import SkeletonLayout, TopologySet, build_layout
 from dyngcn.tensor import (
     Tensor,
     add,
+    batch_norm,
     conv2d,
     matmul,
     mul,
     no_grad,
     permute,
+    relu,
     reshape,
     softmax_cross_entropy,
 )
@@ -264,6 +266,150 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
         out = graph_conv(*leaves())
     assert out._backward is None and out._prev == () and not out.requires_grad
     assert out.data.tobytes() == results[0][0].tobytes()
+
+
+# -- inputs handed over to a stand-in ------------------------------------
+
+# Each residual op, fused and as the recorded ops it stands for (``add`` in
+# place of the residual).  Arguments: the op's input, its residual, and the
+# case's leaves by name (``residual_case``).
+RESIDUAL_OPS = {
+    "batch_norm": (
+        lambda x, r, p: batch_norm(x, p["gamma"], p["beta"], p["mean"].copy(),
+                                   p["var"].copy(), relu=True, residual=r),
+        lambda x, r, p: relu(add(batch_norm(x, p["gamma"], p["beta"], p["mean"].copy(),
+                                            p["var"].copy()), r)),
+    ),
+    "graph_conv": (
+        lambda x, r, p: graph_conv(x, p["graphs"], p["weight"], r),
+        lambda x, r, p: add(graph_conv(x, p["graphs"], p["weight"]), r),
+    ),
+}
+
+
+def residual_case(dtype, seed):
+    """Leaves of a residual-op case: the op's parameters, three 1x1 maps
+    and two inputs, plus the output gradients of the op and of its residual."""
+    B, C, T, N = 2, 3, 5, 4
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    leaves = {"gamma": leaf(C), "beta": leaf(C), "graphs": leaf(1, 2, N, N),
+              "weight": leaf(C, 2 * C, 1, 1), "map_r": leaf(C, C, 1, 1),
+              "map_a": leaf(C, C, 1, 1), "map_b": leaf(C, C, 1, 1),
+              "x": leaf(B, C, T, N), "r": leaf(B, C, T, N)}
+    leaves["mean"], leaves["var"] = np.zeros(C, dtype), np.ones(C, dtype)
+    grads = rng.standard_normal((2, B, C, T, N)).astype(dtype)
+    return leaves, grads
+
+
+def leaf_grads(leaves):
+    return [t.grad for t in leaves.values() if isinstance(t, Tensor)]
+
+
+def assert_same_bits(got, want):
+    """Pairwise: both None, or arrays of one dtype with the same bytes."""
+    assert [a is None for a in got] == [b is None for b in want]
+    for a, b in zip(got, want):
+        if b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("op", RESIDUAL_OPS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_handed_over_residual_with_one_consumer_gives_the_recorded_gradients(op, dtype):
+    results = []
+    for route in RESIDUAL_OPS[op]:
+        p, (g, _) = residual_case(dtype, seed=40)
+        r = conv2d(p["r"], p["map_r"])
+        out = route(p["x"], r, p)
+        out.backward(g)
+        assert r.grad is None
+        results.append([out.data] + leaf_grads(p))
+    assert_same_bits(*results)
+
+
+@pytest.mark.parametrize("op", RESIDUAL_OPS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_handed_over_identity_shortcut_read_by_other_ops_gives_the_recorded_gradients(
+        op, dtype):
+    # h is the residual and also the input of two other maps, so three
+    # gradients reach it; each must be added in the order the recorded ops
+    # add them, not summed apart and then passed on
+    results = []
+    for route in RESIDUAL_OPS[op]:
+        p, (g, _) = residual_case(dtype, seed=41)
+        h = conv2d(p["x"], p["map_r"])
+        out = add(route(conv2d(h, p["map_a"]), h, p), conv2d(h, p["map_b"]))
+        out.backward(g)
+        results.append([out.data] + leaf_grads(p))
+    assert_same_bits(*results)
+
+
+@pytest.mark.parametrize("op", RESIDUAL_OPS)
+def test_backward_seeded_at_a_handed_over_residual_reaches_its_inputs(op):
+    results = []
+    for route in RESIDUAL_OPS[op]:
+        p, (g, g_r) = residual_case(np.float32, seed=42)
+        r = conv2d(p["r"], p["map_r"])
+        out = route(p["x"], r, p)
+        r.backward(g_r)
+        assert r.data.tobytes() == conv2d(p["r"], p["map_r"]).data.tobytes()
+        results.append(leaf_grads(p))
+        # r's graph is released, so backpropagating through it again raises
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            out.backward(g)
+    assert_same_bits(*results)
+
+
+@pytest.mark.parametrize("op", RESIDUAL_OPS)
+def test_second_backward_through_a_handed_over_residual_raises(op):
+    p, (g, g_r) = residual_case(np.float64, seed=43)
+    r = conv2d(p["r"], p["map_r"])
+    out = RESIDUAL_OPS[op][0](p["x"], r, p)
+    out.backward(g)
+    before = [None if grad is None else grad.copy() for grad in leaf_grads(p)]
+    for root, seed in ((out, g), (r, g_r)):
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            root.backward(seed)
+    assert_same_bits(leaf_grads(p), before)
+
+
+def test_block_tape_holds_no_addend_that_no_backward_reads(monkeypatch):
+    # ntu-like block 5 in training mode at B=2.  The dynamic route adds the
+    # static route's output, the last batch norm the shortcut batch norm's
+    # output, and the static weight's scale reads the concatenated weights;
+    # no backward reads their values, so once the forward drops them
+    # nothing holds their arrays.
+    spec = BlockSpec(64, 128, in_frames=64, in_joints=25, out_joints=25, stride=2,
+                     tc_kernel=9)
+    block = DynamicGConvBlock(spec, build_layout("ntu25"), ModelConfig("ntu25", 60),
+                              np.random.default_rng(8))
+    refs = {}
+
+    def keep_weakref(name, original):
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            refs[name] = weakref.ref(array_base(out.data))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(model_module, "static_branch",
+                        keep_weakref("static route", model_module.static_branch))
+    monkeypatch.setattr(model_module, "concat",
+                        keep_weakref("static weights", model_module.concat))
+    monkeypatch.setattr(block.shortcut_bn, "forward",
+                        keep_weakref("shortcut", block.shortcut_bn.forward))
+    x = np.random.default_rng(9).standard_normal((2, 64, 64, 25)).astype(np.float32)
+    x = Tensor(x, requires_grad=True)
+    y = block(x)
+    assert sorted(refs) == ["shortcut", "static route", "static weights"]
+    assert [name for name, ref in refs.items() if ref() is not None] == []
+    y.backward(np.ones_like(y.data))
+    assert x.grad is not None and all(p.grad is not None for p in block.parameters())
 
 
 def random_static_route(rng, n, c_in, c_out, dtype=np.float64):
