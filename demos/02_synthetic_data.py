@@ -60,7 +60,7 @@ print(f"\nmanifest reload matches: {again.entries == train_manifest.entries}")
 # Modality streams reinterpret the same coordinates. Bones are joint
 # differences along the skeleton tree, motion is the frame difference.
 layout = build_layout(spec.layout)
-x = seq.to_model_input()[None]  # (B, M, C, T, N)
+x = seq.data.transpose(1, 3, 0, 2)[None]  # (B, M, C, T, N)
 for name in ("joint", "bone", "joint_motion", "bone_motion"):
     stream = apply_modality(x, name, layout)
     print(f"{name:13s} mean |value| {np.abs(stream).mean():.4f}")

@@ -18,6 +18,10 @@ lines with a commented header naming the layout, split, and classes.
 Every file is written by ``skeleton.write_file`` and every text is read by
 ``skeleton.read_utf8`` or ``decode_utf8``, so text is UTF-8 whatever the
 locale.
+
+A ``SkeletonSequence`` is the file edge: the readers and ``synth_generate``
+build one, the writers take one.  The transforms to the model's input,
+``resize_sequence`` and ``normalize_coords``, work on its (T, M, N, D) array.
 """
 
 from __future__ import annotations
@@ -79,22 +83,6 @@ class SkeletonSequence:
         found = _first_non_finite(self.data)
         if found is not None:
             raise ValueError(f"sequence {self.sample_id!r}: {found[1]}")
-
-    @property
-    def frames(self):
-        return self.data.shape[0]
-
-    @property
-    def joints(self):
-        return self.data.shape[2]
-
-    @property
-    def coords(self):
-        return self.data.shape[3]
-
-    def to_model_input(self):
-        """Rearrange to (M, D, T, N), the layout the classifier consumes."""
-        return np.ascontiguousarray(self.data.transpose(1, 3, 0, 2))
 
 
 def _first_non_finite(data):
@@ -204,11 +192,12 @@ def save_sequence_text(path, seq):
 def parse_sequence_text(text, path="<text>"):
     """Parse the hand-writable sequence format.
 
-    Header lines ``format/layout/id/label/shape`` come first, then one
-    ``frame <t> <m>`` marker per (frame, person) pair followed by exactly
-    N joint lines of D floats.  ``#`` starts a comment.
+    Header lines ``format/layout/id/label/shape`` (each but ``format`` at
+    most once) come first, then one ``frame <t> <m>`` marker per (frame, person)
+    pair followed by exactly N joint lines of D floats.  ``#`` starts a comment.
     """
     header = {}
+    first_line = {}
     label = shape = None
     blocks = {}
     current = None
@@ -230,6 +219,9 @@ def parse_sequence_text(text, path="<text>"):
             elif key in ("layout", "id", "label"):
                 if len(tokens) != 2:
                     fail(lineno, f"{key} takes one value")
+                if key in first_line:
+                    fail(lineno, f"repeated {key} record (first on line {first_line[key]})")
+                first_line[key] = lineno
                 if key != "label":
                     header[key] = tokens[1]
                 else:
@@ -327,28 +319,26 @@ def load_sequence(path):
 # -- transforms ---------------------------------------------------------
 
 
-def resize_sequence(seq, t_target):
-    """Linearly interpolate the time axis onto ``t_target`` uniform points."""
-    t = seq.frames
+def resize_sequence(data, t_target):
+    """``data`` interpolated linearly onto ``t_target`` frames; itself if T is ``t_target``."""
+    t = len(data)
     if t == t_target:
-        return SkeletonSequence(seq.data.copy(), seq.label, seq.layout_name, seq.sample_id)
+        return data
     positions = np.linspace(0.0, t - 1, t_target)
     lo = np.floor(positions).astype(int)
     hi = np.minimum(lo + 1, t - 1)
     w = (positions - lo).reshape(-1, 1, 1, 1)
-    data = (seq.data[lo] * (1.0 - w) + seq.data[hi] * w).astype(np.float32)
-    return SkeletonSequence(data, seq.label, seq.layout_name, seq.sample_id)
+    return (data[lo] * (1.0 - w) + data[hi] * w).astype(np.float32)
 
 
-def normalize_coords(seq, layout):
-    """Shift all coordinates so the first person's first-frame center joint
-    sits at the origin.  The confidence channel, if the layout declares
-    one, is left untouched."""
-    center = seq.data[0, 0, layout.center_joint].copy()
+def normalize_coords(data, layout):
+    """A new (T, M, N, D) array: ``data`` shifted so the first person's
+    first-frame center joint sits at the origin.  The confidence channel,
+    if the layout declares one, is left untouched."""
+    center = data[0, 0, layout.center_joint].copy()
     if layout.score_channel is not None:
         center[layout.score_channel] = 0.0
-    data = seq.data - center.reshape(1, 1, 1, -1)
-    return SkeletonSequence(data, seq.label, seq.layout_name, seq.sample_id)
+    return data - center
 
 
 # -- manifests ----------------------------------------------------------
@@ -406,8 +396,7 @@ def save_manifest(path, manifest):
 
 def load_manifest(path):
     path = Path(path)
-    layout_name = ""
-    split = ""
+    header = {"layout": (None, ""), "split": (None, "")}   # record -> (line, value)
     class_names = {}
     entries = []
     for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
@@ -416,10 +405,12 @@ def load_manifest(path):
             continue
         if line.startswith("#"):
             tokens = line[1:].split()
-            if tokens[:1] == ["layout"] and len(tokens) == 2:
-                layout_name = tokens[1]
-            elif tokens[:1] == ["split"] and len(tokens) == 2:
-                split = tokens[1]
+            if tokens[:1] in (["layout"], ["split"]) and len(tokens) == 2:
+                first = header[tokens[0]][0]
+                if first is not None:
+                    raise ValueError(f"{path}: line {lineno}: repeated {tokens[0]} record "
+                                     f"(first on line {first})")
+                header[tokens[0]] = (lineno, tokens[1])
             elif tokens[:1] == ["class"]:
                 if len(tokens) != 3:
                     raise ValueError(f"{path}: line {lineno}: class line takes an index and "
@@ -447,10 +438,14 @@ def load_manifest(path):
                              f"({len(class_names)} names)")
     names = [class_names[i][1] for i in range(len(class_names))]
     entries = [(rel, label) for _, rel, label in entries]
-    return DatasetManifest(entries, names, layout_name, split, root=path.parent)
+    return DatasetManifest(entries, names, header["layout"][1], header["split"][1],
+                           root=path.parent)
 
 
 # -- synthetic motion ---------------------------------------------------
+
+# Peak displacement of a moving joint along its direction.
+SYNTH_AMPLITUDE = 0.5
 
 
 @dataclass
@@ -462,7 +457,6 @@ class SynthSpec:
     frames: int = 32
     noise_sigma: float = 0.05
     seed: int = 0
-    amplitude: float = 0.5
 
     def __post_init__(self):
         refuse_non_finite(self)
@@ -509,7 +503,7 @@ def _synth_sample(spec, rest, program, sample_rng):
     data = np.broadcast_to(rest, (t, n, 3)).copy()
     angles = (2.0 * np.pi * program["frequency"] * np.arange(t) / t
               + program["phase"] + phase_offset)
-    wave = spec.amplitude * np.sin(angles)                       # (T,)
+    wave = SYNTH_AMPLITUDE * np.sin(angles)                      # (T,)
     motion = wave[:, None, None] * program["directions"][None]   # (T, S, 3)
     data[:, program["joints"], :] += motion
     if spec.noise_sigma > 0:

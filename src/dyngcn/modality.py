@@ -14,7 +14,6 @@ import numpy as np
 
 def derive_bone(coords, layout):
     """Bone vectors per layout bone pair; (..., C, T, N) in and out."""
-    coords = np.asarray(coords)
     bones = np.zeros_like(coords)
     for source, target in layout.bone_pairs:
         bones[..., target] = coords[..., target] - coords[..., source]
@@ -23,7 +22,6 @@ def derive_bone(coords, layout):
 
 def derive_motion(coords):
     """Forward frame difference along the time axis (axis -2); last frame zero."""
-    coords = np.asarray(coords)
     motion = np.zeros_like(coords)
     motion[..., :-1, :] = coords[..., 1:, :] - coords[..., :-1, :]
     return motion
@@ -31,7 +29,7 @@ def derive_motion(coords):
 
 # Modality name -> transform of (coords, layout).
 MODALITIES = {
-    "joint": lambda coords, layout: np.asarray(coords),
+    "joint": lambda coords, layout: coords,
     "bone": derive_bone,
     "joint_motion": lambda coords, layout: derive_motion(coords),
     "bone_motion": lambda coords, layout: derive_motion(derive_bone(coords, layout)),

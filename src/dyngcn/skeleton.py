@@ -104,7 +104,8 @@ _RECORD_ARITY = {"name": 1, "joints": 1, "center": 1, "score_channel": 1, "edge"
 def parse_layout(text, name="layout"):
     """Parse the layout record grammar.
 
-    One record per line; ``#`` starts a comment.  Records:
+    One record per line; ``#`` starts a comment.  Records, each but ``edge``
+    and ``bone`` at most once:
 
       name <str>            optional, overrides the default name
       joints <int>          required, joint count
@@ -115,6 +116,7 @@ def parse_layout(text, name="layout"):
     """
     found = {"name": name, "joints": None, "center": None, "score_channel": None,
              "edge": [], "bone": []}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,7 +130,11 @@ def parse_layout(text, name="layout"):
             raise ValueError(f"line {lineno}: malformed record {raw.strip()!r}") from None
         if key in ("edge", "bone"):
             found[key].append(values)
+        elif key in first_line:
+            raise ValueError(f"line {lineno}: repeated {key} record "
+                             f"(first on line {first_line[key]})")
         else:
+            first_line[key] = lineno
             found[key] = values[0]
     if found["joints"] is None or found["center"] is None:
         raise ValueError("layout file must declare joints and center")

@@ -129,26 +129,27 @@ def load_dataset(manifest, frames, layout, modality):
         if seq.layout_name and seq.layout_name != layout.name:
             raise ValueError(f"{path}: sequence declares layout {seq.layout_name!r}, "
                              f"expected {layout.name!r}")
-        if seq.joints != layout.n_joints:
+        _, _, joints, coords = seq.data.shape
+        if joints != layout.n_joints:
             raise ValueError(
-                f"{path}: sequence has {seq.joints} joints, layout "
+                f"{path}: sequence has {joints} joints, layout "
                 f"{layout.name!r} defines {layout.n_joints}"
             )
-        if layout.score_channel is not None and seq.coords <= layout.score_channel:
+        if layout.score_channel is not None and coords <= layout.score_channel:
             raise ValueError(
-                f"{path}: sequence has {seq.coords} coordinates, layout {layout.name!r} "
+                f"{path}: sequence has {coords} coordinates, layout {layout.name!r} "
                 f"puts its score in channel {layout.score_channel}"
             )
-        if x is not None and seq.coords != x.shape[2]:
+        if x is not None and coords != x.shape[2]:
             raise ValueError(
-                f"{path}: sequence has {seq.coords} coordinates, "
+                f"{path}: sequence has {coords} coordinates, "
                 f"{manifest.resolve(manifest.entries[0][0])} has {x.shape[2]}"
             )
-        seq = resize_sequence(seq, frames)   # a convex blend of finite frames
+        data = resize_sequence(seq.data, frames)   # a convex blend of finite frames
         with _overflow_located(path, "centring"):
-            seq = normalize_coords(seq, layout)
+            data = normalize_coords(data, layout)
         with _overflow_located(path, f"the {modality} transform"):
-            sample = apply_modality(seq.to_model_input(), modality, layout)   # (M, C, T, N)
+            sample = apply_modality(data.transpose(1, 3, 0, 2), modality, layout)   # (M, C, T, N)
         if x is None or len(sample) > x.shape[1]:
             grown = np.zeros((len(manifest.entries),) + sample.shape, dtype=np.float32)
             if x is not None:

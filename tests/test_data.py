@@ -57,11 +57,39 @@ def test_sequence_rejects_non_finite_values_in_memory(value):
         SkeletonSequence(data, 0, "l", "s7")
 
 
-def test_to_model_input_layout():
-    seq = random_sequence(np.random.default_rng(0))
-    arr = seq.to_model_input()
-    assert arr.shape == (2, 3, 6, 4)  # (M, D, T, N)
-    assert arr[1, 2, 5, 3] == seq.data[5, 1, 3, 2]
+def test_load_dataset_writes_persons_coords_frames_joints(tmp_path):
+    # each file's slot of the loaded array is (M, C, T, N)
+    layout = build_layout("ntu25")
+    data = np.random.default_rng(0).standard_normal((6, 2, 25, 3)).astype(np.float32)
+    save_sequence(tmp_path / "a.skl", SkeletonSequence(data, 0, "ntu25", "a"))
+    manifest = DatasetManifest([("a.skl", 0)], ["only"], "ntu25", "train", root=tmp_path)
+    x, _ = dyngcn.train.load_dataset(manifest, 6, layout, "joint")
+    assert x.shape == (1, 2, 3, 6, 25)
+    centred = normalize_coords(data, layout)
+    assert x[0, 1, 2, 5, 3] == centred[5, 1, 3, 2]
+    assert np.array_equal(x[0], centred.transpose(1, 3, 0, 2))
+
+
+def test_load_dataset_builds_one_sequence_per_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(21)
+    entries = []
+    for i, (save, persons, frames) in enumerate([(save_sequence, 1, 8), (save_sequence_text, 1, 5),
+                                                 (save_sequence, 2, 5)]):
+        data = rng.standard_normal((frames, persons, 25, 3)).astype(np.float32)
+        rel = save(tmp_path / f"s{i}", SkeletonSequence(data, i % 2, "ntu25", f"s{i}")).name
+        entries.append((rel, i % 2))
+    manifest = DatasetManifest(entries, ["a", "b"], "ntu25", "train", root=tmp_path)
+    built = []
+    post_init = SkeletonSequence.__post_init__
+
+    def counted(self):
+        built.append(self.sample_id)
+        post_init(self)
+
+    monkeypatch.setattr(SkeletonSequence, "__post_init__", counted)
+    x, _ = dyngcn.train.load_dataset(manifest, 8, build_layout("ntu25"), "bone")
+    assert x.shape == (3, 2, 3, 8, 25)
+    assert built == ["s0", "s1", "s2"]
 
 
 # -- binary format ------------------------------------------------------
@@ -201,7 +229,11 @@ def test_text_shape_and_label_errors_are_located(line, message):
 @pytest.mark.parametrize("old, new, message", [
     ("frame 1 0\n", "frame 0 0\n", "line 11: duplicate frame 0 person 0"),
     ("label 2\n", "", "missing label"),
-], ids=["duplicate-frame", "no-label"])
+    ("shape", "layout x\nshape", "line 6: repeated layout record (first on line 3)"),
+    ("shape", "id x\nshape", "line 6: repeated id record (first on line 4)"),
+    # format may repeat; a second label used to win silently
+    ("shape", "format skelseq 1\nlabel 7\nshape", "line 7: repeated label record (first on line 5)"),
+], ids=["duplicate-frame", "no-label", "repeated-layout", "repeated-id", "repeated-label"])
 def test_text_block_and_header_errors_are_located(old, new, message):
     with pytest.raises(ValueError, match=rf"^golden\.skt: {re.escape(message)}$"):
         parse_sequence_text(GOLDEN_TEXT.replace(old, new), path="golden.skt")
@@ -331,47 +363,38 @@ def test_format_text_is_parseable_inverse():
 
 
 def test_resize_identity_bit_exact():
-    seq = random_sequence(np.random.default_rng(5))
-    out = resize_sequence(seq, seq.frames)
-    assert np.array_equal(out.data, seq.data)
-    assert out.data is not seq.data
+    data = random_sequence(np.random.default_rng(5)).data
+    out = resize_sequence(data, len(data))
+    assert out is data
 
 
 def test_resize_constant_sequence():
     data = np.full((3, 1, 2, 3), 1.25, dtype=np.float32)
-    seq = SkeletonSequence(data, 0, "l", "s")
-    out = resize_sequence(seq, 7)
-    assert out.frames == 7
-    assert np.array_equal(out.data, np.full((7, 1, 2, 3), 1.25, dtype=np.float32))
+    out = resize_sequence(data, 7)
+    assert np.array_equal(out, np.full((7, 1, 2, 3), 1.25, dtype=np.float32))
 
 
 def test_resize_linear_ramp():
     data = np.zeros((3, 1, 1, 1), dtype=np.float32)
     data[:, 0, 0, 0] = [1.0, 2.0, 3.0]
-    out = resize_sequence(SkeletonSequence(data, 0, "l", "s"), 5)
-    assert np.array_equal(out.data[:, 0, 0, 0], np.float32([1.0, 1.5, 2.0, 2.5, 3.0]))
+    out = resize_sequence(data, 5)
+    assert np.array_equal(out[:, 0, 0, 0], np.float32([1.0, 1.5, 2.0, 2.5, 3.0]))
 
 
 def test_resize_idempotent():
-    seq = random_sequence(np.random.default_rng(6), t=9)
-    once = resize_sequence(seq, 5)
+    data = random_sequence(np.random.default_rng(6), t=9).data
+    once = resize_sequence(data, 5)
     twice = resize_sequence(once, 5)
-    assert np.array_equal(once.data, twice.data)
+    assert np.array_equal(once, twice)
 
 
 def test_resize_single_frame_repeats():
     data = np.random.default_rng(7).standard_normal((1, 1, 2, 3)).astype(np.float32)
     data[0, 0, 1, :2] = [-0.0, 0.0]
-    out = resize_sequence(SkeletonSequence(data, 0, "l", "s"), 4)
+    out = resize_sequence(data, 4)
     # bitwise, so a -0.0 stays -0.0
-    assert out.data.dtype == np.float32
-    assert out.data.tobytes() == np.repeat(data, 4, axis=0).tobytes()
-
-
-def test_resize_rejects_bad_target():
-    seq = random_sequence(np.random.default_rng(8))
-    with pytest.raises(ValueError, match="at least one frame"):
-        resize_sequence(seq, 0)
+    assert out.dtype == np.float32
+    assert out.tobytes() == np.repeat(data, 4, axis=0).tobytes()
 
 
 # -- normalization ------------------------------------------------------
@@ -379,33 +402,29 @@ def test_resize_rejects_bad_target():
 
 def test_normalize_moves_center_to_origin():
     layout = build_layout("ntu25")
-    rng = np.random.default_rng(9)
-    seq = SkeletonSequence(rng.standard_normal((4, 2, 25, 3)).astype(np.float32),
-                           0, "ntu25", "s")
-    out = normalize_coords(seq, layout)
-    assert np.array_equal(out.data[0, 0, layout.center_joint], np.zeros(3, np.float32))
+    data = np.random.default_rng(9).standard_normal((4, 2, 25, 3)).astype(np.float32)
+    out = normalize_coords(data, layout)
+    assert out.shape == data.shape and out.dtype == np.float32
+    assert np.array_equal(out[0, 0, layout.center_joint], np.zeros(3, np.float32))
 
 
 def test_normalize_translation_invariant_and_idempotent():
     layout = build_layout("ntu25")
-    rng = np.random.default_rng(10)
-    data = rng.standard_normal((4, 1, 25, 3)).astype(np.float32)
-    seq = SkeletonSequence(data, 0, "ntu25", "s")
-    shifted = SkeletonSequence(data + np.float32([0.5, -2.0, 3.0]), 0, "ntu25", "s")
-    a = normalize_coords(seq, layout)
-    b = normalize_coords(shifted, layout)
-    assert np.allclose(a.data, b.data, atol=1e-6)
+    data = np.random.default_rng(10).standard_normal((4, 1, 25, 3)).astype(np.float32)
+    a = normalize_coords(data, layout)
+    b = normalize_coords(data + np.float32([0.5, -2.0, 3.0]), layout)
+    assert np.allclose(a, b, atol=1e-6)
     again = normalize_coords(a, layout)
-    assert np.array_equal(a.data, again.data)
+    assert np.array_equal(a, again)
+    assert again is not a
 
 
 def test_normalize_keeps_score_channel():
     layout = build_layout("openpose18")
     data = np.random.default_rng(11).standard_normal((3, 1, 18, 3)).astype(np.float32)
-    seq = SkeletonSequence(data, 0, "openpose18", "s")
-    out = normalize_coords(seq, layout)
-    assert np.array_equal(out.data[..., layout.score_channel], data[..., layout.score_channel])
-    assert np.array_equal(out.data[0, 0, layout.center_joint, :2], np.zeros(2, np.float32))
+    out = normalize_coords(data, layout)
+    assert np.array_equal(out[..., layout.score_channel], data[..., layout.score_channel])
+    assert np.array_equal(out[0, 0, layout.center_joint, :2], np.zeros(2, np.float32))
 
 
 # -- manifests ----------------------------------------------------------
@@ -443,6 +462,18 @@ def test_manifest_bad_class_table_names_line(tmp_path, classes, line, problem):
     path = tmp_path / "m.manifest"
     path.write_text("\n".join(header) + "\n")
     with pytest.raises(ValueError, match=rf"m\.manifest: line {line}: {problem}"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("record", ["layout m", "split v"])
+def test_manifest_repeated_header_record_is_refused(tmp_path, record):
+    # a second record used to win silently
+    path = tmp_path / "m.manifest"
+    path.write_text(f"# layout l\n# split t\n# class 0 walk\n# {record}\na.skl\t0\n")
+    key = record.split()[0]
+    first = 1 if key == "layout" else 2
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: repeated {key} "
+                                         rf"record \(first on line {first}\)$"):
         load_manifest(path)
 
 
@@ -587,10 +618,9 @@ def test_synth_validation():
     with pytest.raises(ValueError, match="^need at least two frames$"):
         SynthSpec(frames=1)
     assert SynthSpec(n_classes=65536).n_classes == 65536  # 65537 is refused in test_cli
-    for name in ("noise_sigma", "amplitude"):
-        for value in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=rf"^{name}={value!r} must be finite$"):
-                SynthSpec(**{name: value})
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=rf"^noise_sigma={value!r} must be finite$"):
+            SynthSpec(noise_sigma=value)
 
 
 def motion_energy(data):

@@ -5,9 +5,11 @@ default or invents a seed, a defaulted ``batch_size`` defaults to
 ``EVAL_BATCH_SIZE``, an op takes only what some caller passes, no op's
 backward asks which of its inputs need a gradient, no module opens or
 writes a file, or reads one as locale text, except ``skeleton.write_file``,
-no layer between the model's edge and the ops raises, no backward reads
-the value of an input its op handed over to a stand-in, and every float
-setting of a config dataclass is range-checked where it is built."""
+no layer between the model's edge and the ops raises, no transform
+between a sequence file and the model's input, and nothing in
+``train.py``, builds a ``SkeletonSequence``, no backward reads the value
+of an input its op handed over to a stand-in, and every float setting of
+a config dataclass is range-checked where it is built."""
 
 import ast
 from pathlib import Path
@@ -353,6 +355,41 @@ def test_layer_raises_are_found():
                                     (27, "forward")]
 
 
+# A ``SkeletonSequence`` is the file edge: the readers and ``synth_generate``
+# build one.  The transforms between a decoded sequence and the model's input
+# work on its array, so neither they nor anything in ``train.py`` build another.
+SEQUENCE_TRANSFORMS = {"resize_sequence", "normalize_coords"}
+
+
+def sequence_builds(source, everywhere):
+    """Lines of every ``SkeletonSequence(...)`` call, by name or as an
+    attribute: all of them when ``everywhere``, else those inside a function
+    named in ``SEQUENCE_TRANSFORMS``, closures included."""
+    tree = ast.parse(source)
+    scopes = [tree] if everywhere else [node for node in ast.walk(tree)
+                                        if isinstance(node, ast.FunctionDef)
+                                        and node.name in SEQUENCE_TRANSFORMS]
+    return sorted({node.lineno for scope in scopes for node in ast.walk(scope)
+                   if isinstance(node, ast.Call)
+                   and "SkeletonSequence" in (getattr(node.func, "id", None),
+                                              getattr(node.func, "attr", None))})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_transform_and_nothing_in_train_builds_a_sequence(path):
+    assert sequence_builds(path.read_text(), everywhere=path.name == "train.py") == []
+
+
+def test_sequence_builds_are_found():
+    source = ("def resize_sequence(data, t):\n    return data_module.SkeletonSequence(data)\n\n"
+              "def normalize_coords(data, layout):\n    def wrap(d):\n"
+              "        return SkeletonSequence(d, 0, '', '')\n    return wrap(data)\n\n"
+              "def load_sequence(path):\n    return SkeletonSequence(path, 0, '', '')\n\n"
+              "seq = SkeletonSequence(None, 0, '', '')\n")
+    assert sequence_builds(source, everywhere=False) == [2, 6]
+    assert sequence_builds(source, everywhere=True) == [2, 6, 10, 12]
+
+
 # Forwards take nothing from the backward scratch arena: its arrays are
 # overwritten by the next backward op, so only a backward may hold them.
 def stray_scratch_calls(source):
@@ -398,7 +435,7 @@ def test_stray_scratch_calls_are_found():
 # field of a config dataclass is range-checked in its ``__post_init__``, so
 # a value that would silently break a run is refused where it is set.
 CONFIG_CLASSES = {"ModelConfig", "RunConfig", "SynthSpec"}
-UNBOUNDED_FLOATS = {"lambda_static", "amplitude"}
+UNBOUNDED_FLOATS = {"lambda_static"}
 
 
 def unchecked_floats(source):

@@ -68,6 +68,17 @@ def test_parse_layout_errors_name_line():
         parse_layout("joints 2\ncenter 0\nedge 0 unrecognized\nbone 0 1\n")
 
 
+@pytest.mark.parametrize("record, first", [("name b", 1), ("joints 3", 2), ("center 1", 3),
+                                           ("score_channel 0", 4)])
+def test_parse_layout_refuses_a_repeated_record(record, first):
+    # a second record used to win silently; edge and bone records add up
+    text = "name a\njoints 2\ncenter 0\nscore_channel 2\nedge 0 1\nbone 0 1\n"
+    key = record.split()[0]
+    with pytest.raises(ValueError, match=rf"^line 7: repeated {key} record "
+                                         rf"\(first on line {first}\)$"):
+        parse_layout(text + record + "\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("joints 2\ncenter 0\nbone 0 1\nedge 1 x\n", "line 4: malformed record 'edge 1 x'"),
     ("joints 3\ncenter 0\nedge 0 1\nbone 0 1\nbone 0 2\n", "edge list is not connected"),
@@ -77,8 +88,10 @@ def test_parse_layout_errors_name_line():
     ("joints 2\ncenter 0\nedge 0 1\nbone 0 1\nscore_channel -1\n",
      "score channel -1 is negative"),
     ("joints 0\ncenter 0\n", "layout 'bad2': needs at least one joint"),
+    ("joints 2\ncenter 0\nscore_channel 2\nedge 0 1\nbone 0 1\nscore_channel 0\n",
+     "line 6: repeated score_channel record (first on line 3)"),
 ], ids=["junk edge", "disconnected", "center", "huge joint count", "negative score channel",
-        "no joints"])
+        "no joints", "second score channel"])
 def test_layout_file_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "bad2.layout"
     path.write_text(text)
