@@ -15,17 +15,14 @@ from dyngcn.data import SynthSpec, synth_generate
 from dyngcn.model import ModelConfig
 from dyngcn.train import ensemble_checkpoints, train
 
-root = Path(tempfile.mkdtemp(prefix="dyngcn-demo-"))
 spec = SynthSpec(n_classes=3, samples_per_class=10, test_per_class=5,
                  layout="ntu25", frames=32, noise_sigma=0.05, seed=20)
-synth_generate(root / "data", spec)
-
 model_config = ModelConfig(layout="ntu25", n_classes=3, frames=16,
                            channels=(8, 16), strides=(1, 2), tc_kernel=5,
                            aggregate_after=(1,), topology="context")
 
 
-def run(name, modality):
+def run(root, name, modality):
     config = RunConfig(
         model=model_config,
         train_manifest=str(root / "data" / "train.manifest"),
@@ -40,21 +37,25 @@ def run(name, modality):
     return result
 
 
-print("training the joint stream...")
-joint = run("joint", "joint")
-print("training the bone stream...")
-bone = run("bone", "bone")
+# The data and runs live in a temporary directory that is removed on exit.
+with tempfile.TemporaryDirectory(prefix="dyngcn-demo-") as tmp:
+    root = Path(tmp)
+    synth_generate(root / "data", spec)
 
-# The metrics file is plain text, one epoch per line, no timestamps:
-# rerunning with the same seed reproduces it byte for byte.
-print("\nlast three lines of the joint metrics file:")
-for line in joint.metrics_path.read_text().splitlines()[-3:]:
-    print(f"  {line}")
+    print("training the joint stream...")
+    joint = run(root, "joint", "joint")
+    print("training the bone stream...")
+    bone = run(root, "bone", "bone")
 
-per_stream, fused = ensemble_checkpoints(
-    [joint.checkpoint_path, bone.checkpoint_path],
-    root / "data" / "test.manifest", batch_size=8,
-)
-singles = ", ".join(f"{r.top1:.3f}" for r in per_stream)
-print(f"\nstream accuracies: {singles}; ensemble: {fused.top1:.3f}")
-print(f"artifacts under {root}")
+    # The metrics file is plain text, one epoch per line, no timestamps:
+    # rerunning with the same seed reproduces it byte for byte.
+    print("\nlast three lines of the joint metrics file:")
+    for line in joint.metrics_path.read_text().splitlines()[-3:]:
+        print(f"  {line}")
+
+    per_stream, fused = ensemble_checkpoints(
+        [joint.checkpoint_path, bone.checkpoint_path],
+        root / "data" / "test.manifest", batch_size=8,
+    )
+    singles = ", ".join(f"{r.top1:.3f}" for r in per_stream)
+    print(f"\nstream accuracies: {singles}; ensemble: {fused.top1:.3f}")

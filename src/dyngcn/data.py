@@ -405,7 +405,10 @@ def load_manifest(path):
             continue
         if line.startswith("#"):
             tokens = line[1:].split()
-            if tokens[:1] in (["layout"], ["split"]) and len(tokens) == 2:
+            if tokens[:1] in (["layout"], ["split"]):
+                if len(tokens) != 2:
+                    raise ValueError(f"{path}: line {lineno}: {tokens[0]} line takes one "
+                                     f"value without whitespace, got {line!r}")
                 first = header[tokens[0]][0]
                 if first is not None:
                     raise ValueError(f"{path}: line {lineno}: repeated {tokens[0]} record "

@@ -42,7 +42,9 @@ from .tensor import (
     _from_op,
     _hand_over,
     _matmul_grads,
+    _sample_chunks,
     _scratch,
+    _unbroadcast,
     concat,
     conv2d,
     matmul,
@@ -169,30 +171,46 @@ def graph_conv(x, graphs, weight, residual=None):
     """Aggregate joint features with each graph, then map the channels.
 
     ``x`` is (B, C, T, N), ``graphs`` is (1, K, N, N) shared or (B, K, N, N)
-    per sample, and ``weight`` is the (C_out, K * C, 1, 1) channel map.  One
-    broadcast product of the (B, 1, C*T, N) input view with a contiguous
-    copy of the transposed graphs gives a (B, K, C*T, N) result that already
-    is the (B, K*C, T, N) channel stack, and one 1x1 convolution maps it to
-    the output channels; ``residual``, if given, is added in place into
-    that fresh output, and the node records its stand-in (``_hand_over``),
-    because backward reads no value of it.
+    per sample, and ``weight`` is the (C_out, K * C, 1, 1) channel map.  For
+    a chunk of samples, one broadcast product of the (b, 1, C*T, N) input
+    view with a contiguous copy of the transposed graphs gives a
+    (b, K, C*T, N) result that already is the (b, K*C, T, N) channel stack,
+    and one 1x1 convolution maps it to the chunk's rows of the output;
+    ``residual``, if given, is then added in place into that fresh output,
+    and the node records its stand-in (``_hand_over``), because backward
+    reads no value of it.  A chunk holds as many samples as fit their stack
+    and output in ``tensor._COLS_BUDGET`` (``_sample_chunks``), so no
+    whole-batch stack exists, and every GEMM keeps its per-sample shape.
 
     The stack is K times the size of ``x``, so the products run under
     ``no_grad`` and one node keeps only the inputs and the graphs' small
-    transposed copy.  Backward rebuilds the stack with the forward's
-    product in the scratch arena, and ``_matmul_grads`` gives each
+    transposed copy.  Backward rebuilds each chunk's stack with the
+    forward's product in the scratch arena, and ``_matmul_grads`` gives each
     product's two gradients, as it does in the recorded ops' backward, so
-    each gradient has the bits of the recorded ops.
+    each gradient has the bits of the recorded ops: the weight and graphs
+    come broadcast to the chunk, so their gradients come per sample, and
+    those of shared operands add in batch order as the recorded ops'
+    axis-0 sum adds them.
     """
     batch, channels, frames, n = x.data.shape
     k = graphs.data.shape[1]
     c_out = weight.data.shape[0]
-    # BLAS multiplies by a contiguous operand faster than by a transposed view
+    # BLAS multiplies by a contiguous operand faster than by a transposed
+    # view; shared graphs broadcast to the batch, so a chunk slices either kind
     graphs_t = np.ascontiguousarray(graphs.data.transpose(0, 1, 3, 2))
+    per_sample = np.broadcast_to(graphs_t, (batch, k, n, n))
+    dtype = np.result_type(x.data, graphs.data, weight.data)
+    _, chunks = _sample_chunks(batch, (k * channels + c_out) * frames * n * dtype.itemsize)
+
+    def rows(b0, b1):
+        return x.data[b0:b1].reshape(b1 - b0, 1, channels * frames, n)
+
+    data = np.empty((batch, c_out, frames, n), dtype=dtype)
     with no_grad():
-        rows = reshape(x, (batch, 1, channels * frames, n))
-        stack = matmul(rows, Tensor(graphs_t))
-        data = conv2d(reshape(stack, (batch, k * channels, frames, n)), weight).data
+        for b0, b1 in chunks:
+            stack = matmul(Tensor(rows(b0, b1)), Tensor(per_sample[b0:b1]))
+            stack = reshape(stack, (b1 - b0, k * channels, frames, n))
+            data[b0:b1] = conv2d(stack, weight).data
     if residual is not None:
         data += residual.data
         residual = _hand_over(residual)
@@ -204,21 +222,31 @@ def graph_conv(x, graphs, weight, residual=None):
         # product reads the forward's contiguous graphs^T)
         if residual is not None:
             _accumulate(residual, g)
-        rows = x.data.reshape(batch, 1, channels * frames, n)
-        [stack] = _scratch(((batch, k, channels * frames, n),
-                            np.result_type(x.data, graphs.data)))
-        np.matmul(rows, graphs_t, out=stack)
-        stack = stack.reshape(batch, k * channels, frames * n)
         g2 = g.reshape(batch, c_out, frames * n)
         w2 = weight.data.reshape(c_out, k * channels)
-        # dW reads the stack before dstack takes over its bytes
-        [dstack] = _scratch((stack.shape, np.result_type(w2, g2)))
-        dw, dstack = _matmul_grads(g2, w2, stack, dstack)
+        # dW in the layout of the recorded ops' axis-0 sum, which adds the
+        # samples one by one in batch order onto zero, as this loop does
+        dw = np.zeros(w2.shape, dtype=np.result_type(x.data, graphs_t, g), order="F")
+        drows = np.empty((batch, 1, channels * frames, n), dtype=np.result_type(graphs_t, w2, g))
+        dgraphs_t = np.empty(per_sample.shape, dtype=np.result_type(x.data, w2, g))
+        for b0, b1 in chunks:
+            [stack] = _scratch(((b1 - b0, k, channels * frames, n),
+                                np.result_type(x.data, graphs_t)))
+            np.matmul(rows(b0, b1), per_sample[b0:b1], out=stack)
+            stack = stack.reshape(b1 - b0, k * channels, frames * n)
+            # dW reads the stack before dstack takes over its bytes
+            [dstack] = _scratch((stack.shape, np.result_type(w2, g2)))
+            w2_chunk = np.broadcast_to(w2, (b1 - b0,) + w2.shape)
+            dw_samples, dstack = _matmul_grads(g2[b0:b1], w2_chunk, stack, dstack)
+            for dw_sample in dw_samples:
+                dw += dw_sample
+            # the graphs' per-sample gradients land in dgraphs_t's rows
+            drows[b0:b1], _ = _matmul_grads(dstack.reshape(b1 - b0, k, channels * frames, n),
+                                            rows(b0, b1), per_sample[b0:b1], dgraphs_t[b0:b1])
         _accumulate(weight, dw.reshape(weight.data.shape))
-        drows, dgraphs_t = _matmul_grads(dstack.reshape(batch, k, channels * frames, n),
-                                         rows, graphs_t)
         _accumulate(x, drows.reshape(x.data.shape))
-        _accumulate(graphs, dgraphs_t.transpose(0, 1, 3, 2))
+        # shared graphs: the per-sample gradients summed over the batch
+        _accumulate(graphs, _unbroadcast(dgraphs_t, graphs_t.shape).transpose(0, 1, 3, 2))
 
     return _from_op(data, inputs, backward)
 

@@ -59,8 +59,9 @@ op at a time, so the ops share it: the t x 1 convolution takes its
 recomputed columns, its contiguous copy of the output gradient's transpose
 and its per-chunk weight-gradient stack in one call and its column
 gradient in a second; batch norm takes its rebuilt x_hat and its other
-scratch in one call; ``model.graph_conv`` takes its rebuilt aggregation
-stack, and once dW has read it, that stack's gradient in a second call.
+scratch in one call; ``model.graph_conv`` takes one chunk's rebuilt
+aggregation stack, and once dW has read it, that stack's gradient in a
+second call, chunk after chunk.
 Each call invalidates the arrays the previous call returned.
 The arena grows to the largest single call and is kept until
 ``free_scratch()`` (``train`` calls it when a run ends), so a train step
@@ -458,9 +459,18 @@ def matmul(a, b):
     return _from_op(data, (a, b), backward)
 
 
-# Byte budget of the temporal conv's column buffer, about one L2 cache: the
-# im2col runs over as many samples at a time as fit, never the whole batch.
+# Byte budget of a chunk of samples, about one L2 cache: the temporal conv's
+# im2col columns and ``model.graph_conv``'s aggregation stack (with its
+# output) are built for as many samples at a time as fit, never for the
+# whole batch.
 _COLS_BUDGET = 4 << 20
+
+
+def _sample_chunks(batch, sample_bytes):
+    """The chunk size, as many samples of ``sample_bytes`` as fit in
+    ``_COLS_BUDGET`` and at least one, and the batch's (start, stop) chunks."""
+    chunk = min(batch, max(1, _COLS_BUDGET // sample_bytes))
+    return chunk, [(b0, min(b0 + chunk, batch)) for b0 in range(0, batch, chunk)]
 
 
 def conv2d(x, weight, stride_t=1, pad_t=0):
@@ -516,9 +526,7 @@ def conv2d(x, weight, stride_t=1, pad_t=0):
         if hi > lo:
             src = lo * stride_t + k - pad_t
             taps.append((k, lo, hi, slice(src, src + (hi - lo - 1) * stride_t + 1, stride_t)))
-    sample_bytes = c_in * kt * t_out * n * x.data.dtype.itemsize
-    chunk = min(batch, max(1, _COLS_BUDGET // sample_bytes))
-    chunks = [(b0, min(b0 + chunk, batch)) for b0 in range(0, batch, chunk)]
+    chunk, chunks = _sample_chunks(batch, c_in * kt * t_out * n * x.data.dtype.itemsize)
     w_flat = weight.data.reshape(c_out, c_in * kt)
 
     def columns(cols, b0, b1):

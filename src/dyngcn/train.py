@@ -315,6 +315,18 @@ def load_checkpoint_inputs(checkpoint_path, manifest_path):
     return model, meta, x, labels
 
 
+def _stream_logits(checkpoint_path, manifest_path, batch_size, n_classes):
+    """One stream's logits, labels and class count.  Its model and inputs
+    are freed on return, before the next stream's checkpoint is read."""
+    model, _, x, labels = load_checkpoint_inputs(checkpoint_path, manifest_path)
+    if n_classes is not None and model.config.n_classes != n_classes:
+        raise ValueError(
+            f"{checkpoint_path}: checkpoint has {model.config.n_classes} classes, "
+            f"others have {n_classes}"
+        )
+    return collect_logits(model, x, batch_size), labels, model.config.n_classes
+
+
 def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=EVAL_BATCH_SIZE):
     """Sum pre-softmax logits across streams; returns (per-stream, fused).
     One checkpoint is the one-stream case: what ``dyngcn eval`` runs."""
@@ -326,15 +338,7 @@ def ensemble_checkpoints(checkpoint_paths, manifest_path, batch_size=EVAL_BATCH_
     stream_logits = []
     n_classes = None
     for path in checkpoint_paths:
-        model, _, x, y = load_checkpoint_inputs(path, manifest_path)
-        if n_classes is None:
-            n_classes = model.config.n_classes
-        elif model.config.n_classes != n_classes:
-            raise ValueError(
-                f"{path}: checkpoint has {model.config.n_classes} classes, "
-                f"others have {n_classes}"
-            )
-        logits = collect_logits(model, x, batch_size)
+        logits, y, n_classes = _stream_logits(path, manifest_path, batch_size, n_classes)
         stream_logits.append(logits)
         per_stream.append(accuracy_from_logits(logits, y, n_classes))
     fused = accuracy_from_logits(ensemble_logits(stream_logits), y, n_classes)

@@ -520,6 +520,20 @@ def test_manifest_class_line_with_wrong_token_count_names_line(tmp_path, line):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("line", ["# layout ntu 25", "# layout", "# split train set",
+                                  "# split"])
+def test_manifest_layout_or_split_line_with_wrong_token_count_names_line(tmp_path, line):
+    # such a line used to read as a comment, so the manifest loaded with no
+    # layout and the model's layout check was skipped
+    path = tmp_path / "m.manifest"
+    path.write_text(f"# class 0 walk\n{line}\nb.skl\t0\n")
+    key = line.split()[1]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: {key} line takes "
+                                         rf"one value without whitespace, got "
+                                         rf"{re.escape(repr(line))}$"):
+        load_manifest(path)
+
+
 @pytest.mark.parametrize("label", ["1", "-1"])
 def test_manifest_label_outside_class_table_names_line(tmp_path, label):
     path = tmp_path / "m.manifest"

@@ -18,6 +18,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "06_cost_accounting.py",
 ])
 def test_demo_runs(name, capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demos write under mkdtemp()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demos write under tempfile's dir
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out
+    # a demo removes the temporary directory it wrote into
+    assert list(tmp_path.glob("dyngcn-demo-*")) == []

@@ -1,3 +1,4 @@
+import gc
 import importlib.resources
 import json
 import math
@@ -586,6 +587,36 @@ def test_ensemble_class_count_mismatch(smoke_setup, smoke_run, tmp_path):
     with pytest.raises(ValueError, match="classes"):
         ensemble_checkpoints([smoke_run.checkpoint_path, path],
                              root / "data" / "test.manifest")
+
+
+def test_ensemble_frees_each_stream_before_reading_the_next_checkpoint(
+        smoke_setup, smoke_run, tmp_path, monkeypatch):
+    root, _ = smoke_setup
+    copy = tmp_path / "copy.ckpt"
+    shutil.copyfile(smoke_run.checkpoint_path, copy)
+    held, alive = [], []
+
+    def load_checkpoint_kept(path, original=dyngcn.train.load_checkpoint):
+        alive.append([ref() is not None for ref in held])
+        model, meta = original(path)
+        held.append(weakref.ref(model))
+        return model, meta
+
+    def load_dataset_kept(*args, original=dyngcn.train.load_dataset):
+        x, labels = original(*args)
+        held.append(weakref.ref(x))
+        return x, labels
+
+    monkeypatch.setattr(dyngcn.train, "load_checkpoint", load_checkpoint_kept)
+    monkeypatch.setattr(dyngcn.train, "load_dataset", load_dataset_kept)
+    # with the cycle collector off, only dropped references free them
+    gc.disable()
+    try:
+        ensemble_checkpoints([smoke_run.checkpoint_path, copy], root / "data" / "test.manifest")
+    finally:
+        gc.enable()
+    # the first stream's model and inputs are gone when the second is read
+    assert alive == [[], [False, False]]
 
 
 def test_empty_ensemble_is_refused_before_anything_is_read(tmp_path):

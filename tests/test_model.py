@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -223,9 +225,15 @@ def recorded_graph_conv(x, graphs, weight, residual=None):
     return out if residual is None else add(out, residual)
 
 
+# the batch of 4 in chunks of this many samples: the default budget's one
+# chunk, one sample per chunk, and an uneven 3 + 1
+GRAPH_CONV_CHUNKS = {"whole batch": 4, "one sample": 1, "3 + 1": 3}
+
+
+@pytest.mark.parametrize("chunk", GRAPH_CONV_CHUNKS)
 @pytest.mark.parametrize("case", GRAPH_CONV_CASES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dtype):
+def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dtype, chunk):
     # a stale arena (NaN in either dtype) that no backward may read, large
     # enough that none grows it
     arena = np.full(1 << 20, 0xFF, dtype=np.uint8)
@@ -233,6 +241,18 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
     (graph_batch, k), residual, frozen = GRAPH_CONV_CASES[case]
     batch, c_in, t, n = 4, 6, 7, 25
     c_out = c_in if residual == "input" else 5
+    samples = GRAPH_CONV_CHUNKS[chunk]
+    if samples < batch:
+        # a chunk's budget counts each sample's stack and output
+        sample_bytes = (k * c_in + c_out) * t * n * np.dtype(dtype).itemsize
+        monkeypatch.setattr(tensor_module, "_COLS_BUDGET", samples * sample_bytes)
+    products = []
+
+    def counted_matmul(*args, original=model_module.matmul):
+        products.append(args[0].data.shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(model_module, "matmul", counted_matmul)
     rng = np.random.default_rng(sum(map(ord, case)))
     arrays = [rng.standard_normal(shape).astype(dtype) for shape in (
         (batch, c_in, t, n), (graph_batch, k, n, n), (c_out, k * c_in, 1, 1),
@@ -261,6 +281,8 @@ def test_graph_conv_node_matches_recorded_products_bitwise(monkeypatch, case, dt
         results.append([out.data] + [t.grad for t in inputs if t.requires_grad])
     for got, want in zip(*results):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the graph product ran once per chunk, over the chunk's samples
+    assert products == [samples] * (batch // samples) + [batch % samples] * (batch % samples > 0)
     assert tensor_module._SCRATCH[0] is arena
     with no_grad():
         out = graph_conv(*leaves())
@@ -942,6 +964,54 @@ def test_block_training_graph_keeps_no_graph_aggregation_stack():
     k = block.topo.n_configs
     stacks = [a.shape for a in tape_arrays(y) if a.size >= k * x.data.size]
     assert stacks == []
+
+
+def ntu_block5_static_route(batch):
+    """ntu-like block 5 (64 -> 128 channels, 64 frames, 25 joints): its K
+    shared graphs and lambda-scaled concatenated weight, and an input."""
+    spec = BlockSpec(64, 128, in_frames=64, in_joints=25, out_joints=25, stride=2, tc_kernel=9)
+    block = DynamicGConvBlock(spec, build_layout("ntu25"), ModelConfig("ntu25", 60),
+                              np.random.default_rng(10))
+    x = np.random.default_rng(11).standard_normal((batch, 64, 64, 25)).astype(np.float32)
+    return block, x
+
+
+def test_no_grad_static_route_builds_no_whole_batch_stack():
+    # at B=16 the (B, K*C, T, N) stack alone would take 18.75 MiB
+    block, x = ntu_block5_static_route(16)
+    x = Tensor(x)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            y = static_branch(x, block.topo, block.static_convs, block.lambda_static)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < y.data.nbytes + (6 << 20)
+
+
+def test_graph_conv_backward_takes_one_chunk_stack_at_a_time(monkeypatch):
+    batch, c_in, c_out, t, n, k = 16, 64, 128, 64, 25, 3
+    block, x = ntu_block5_static_route(batch)
+    requests = []
+
+    def recorded(*specs, original=tensor_module._scratch):
+        requests.append(sum(math.prod(shape) * np.dtype(dtype).itemsize
+                            for shape, dtype in specs))
+        return original(*specs)
+
+    monkeypatch.setattr(model_module, "_scratch", recorded)
+    monkeypatch.setattr(tensor_module, "_SCRATCH", [])
+    x = Tensor(x, requires_grad=True)
+    y = static_branch(x, block.topo, block.static_convs, block.lambda_static)
+    y.backward(np.ones_like(y.data))
+    # as many samples as fit their stack and output in the budget
+    chunk = tensor_module._COLS_BUDGET // ((k * c_in + c_out) * t * n * 4)
+    assert 1 < chunk < batch
+    # a stack, then its gradient in the same bytes, per chunk
+    assert len(requests) == 2 * -(-batch // chunk)
+    assert max(requests) == chunk * k * c_in * t * n * 4
 
 
 @pytest.mark.parametrize("training", [True, False])
