@@ -14,7 +14,7 @@ from dyngcn.flops import count_learner_flops, count_model_flops, overhead_report
 from dyngcn.model import ModelConfig
 
 config = ModelConfig(layout="ntu25", n_classes=60)
-report = count_model_flops(config, include_cen=True)
+report = count_model_flops(config)
 
 print(f"{report.label}: {report.total:,} FLOPs "
       f"(+ {report.minor_ops:,} minor elementwise ops)\n")
@@ -29,8 +29,9 @@ for key, flops in by_block.items():
     share = 100.0 * flops / report.total
     print(f"  {key:{width}s}  {flops:14,}  {share:5.1f}%")
 
-# The learners are cheap relative to the static graph convolutions.
-without = count_model_flops(config, include_cen=False)
+# The learners are cheap relative to the static graph convolutions: price
+# the same config without one.
+without = count_model_flops(replace(config, topology="none"))
 delta = overhead_report(without, report)
 extra = delta.other_total - delta.base_total
 print(f"\nstatic-only total {without.total:,}")
@@ -47,14 +48,14 @@ for kind in ("context", "context-feature", "context-temporal", "nonlocal"):
 # configurations, not the published models (the non-local learner is an
 # embedded-Gaussian graph, not 2s-AGCN's full adaptive graph).
 schedules = (
-    ("Dynamic GCN (CeN, joint aggregation)", config, True),
-    ("Dynamic GCN without joint aggregation", replace(config, aggregate_after=()), True),
+    ("Dynamic GCN (CeN, joint aggregation)", config),
+    ("Dynamic GCN without joint aggregation", replace(config, aggregate_after=())),
     ("ST-GCN-like (no learner, no aggregation)",
-     replace(config, topology="none", aggregate_after=()), False),
+     replace(config, topology="none", aggregate_after=())),
     ("2s-AGCN-like (non-local, no aggregation)",
-     replace(config, topology="nonlocal", aggregate_after=()), True),
+     replace(config, topology="nonlocal", aggregate_after=())),
 )
 print("\nGFLOP per stream at equal input (64 frames, one person):")
-for name, schedule, include_cen in schedules:
-    total = count_model_flops(schedule, include_cen=include_cen).total
+for name, schedule in schedules:
+    total = count_model_flops(schedule).total
     print(f"  {name:41s} {total / 1e9:6.3f}  {total / report.total:5.2f}x")

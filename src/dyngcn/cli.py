@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import MODEL_PRESETS, RUN_PRESETS, RunConfig, model_preset, run_preset
@@ -77,15 +77,12 @@ def _cmd_flops(args):
         model_config = RunConfig.load(args.config).model
     else:
         model_config = model_preset(args.preset)
-    want_with = args.with_cen or not args.without_cen
-    want_without = args.without_cen or not args.with_cen
     reports = []
-    if want_without:
-        reports.append(count_model_flops(model_config, include_cen=False,
+    if args.without_cen or not args.with_cen:
+        reports.append(count_model_flops(replace(model_config, topology="none"),
                                          persons=args.persons))
-    if want_with:
-        reports.append(count_model_flops(model_config, include_cen=True,
-                                         persons=args.persons))
+    if args.with_cen or not args.without_cen:
+        reports.append(count_model_flops(model_config, persons=args.persons))
     for report in reports:
         print(report.as_text())
         print()
@@ -156,7 +153,7 @@ def build_parser():
     p.add_argument("--with-cen", action="store_true",
                    help="report with the topology learner")
     p.add_argument("--without-cen", action="store_true",
-                   help="report without the topology learner")
+                   help="report the config with topology=none, without a learner")
     p.add_argument("--persons", type=int, default=1)
     p.add_argument("--kv", help="also write the report(s) as key=value text")
     p.set_defaults(func=_cmd_flops)

@@ -151,11 +151,23 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text, source="<config>"):
-        lines = ((lineno, raw.split("#", 1)[0].strip())
-                 for lineno, raw in enumerate(text.splitlines(), start=1))
-        model_kwargs, run_kwargs = _parse_assignments(
-            (f"{source}: line {lineno}", line) for lineno, line in lines if line
-        )
+        first_line = {}
+
+        def assignments():
+            # unlike an override, a key may appear once in the text
+            for lineno, raw in enumerate(text.splitlines(), start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                where = f"{source}: line {lineno}"
+                key = line.split("=", 1)[0].strip()
+                if key in first_line:
+                    raise ValueError(f"{where}: repeated key {key} "
+                                     f"(first on line {first_line[key]})")
+                first_line[key] = lineno
+                yield where, line
+
+        model_kwargs, run_kwargs = _parse_assignments(assignments())
         if "layout" not in model_kwargs or "n_classes" not in model_kwargs:
             raise ValueError(f"{source}: model.layout and model.n_classes are required")
         try:

@@ -1,8 +1,9 @@
 """Closed-form cost accounting for the graph-conv classifier.
 
 Counts are analytical: pure functions of shapes, independent of data and
-parameter values.  The convention is FLOPs = 2 x multiply-adds per
-sample per body.  Element-wise work (batch norm, ReLU, pooling, row
+parameter values.  The convention is FLOPs = 2 x multiply-adds, per
+body for the blocks and per sample for the classifier, which runs after
+the person average.  Element-wise work (batch norm, ReLU, pooling, row
 normalization, bias adds) is tallied separately as ``minor_ops`` -- one
 count per output element -- and never enters the headline total.
 """
@@ -93,20 +94,19 @@ def count_learner_flops(kind, channels, frames, joints):
                for w_in, w_out, positions in context_stages(axis, c, t, n))
 
 
-def count_model_flops(config, include_cen=True, persons=1):
+def count_model_flops(config, persons=1):
     """Price each block of ``config.block_plan`` and sum per-layer costs.
 
-    The report always carries learner and dynamic-branch rows so that a
-    with/without pair over the same config stays aligned; without the
-    learner those rows hold zero.
+    A learner runs unless ``config.topology`` is "none", the baseline whose
+    learner and dynamic rows hold zero, so that the two reports align.
+    Per-body rows count ``persons`` times; the classifier and its bias
+    count once per sample, after the person average.
     """
     if persons < 1:
         raise ValueError("persons must be >= 1")
-    if include_cen and config.topology == "none":
-        raise ValueError("config has no topology learner to include")
 
     layout = build_layout(config.layout)
-    report = CostReport(f"{config.layout} {'with' if include_cen else 'without'} learner")
+    report = CostReport(f"{config.layout} {'without' if config.topology == 'none' else 'with'} learner")
     minor = config.in_channels * layout.n_joints * config.frames  # input norm
 
     plan = config.block_plan(layout.n_joints)
@@ -124,7 +124,7 @@ def count_model_flops(config, include_cen=True, persons=1):
         report.add(f"block{i}.static", in_shape, fused_shape, static)
 
         learner = dynamic = 0
-        if include_cen:
+        if config.topology != "none":
             learner = count_learner_flops(config.topology, c_in, frames, joints)
             dynamic = count_graph_mult_flops(joints, c_in, frames)
             dynamic += count_conv_flops(in_shape, (out_c, c_in, 1))
@@ -149,13 +149,13 @@ def count_model_flops(config, include_cen=True, persons=1):
 
     last = plan[-1]
     minor += last.out_channels * last.out_frames * last.out_joints  # global pool
-    report.add("classifier", (last.out_channels,), (config.n_classes,),
-               2 * last.out_channels * config.n_classes)
-    minor += config.n_classes  # bias
-
     report.entries = [LayerCost(e.name, e.in_shape, e.out_shape, e.flops * persons)
                       for e in report.entries]
-    report.minor_ops = minor * persons
+    report.minor_ops = minor * persons + config.n_classes  # bias, once per sample
+    if persons > 1:
+        report.minor_ops += last.out_channels  # person average
+    report.add("classifier", (last.out_channels,), (config.n_classes,),
+               2 * last.out_channels * config.n_classes)
     return report
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from dyngcn import cli, export
 from dyngcn.checkpoint import load_checkpoint
-from dyngcn.config import run_preset
+from dyngcn.config import RunConfig, model_preset, run_preset
 from dyngcn.data import load_manifest
 from dyngcn.export import class_average_adjacency, export_topology, format_dot
 from dyngcn.model import build_model
@@ -176,6 +176,62 @@ def test_flops_both_modes_overhead(capsys):
     assert code == 0
     assert "2,230,588,544" in out and "2,426,522,712" in out
     assert "+0.0878" in out
+
+
+def flops_config(tmp_path, **model_overrides):
+    path = tmp_path / "model.cfg"
+    RunConfig(model=replace(model_preset("toy"), **model_overrides)).save(path)
+    return str(path)
+
+
+TOY_WITHOUT_LEARNER = """cost report: ntu25 without learner
+----------------------------------
+block1.static         3x4x25  4x4x25  52,200
+block1.learner        3x4x25   25x25       0
+block1.dynamic        3x4x25  4x4x25       0
+block1.tc             4x4x25  4x4x25   9,600
+block1.shortcut       3x4x25  4x4x25   2,400
+classifier                 4       2      16
+total                                 64,216
+minor ops (excluded)                   3,102
+
+"""
+
+
+def test_flops_prints_a_learnerless_config_as_both_reports(tmp_path, capsys):
+    # the baseline of a topology=none config is the config itself
+    assert cli.main(["flops", "--config", flops_config(tmp_path, topology="none")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == 2 * TOY_WITHOUT_LEARNER + (
+        "overhead: ntu25 without learner vs ntu25 without learner\n"
+        "--------------------------------------------------------\n"
+        "total                    64,216          64,216  +0.0000\n"
+    )
+
+
+def test_flops_lambda_zero_config_has_no_learnerless_baseline(tmp_path, capsys):
+    # without its learner a lambda=0 config has no active route, which the
+    # model config refuses; --with-cen still prices the config
+    config = flops_config(tmp_path, lambda_static=0.0)
+    for mode in ([], ["--without-cen"]):
+        assert cli.main(["flops", "--config", config] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: lambda_static=0 with topology 'none' leaves no "
+                                "active branch\n")
+    assert cli.main(["flops", "--config", config, "--with-cen"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cost report: ntu25 with learner\n")
+    assert "block1.static         3x4x25  4x4x25       0\n" in out
+    assert "total                                 61,466\n" in out
+
+
+def test_flops_two_persons_price_the_classifier_once(capsys):
+    assert cli.main(["flops", "--preset", "ntu-like", "--with-cen", "--persons", "2"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^classifier +256 +60 +30,720$", out, re.M)
+    assert re.search(r"^total +4,853,014,704$", out, re.M)
 
 
 def test_flops_refuses_no_persons(capsys):

@@ -162,60 +162,67 @@ def test_toy_model_hand_summed(tmp_path):
     tc = 2 * 4 * 4 * 3 * 4 * 3
     shortcut = 2 * 3 * 4 * 4 * 3
     classifier = 2 * 4 * 2
-    without = count_model_flops(cfg, include_cen=False)
+    without = count_model_flops(replace(cfg, topology="none"))
     assert without.total == static + tc + shortcut + classifier == 2968
 
     learner = (2 * 3 * 4 * 3) + (2 * 4 * 3) + (2 * 27)
     dynamic = (2 * 9 * 3 * 4) + (2 * 3 * 4 * 4 * 3)
-    with_cen = count_model_flops(cfg, include_cen=True)
+    with_cen = count_model_flops(cfg)
     assert with_cen.total == without.total + learner + dynamic == 3622
 
 
 def test_ntu_totals_match_hand_derivation():
-    without = count_model_flops(ntu_config(), include_cen=False)
-    with_cen = count_model_flops(ntu_config(), include_cen=True)
+    without = count_model_flops(ntu_config(topology="none"))
+    with_cen = count_model_flops(ntu_config())
     assert without.total == NTU_STATIC_TOTAL
     assert with_cen.total == NTU_STATIC_TOTAL + NTU_LEARNER_EXTRA
 
 
 def test_paper_baselines_cost_under_twice_the_preset_at_equal_input():
     dynamic = NTU_STATIC_TOTAL + NTU_LEARNER_EXTRA
-    stgcn = count_model_flops(ntu_config(topology="none", aggregate_after=()),
-                              include_cen=False)
+    stgcn = count_model_flops(ntu_config(topology="none", aggregate_after=()))
     agcn = count_model_flops(ntu_config(topology="nonlocal", aggregate_after=()))
     assert (stgcn.total, agcn.total) == (STGCN_LIKE_TOTAL, AGCN_LIKE_TOTAL)
     assert [round(total / dynamic, 2) for total in (stgcn.total, agcn.total)] == [1.48, 1.67]
 
 
 def test_ntu_static_total_in_published_band():
-    total = count_model_flops(ntu_config(), include_cen=False).total
+    total = count_model_flops(ntu_config(topology="none")).total
     assert 1.86e9 * 0.75 <= total <= 1.86e9 * 1.25
 
 
 def test_ntu_learner_overhead_ratio():
-    without = count_model_flops(ntu_config(), include_cen=False)
-    with_cen = count_model_flops(ntu_config(), include_cen=True)
+    without = count_model_flops(ntu_config(topology="none"))
+    with_cen = count_model_flops(ntu_config())
     ratio = overhead_report(without, with_cen).ratio
     assert 0.04 <= ratio <= 0.10
 
 
 def test_report_runtime_under_a_second():
     start = time.perf_counter()
-    count_model_flops(ntu_config(), include_cen=True)
-    count_model_flops(ntu_config(), include_cen=False)
+    count_model_flops(ntu_config())
+    count_model_flops(ntu_config(topology="none"))
     assert time.perf_counter() - start < 1.0
 
 
 def test_persons_multiplier():
-    one = count_model_flops(ntu_config(), include_cen=False, persons=1)
-    two = count_model_flops(ntu_config(), include_cen=False, persons=2)
-    assert two.total == 2 * one.total
-    assert two.minor_ops == 2 * one.minor_ops
+    # every body runs the blocks; the persons average before the classifier,
+    # which runs once per sample
+    one = count_model_flops(ntu_config(), persons=1)
+    two = count_model_flops(ntu_config(), persons=2)
+    assert [e.name for e in two.entries] == [e.name for e in one.entries]
+    for a, b in zip(one.entries, two.entries):
+        assert b.flops == (a.flops if a.name == "classifier" else 2 * a.flops), a.name
+    classifier = 2 * 256 * 60
+    assert one.entries[-1].flops == classifier
+    assert two.total == 2 * one.total - classifier
+    # the bias counts once per sample, the person average (256 channels) once
+    assert two.minor_ops == 2 * one.minor_ops - 60 + 256
 
 
 def test_learner_rows_zero_without_strictly_positive_with():
-    without = count_model_flops(ntu_config(), include_cen=False)
-    with_cen = count_model_flops(ntu_config(), include_cen=True)
+    without = count_model_flops(ntu_config(topology="none"))
+    with_cen = count_model_flops(ntu_config())
     assert [e.name for e in without.entries] == [e.name for e in with_cen.entries]
     for a, b in zip(without.entries, with_cen.entries):
         if ".learner" in a.name or ".dynamic" in a.name:
@@ -226,15 +233,15 @@ def test_learner_rows_zero_without_strictly_positive_with():
 
 
 def test_counts_independent_of_lambda_only_via_static_rows():
-    lam0 = count_model_flops(ntu_config(lambda_static=0.0), include_cen=True)
+    lam0 = count_model_flops(ntu_config(lambda_static=0.0))
     for entry in lam0.entries:
         if ".static" in entry.name:
             assert entry.flops == 0
 
 
 def test_aggregation_shrinks_downstream_costs():
-    with_agg = count_model_flops(ntu_config(), include_cen=False)
-    no_agg = count_model_flops(ntu_config(aggregate_after=()), include_cen=False)
+    with_agg = count_model_flops(ntu_config(topology="none"))
+    no_agg = count_model_flops(ntu_config(topology="none", aggregate_after=()))
     shrunk = {e.name: e.flops for e in with_agg.entries}
     full = {e.name: e.flops for e in no_agg.entries}
     for name in ("block6.static", "block6.tc", "block9.static", "block10.tc"):
@@ -273,9 +280,22 @@ def test_block_output_shapes_match_last_cost_row(config):
         assert shape == last.out_shape
 
 
-def test_model_flops_rejects_learnerless_config():
-    with pytest.raises(ValueError, match="no topology learner"):
-        count_model_flops(ntu_config(topology="none"), include_cen=True)
+@pytest.mark.parametrize("persons", [1, 2])
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_learnerless_config_prices_zero_learner_rows(kind, persons):
+    # a config's topology says whether a learner runs: its baseline is the
+    # same config with topology="none", whose learner and dynamic rows hold
+    # zero and whose other rows are the learner config's
+    config = ntu_config(topology=kind)
+    with_learner = count_model_flops(config, persons=persons)
+    baseline = count_model_flops(replace(config, topology="none"), persons=persons)
+    assert baseline.label == "ntu25 without learner"
+    assert baseline.entries == [
+        replace(e, flops=0) if ".learner" in e.name or ".dynamic" in e.name else e
+        for e in with_learner.entries
+    ]
+    row_norms = sum(spec.in_joints ** 2 for spec in config.block_plan(25))
+    assert baseline.minor_ops == with_learner.minor_ops - persons * row_norms
 
 
 # -- reports ------------------------------------------------------------
@@ -289,8 +309,8 @@ def test_cost_report_total_is_sum():
 
 
 def test_overhead_identical_reports():
-    a = count_model_flops(ntu_config(), include_cen=False)
-    b = count_model_flops(ntu_config(), include_cen=False)
+    a = count_model_flops(ntu_config(topology="none"))
+    b = count_model_flops(ntu_config(topology="none"))
     assert overhead_report(a, b).ratio == 0.0
 
 
@@ -307,7 +327,7 @@ def test_overhead_uniform_scaling():
 
 
 def test_report_renderings():
-    report = count_model_flops(ntu_config(), include_cen=True)
+    report = count_model_flops(ntu_config())
     text = report.as_text()
     assert "block5.project" in text and "classifier" in text
     kv = report.as_kv()

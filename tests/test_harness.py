@@ -85,6 +85,18 @@ def test_run_config_parse_errors():
         RunConfig.from_text("model.layout=ntu25\nmodel.flux=3\n")
 
 
+@pytest.mark.parametrize("text, line, key, first", [
+    ("model.layout=ntu25\nmodel.n_classes=2\nlr=0.1\nlr=0.3\n", 4, "lr", 3),
+    ("model.layout=ntu25\nmodel.frames=8\nmodel.n_classes=2\n# wider\n model.frames = 16 \n",
+     5, "model.frames", 2),
+], ids=["lr", "model.frames"])
+def test_run_config_refuses_a_repeated_key(text, line, key, first):
+    # a file states each key once; which of two values it meant is unknown
+    with pytest.raises(ValueError, match=rf"^run\.cfg: line {line}: repeated key "
+                                         rf"{re.escape(key)} \(first on line {first}\)$"):
+        RunConfig.from_text(text, source="run.cfg")
+
+
 def test_run_config_validation():
     model = ModelConfig(layout="ntu25", n_classes=2)
     with pytest.raises(ValueError, match="milestones"):
@@ -110,6 +122,8 @@ def test_with_overrides():
     assert out.lr == 0.25 and out.milestones == (2, 3)
     assert out.model.frames == 8
     assert cfg.lr == 0.05  # original untouched
+    # overrides stack: the command line appends its flags after --set
+    assert cfg.with_overrides(["lr=0.1", "seed=4", "lr=0.3"]).lr == 0.3
     with pytest.raises(ValueError, match="unknown key"):
         cfg.with_overrides(["chaos=1"])
 
@@ -176,7 +190,10 @@ def test_values_that_read_back_are_kept():
     ("lr=0", "lr must be positive"),
 ])
 def test_validation_errors_name_their_source(line, message):
-    text = f"model.layout=ntu25\nmodel.n_classes=2\n{line}\n"
+    # the required keys, less the one the line sets: a file states a key once
+    required = [r for r in ("model.layout=ntu25", "model.n_classes=2")
+                if r.split("=")[0] != line.split("=")[0]]
+    text = "\n".join(required + [line]) + "\n"
     with pytest.raises(ValueError, match=rf"^run\.cfg: {re.escape(message)}"):
         RunConfig.from_text(text, source="run.cfg")
     with pytest.raises(ValueError, match=rf"^overrides \['{re.escape(line)}'\]: "
